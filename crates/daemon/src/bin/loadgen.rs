@@ -15,8 +15,8 @@
 //! ```
 //!
 //! Without `--addr`, an in-process daemon is started on an ephemeral
-//! loopback port and shut down afterwards (the self-contained mode used by
-//! `scripts/check.sh` to record `results/BENCH_ingest.json`). With
+//! loopback port and shut down afterwards (the self-contained mode
+//! `scripts/check.sh` uses for its mini-suite differential run). With
 //! `--addr`, the load is aimed at an already-running daemon; add
 //! `--shutdown` to send the wire Shutdown message at the end.
 //!

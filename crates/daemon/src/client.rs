@@ -11,6 +11,9 @@ use std::net::{SocketAddr, TcpStream};
 pub struct Client {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
+    /// Process count of the bound computation (0 before `hello`); sizes
+    /// [`Client::gc_batch`]'s requests.
+    num_processes: u32,
 }
 
 /// Typed form of [`Msg::ClusterMapResult`]: the head snapshot's partition
@@ -50,6 +53,7 @@ impl Client {
         Ok(Client {
             reader: stream,
             writer,
+            num_processes: 0,
         })
     }
 
@@ -87,7 +91,10 @@ impl Client {
             num_processes,
             max_cluster_size,
         })? {
-            Msg::HelloAck { session, existing } => Ok((session, existing)),
+            Msg::HelloAck { session, existing } => {
+                self.num_processes = num_processes;
+                Ok((session, existing))
+            }
             other => Err(Self::protocol_error(&other)),
         }
     }
@@ -142,17 +149,29 @@ impl Client {
         }
     }
 
-    /// Batched greatest-concurrent: one slot vector per event in one round
-    /// trip; `None` marks an event unknown at the answering epoch.
+    /// Batched greatest-concurrent: one slot vector per event; `None` marks
+    /// an event unknown at the answering epoch. One round trip while the
+    /// reply fits a frame ([`wire::gc_batch_limit`]), one per
+    /// frame-sized slice of `events` beyond that.
     pub fn gc_batch(
         &mut self,
         events: &[EventId],
     ) -> io::Result<Vec<Option<Vec<Option<EventId>>>>> {
-        match self.call(&Msg::QueryGcBatch {
-            events: events.to_vec(),
-        })? {
-            Msg::GcBatchResult { results, .. } => Ok(results),
-            other => Err(Self::protocol_error(&other)),
+        let per_call = wire::gc_batch_limit(self.num_processes);
+        let mut all = Vec::with_capacity(events.len());
+        let mut rest = events;
+        loop {
+            let (chunk, tail) = rest.split_at(rest.len().min(per_call));
+            match self.call(&Msg::QueryGcBatch {
+                events: chunk.to_vec(),
+            })? {
+                Msg::GcBatchResult { results, .. } => all.extend(results),
+                other => return Err(Self::protocol_error(&other)),
+            }
+            if tail.is_empty() {
+                return Ok(all);
+            }
+            rest = tail;
         }
     }
 

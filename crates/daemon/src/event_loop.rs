@@ -19,11 +19,13 @@
 //!
 //! Connection sockets are edge-triggered (`EPOLLIN | EPOLLRDHUP | EPOLLET`):
 //! each readiness edge drains the socket to `EAGAIN` into a
-//! [`FrameBuffer`], and complete frames run the same session state machine
-//! as the thread backend ([`crate::server`]). The two backends answer
-//! byte-identically — the soak tests run both differentially.
+//! [`FrameBuffer`], and every complete frame goes through the connection's
+//! `Session` — the one protocol implementation, shared with the thread
+//! transport in [`crate::server`]. This module is a transport: it decides
+//! nothing about the protocol, only how to wait for what a `Step` needs
+//! without ever blocking the poller.
 //!
-//! ## The per-connection state machine
+//! ## The per-connection transport state
 //!
 //! A connection is always in exactly one of these states, enforced by the
 //! order of checks in [`Worker::pump`]:
@@ -40,24 +42,22 @@
 //!    legitimately waits for the ingest pipeline); the reply re-enters
 //!    through the completion queue + wake eventfd. Frame processing stops
 //!    so replies stay in request order.
-//! 4. **pumping**: otherwise, decode frames and answer inline — queries,
-//!    hello, stats are all non-blocking against published snapshots.
+//! 4. **pumping**: otherwise, step the session frame by frame and queue its
+//!    replies — queries, hello, stats are all non-blocking against
+//!    published snapshots.
 //!
-//! Closing (`Goodbye`, `Shutdown`, protocol errors) drains queued replies
+//! Closing (a `Close` or `ReplyThenClose` step) drains queued replies
 //! first, then deregisters and drops the socket.
 
 use crate::netpoll::{
     EpollEvent, EventFd, Poller, TimerFd, EPOLLERR, EPOLLET, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
-use crate::pipeline::{Computation, FlushError, TryEnqueue};
+use crate::pipeline::TryEnqueue;
 use crate::replication;
-use crate::server::{
-    cluster_map, hello, list_computations, lock, needs_protocol_2, needs_protocol_3,
-    needs_protocol_4, needs_protocol_5, no_session, placement_result, read_only, refuse_overloaded,
-    serve_query, time_travel_verb, DaemonShared,
-};
-use crate::wire::{self, code, write_msg, FrameBuffer, Msg};
+use crate::server::{lock, refuse_overloaded, DaemonShared};
+use crate::session::{computation_closed, flush_reply, Session, Step};
+use crate::wire::{code, write_msg, FrameBuffer, Msg};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -105,7 +105,7 @@ struct Conn {
     /// Encoded, not-yet-written reply bytes (`wpos` = sent prefix).
     wbuf: Vec<u8>,
     wpos: usize,
-    session: Option<Arc<Computation>>,
+    session: Session,
     /// A batch the ingest queue refused; re-offered by the retry timer.
     pending: Option<Vec<cts_model::Event>>,
     /// A flush helper thread owns the next reply slot.
@@ -119,9 +119,6 @@ struct Conn {
     closing: bool,
     /// `EPOLLOUT` currently armed.
     want_write: bool,
-    /// Message-set level negotiated via ProtoHello (level-2 verbs are
-    /// refused below it).
-    protocol: u16,
     /// A granted Subscribe: the poller hands the socket to a dedicated
     /// streamer thread (replication pushes for the connection's lifetime —
     /// the antithesis of a readiness loop's non-blocking contract).
@@ -135,14 +132,13 @@ impl Conn {
             rbuf: FrameBuffer::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            session: None,
+            session: Session::new(),
             pending: None,
             blocked_on_flush: false,
             read_ready: false,
             eof: false,
             closing: false,
             want_write: false,
-            protocol: 1,
             subscribe: None,
         }
     }
@@ -152,8 +148,12 @@ impl Conn {
     }
 
     fn queue_msg(&mut self, msg: &Msg) {
-        // Writing into a Vec cannot fail.
-        write_msg(&mut self.wbuf, msg).expect("vec write");
+        // Writing into a Vec fails only for a message over the frame
+        // limit, which leaves nothing written. The peer cannot be answered;
+        // hang up, as a failed socket write does on the thread transport.
+        if write_msg(&mut self.wbuf, msg).is_err() {
+            self.closing = true;
+        }
     }
 
     fn interest(&self) -> u32 {
@@ -415,9 +415,7 @@ impl Worker {
             // 5. Next frame, or more bytes.
             match conn.rbuf.next_frame() {
                 Ok(Some(payload)) => {
-                    if !self.handle_frame(id, conn, &payload) {
-                        return Pump::Close;
-                    }
+                    self.handle_frame(id, conn, &payload);
                     if conn.subscribe.is_some() {
                         // Granted Subscribe: the connection leaves the
                         // readiness loop (the streamer writes the queued
@@ -551,11 +549,7 @@ impl Worker {
 
     /// Offer a batch to the ingest queue without blocking.
     fn offer_ingest(&mut self, conn: &mut Conn, batch: Vec<cts_model::Event>) -> Offer {
-        let Some(comp) = conn.session.as_ref() else {
-            conn.queue_msg(&no_session());
-            return Offer::Closed;
-        };
-        match comp.try_enqueue_events(batch) {
+        match conn.session.computation().try_enqueue_events(batch) {
             Ok(()) => Offer::Accepted,
             Err(TryEnqueue::Backpressure(leftover)) => {
                 conn.pending = Some(leftover);
@@ -563,10 +557,7 @@ impl Worker {
                 Offer::Parked
             }
             Err(TryEnqueue::Closed) => {
-                conn.queue_msg(&Msg::Error {
-                    code: code::SHUTTING_DOWN,
-                    message: "computation is shut down".into(),
-                });
+                conn.queue_msg(&computation_closed());
                 Offer::Closed
             }
         }
@@ -628,110 +619,30 @@ impl Worker {
         }
     }
 
-    /// One decoded frame through the session state machine. Returns false
-    /// to drop the connection immediately.
-    fn handle_frame(&mut self, id: u64, conn: &mut Conn, payload: &[u8]) -> bool {
-        let msg = match Msg::decode(payload) {
-            Ok(m) => m,
-            Err(e) => {
-                let code = match e {
-                    wire::WireError::BadVersion(_) => code::BAD_VERSION,
-                    // Unknown verb from a newer message set: typed refusal,
-                    // connection stays up.
-                    wire::WireError::BadTag(_) => code::UNSUPPORTED,
-                    _ => code::MALFORMED,
-                };
-                conn.queue_msg(&Msg::Error {
-                    code,
-                    message: e.to_string(),
-                });
-                if code == code::BAD_VERSION {
-                    conn.closing = true; // no common language; hang up
-                }
-                return true;
+    /// One frame through the session, then whatever waiting its step needs.
+    fn handle_frame(&mut self, id: u64, conn: &mut Conn, payload: &[u8]) {
+        match conn.session.on_frame(&self.shared, payload) {
+            Step::Reply(reply) => conn.queue_msg(&reply),
+            Step::ReplyThenClose(reply) => {
+                conn.queue_msg(&reply);
+                conn.closing = true;
             }
-        };
-        if self.shared.recovering.load(Ordering::Acquire)
-            && !matches!(msg, Msg::Shutdown | Msg::Goodbye)
-        {
-            conn.queue_msg(&Msg::Error {
-                code: code::RECOVERING,
-                message: "daemon is recovering; retry shortly".into(),
-            });
-            return true;
-        }
-        match msg {
-            Msg::Hello {
-                computation,
-                num_processes,
-                max_cluster_size,
-            } => match hello(&self.shared, computation, num_processes, max_cluster_size) {
-                Ok((comp, existing)) => {
-                    conn.session = Some(comp);
-                    let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-                    conn.queue_msg(&Msg::HelloAck { session, existing });
-                }
-                Err(message) => conn.queue_msg(&Msg::Error {
-                    code: code::BAD_HELLO,
-                    message,
-                }),
-            },
-            Msg::Events(events) => {
-                if self.shared.config.follow.is_some() {
-                    conn.queue_msg(&read_only());
-                    return true;
-                }
-                let Some(comp) = conn.session.as_ref() else {
-                    conn.queue_msg(&no_session());
-                    return true;
-                };
-                if let Some(bad) = events.iter().find(|e| e.process().0 >= comp.num_processes) {
-                    conn.queue_msg(&Msg::Error {
-                        code: code::MALFORMED,
-                        message: format!(
-                            "event {} names process {} outside 0..{}",
-                            bad.id,
-                            bad.process().0,
-                            comp.num_processes
-                        ),
-                    });
-                    return true;
-                }
+            Step::Close => conn.closing = true,
+            Step::Ingest(events) => {
                 let _ = self.offer_ingest(conn, events);
             }
-            Msg::Flush { expected_total } => {
-                if self.shared.config.follow.is_some() {
-                    conn.queue_msg(&read_only());
-                    return true;
-                }
-                let Some(comp) = conn.session.as_ref() else {
-                    conn.queue_msg(&no_session());
-                    return true;
-                };
+            Step::Flush { expected_total } => {
                 // A flush legitimately waits (possibly seconds) for the
                 // pipeline — never on the poller thread. A helper carries
                 // it and completes through the wake eventfd.
-                let comp = Arc::clone(comp);
+                let comp = Arc::clone(conn.session.computation());
                 let ps = Arc::clone(&self.ps);
                 let timeout = self.shared.config.flush_timeout;
                 let spawned = std::thread::Builder::new()
                     .name("cts-daemon-flush".into())
                     .spawn(move || {
-                        let reply = match comp.flush(expected_total, timeout) {
-                            Ok((epoch, delivered)) => Msg::FlushAck { epoch, delivered },
-                            Err(FlushError::Timeout { delivered }) => Msg::Error {
-                                code: code::FLUSH_TIMEOUT,
-                                message: format!(
-                                    "flush target {expected_total} not reached \
-                                     (delivered {delivered})"
-                                ),
-                            },
-                            Err(FlushError::Closed) => Msg::Error {
-                                code: code::SHUTTING_DOWN,
-                                message: "computation is shut down".into(),
-                            },
-                        };
-                        ps.complete(id, reply);
+                        let outcome = comp.flush(expected_total, timeout);
+                        ps.complete(id, flush_reply(expected_total, outcome));
                     });
                 match spawned {
                     Ok(_) => conn.blocked_on_flush = true,
@@ -743,118 +654,11 @@ impl Worker {
                     }),
                 }
             }
-            Msg::QueryPrecedes { .. }
-            | Msg::QueryGreatestConcurrent { .. }
-            | Msg::QueryWindow { .. }
-            | Msg::QueryPrecedesBatch { .. }
-            | Msg::QueryGcBatch { .. } => {
-                let Some(comp) = conn.session.as_ref() else {
-                    conn.queue_msg(&no_session());
-                    return true;
-                };
-                let reply = serve_query(comp, &self.shared.query_pool, &msg);
-                conn.queue_msg(&reply);
-            }
-            Msg::QueryAsOfPrecedes { .. }
-            | Msg::QueryAsOfGc { .. }
-            | Msg::QueryAsOfWindow { .. }
-            | Msg::ListEpochs
-            | Msg::ReplayInterval { .. } => {
-                let reply = if conn.protocol < 3 {
-                    needs_protocol_3(time_travel_verb(&msg))
-                } else if let Some(comp) = conn.session.as_ref() {
-                    serve_query(comp, &self.shared.query_pool, &msg)
-                } else {
-                    no_session()
-                };
-                conn.queue_msg(&reply);
-            }
-            Msg::QueryClusterMap => {
-                let reply = if conn.protocol < 4 {
-                    needs_protocol_4("QueryClusterMap")
-                } else if let Some(comp) = conn.session.as_ref() {
-                    cluster_map(comp)
-                } else {
-                    no_session()
-                };
-                conn.queue_msg(&reply);
-            }
-            Msg::QueryPlacement => {
-                let reply = if conn.protocol < 5 {
-                    needs_protocol_5("QueryPlacement")
-                } else if let Some(comp) = conn.session.as_ref() {
-                    placement_result(comp)
-                } else {
-                    no_session()
-                };
-                conn.queue_msg(&reply);
-            }
-            Msg::Stats => {
-                let Some(comp) = conn.session.as_ref() else {
-                    conn.queue_msg(&no_session());
-                    return true;
-                };
-                let retainer = comp.retainer();
-                let stats = comp.metrics().snapshot(
-                    comp.query_cache().stats(),
-                    retainer.retained(),
-                    retainer.retired(),
-                );
-                conn.queue_msg(&Msg::StatsResult(stats));
-            }
-            Msg::ProtoHello {
-                protocol_max,
-                wal_max,
-            } => {
-                conn.protocol = protocol_max.min(wire::PROTOCOL);
-                conn.queue_msg(&Msg::ProtoHelloAck {
-                    protocol: conn.protocol,
-                    wal: wal_max.min(wire::WAL_FORMAT),
-                });
-            }
-            Msg::ListComputations => {
-                let reply = if conn.protocol < 2 {
-                    needs_protocol_2("ListComputations")
-                } else {
-                    Msg::ComputationList {
-                        comps: list_computations(&self.shared),
-                    }
-                };
-                conn.queue_msg(&reply);
-            }
-            Msg::Subscribe {
-                computation,
-                from_offset,
-                prev_lease,
-            } => match replication::check_subscribe(
-                &self.shared,
-                conn.protocol,
-                &computation,
-                from_offset,
-                prev_lease,
-            ) {
-                Ok(grant) => {
-                    conn.queue_msg(&grant.ack(&self.shared));
-                    conn.subscribe = Some(grant); // pump hands the socket off
-                }
-                Err(refusal) => conn.queue_msg(&refusal),
-            },
-            Msg::Shutdown => {
-                conn.queue_msg(&Msg::ShutdownAck);
-                conn.closing = true;
-                self.shared.request_shutdown();
-            }
-            Msg::Goodbye => {
-                conn.closing = true;
-            }
-            _ => {
-                conn.queue_msg(&Msg::Error {
-                    code: code::MALFORMED,
-                    message: "server-side message sent by client".into(),
-                });
+            Step::Subscribe(grant) => {
+                conn.queue_msg(&grant.ack(&self.shared));
+                conn.subscribe = Some(grant); // pump hands the socket off
             }
         }
-        true
     }
 
     /// Best-effort shutdown notice to every connection, then drop them all.

@@ -14,8 +14,11 @@
 //!   [`cts_core::ClusterEngine`] → [`cts_store::SharedStore`] — publishing
 //!   immutable epoch snapshots that query threads read without blocking
 //!   ingest;
-//! - [`server`]: the TCP daemon — bounded ingest queues for backpressure,
-//!   per-connection sessions, graceful shutdown;
+//! - [`server`]: the TCP daemon — start-up, the computation registry,
+//!   graceful shutdown, and the thread-per-connection transport;
+//! - `session`: the protocol itself — one step function from a received
+//!   frame to a reply or a wait, which both transports (the connection
+//!   threads in [`server`], the epoll pollers in `event_loop`) drive;
 //! - [`client`]: a blocking typed client used by tests and the load
 //!   generator;
 //! - [`metrics`]: lock-free counters and latency histograms behind the
@@ -70,6 +73,7 @@ pub mod query_pool;
 pub mod reorder;
 pub mod replication;
 pub mod server;
+pub(crate) mod session;
 pub mod shard;
 pub(crate) mod sharded;
 pub mod topology;

@@ -14,8 +14,9 @@
 //!    [`ClusterEngine`] batch run over the original in-order trace.
 //!
 //! Any divergence is a *mismatch* — by the delivery-order-invariance
-//! property, the correct count is exactly zero. The report doubles as the
-//! ingest/query benchmark behind `results/BENCH_ingest.json`.
+//! property, the correct count is exactly zero. The report doubles as a
+//! quick ingest/query throughput reading (`--json`, `cts-bench/1` schema);
+//! the recorded end-to-end numbers are `benchmark/results/baseline.json`.
 
 use crate::client::Client;
 use cts_core::strategy::MergeOnFirst;

@@ -3,17 +3,18 @@
 //!
 //! ```text
 //! cts-daemon [--host 127.0.0.1] [--port 4650] [--port-file PATH]
-//!            [--net-threads] [--pollers N] [--max-conns N]
+//!            [--pollers N] [--max-conns N]
 //!            [--queue-capacity 64] [--epoch-every 4096]
 //!            [--data-dir PATH] [--sync-window-ms 5] [--checkpoint-every N]
 //!            [--retain-epochs 8] [--retain-bytes B]
 //! ```
 //!
-//! The network front end defaults to the epoll poller pool on Linux;
-//! `--net-threads` selects thread-per-connection instead, `--pollers N`
-//! sizes the pool (0 = one per core, capped at 4), and `--max-conns N`
-//! bounds the thread backend's connection threads (excess connections are
-//! refused with `OVERLOADED` rather than aborting on spawn failure).
+//! The network transport is chosen by platform: the epoll poller pool on
+//! Linux, thread-per-connection elsewhere — and, automatically, on Linux
+//! too if epoll set-up fails. `--pollers N` sizes the pool (0 = one per
+//! core, capped at 4), and `--max-conns N` bounds the thread transport's
+//! connection threads (excess connections are refused with `OVERLOADED`
+//! rather than aborting on spawn failure).
 //!
 //! `--port 0` binds an ephemeral port; `--port-file` writes the resolved
 //! port as decimal text once listening (how scripts/check.sh finds the
@@ -48,7 +49,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: cts-daemon [--host HOST] [--port PORT] [--port-file PATH]\n\
-         \x20                 [--net-threads] [--pollers N] [--max-conns N]\n\
+         \x20                 [--pollers N] [--max-conns N]\n\
          \x20                 [--queue-capacity N] [--epoch-every N]\n\
          \x20                 [--data-dir PATH] [--sync-window-ms N]\n\
          \x20                 [--checkpoint-every N] [--query-workers N]\n\
@@ -77,7 +78,6 @@ fn main() {
             "--host" => host = value(&mut i),
             "--port" => port = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--port-file" => port_file = Some(value(&mut i)),
-            "--net-threads" => config.net = cts_daemon::server::NetBackend::Threads,
             "--pollers" => config.pollers = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--max-conns" => {
                 config.max_conn_threads = value(&mut i).parse().unwrap_or_else(|_| usage())

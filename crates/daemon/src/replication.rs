@@ -64,7 +64,8 @@
 
 use crate::checkpoint;
 use crate::pipeline::{Computation, ReplBatch, REPL_SUBSCRIBER_QUEUE};
-use crate::server::{hello, lock, DaemonShared};
+use crate::server::{lock, DaemonShared};
+use crate::session::hello;
 use crate::wal;
 use crate::wire::{self, code, read_msg, recv_frame, write_msg, CompInfo, Msg, Recv};
 use cts_model::Event;
@@ -148,21 +149,15 @@ impl Grant {
 }
 
 /// Validate a [`Msg::Subscribe`] and mint its lease, or produce the typed
-/// refusal to send instead. Shared by both network backends.
+/// refusal to send instead. The session has already checked the
+/// connection's protocol level (`crate::session`'s one verb → level table).
 pub(crate) fn check_subscribe(
     shared: &DaemonShared,
-    negotiated_protocol: u16,
     computation: &str,
     from_offset: u64,
     prev_lease: u64,
 ) -> Result<Grant, Box<Msg>> {
     let refuse = |code: u16, message: String| Box::new(Msg::Error { code, message });
-    if negotiated_protocol < 2 {
-        return Err(refuse(
-            code::UNSUPPORTED,
-            "Subscribe requires ProtoHello negotiation to protocol level >= 2".into(),
-        ));
-    }
     if shared.config.data_dir.is_none() {
         return Err(refuse(
             code::UNSUPPORTED,

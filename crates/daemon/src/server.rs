@@ -1,19 +1,20 @@
-//! The TCP daemon: network front end, per-connection sessions, graceful
-//! shutdown.
+//! The TCP daemon: start-up and shutdown, the computation registry, and the
+//! thread-per-connection transport.
 //!
-//! Two network backends share the same session semantics:
+//! The protocol lives in `crate::session`: a connection hands each frame
+//! to `Session::on_frame` and acts on the `Step` it returns. What is
+//! left to a transport is owning sockets and deciding how to wait. There are
+//! two, chosen by platform ([`NetBackend::default`]):
 //!
-//! - [`NetBackend::Epoll`] (Linux, the default): a small pool of poller
-//!   threads (see [`crate::event_loop`]) owns *all* sockets via
-//!   edge-triggered readiness — non-blocking accept, partial-frame
-//!   reassembly, write backpressure by re-arming `EPOLLOUT`, and a timerfd
-//!   in the same epoll set driving WAL group-commit windows. Connection
-//!   count is bounded by fds, not threads.
-//! - [`NetBackend::Threads`]: one *accept* thread owns the listener and
-//!   spawns one *connection* thread per client. Sockets carry a short read
-//!   timeout so idle connections poll the shutdown flag. This is the
-//!   portable fallback and the differential oracle the epoll backend is
-//!   tested against.
+//! - [`NetBackend::Epoll`] (Linux): a small pool of poller threads (see
+//!   [`crate::event_loop`]) owns *all* sockets via edge-triggered readiness.
+//!   Connection count is bounded by fds, not threads. If epoll set-up fails
+//!   the daemon falls back, loudly, to the thread transport.
+//! - [`NetBackend::Threads`] (everywhere else, the fallback, and the
+//!   reference side of the differential tests): one *accept* thread owns
+//!   the listener and spawns one *connection* thread per client, which
+//!   blocks inline on the ingest queue and the flush barrier. Sockets carry
+//!   a short read timeout so idle connections poll the shutdown flag.
 //!
 //! Either way, one *ingest worker* thread (or shard pool) per computation
 //! does the actual clustering work (see [`crate::pipeline::Computation`]).
@@ -25,15 +26,13 @@
 //! exits).
 
 use crate::checkpoint;
-use crate::pipeline::{Computation, ComputationConfig, DurabilityConfig, FlushError, Snapshot};
+use crate::pipeline::{Computation, ComputationConfig, DurabilityConfig};
 use crate::query_pool::QueryPool;
 use crate::replication;
+use crate::session::{computation_closed, flush_reply, Session, Step};
 use crate::shard::{PlacementParams, StampStrategy};
-use crate::wire::{self, code, recv_frame, write_msg, CompInfo, Msg, Recv};
+use crate::wire::{code, recv_frame, write_msg, Msg, Recv};
 use cts_core::cluster::AdaptiveParams;
-use cts_model::{EventId, EventIndex, ProcessId};
-use cts_store::queries::{greatest_concurrent, PrecedenceBackend};
-use cts_store::{CachedClusterBackend, EpochRetainer, SharedQueryCache};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -245,37 +244,7 @@ impl Daemon {
             recover_dirs.sort();
         }
 
-        let query_pool = QueryPool::new(match config.query_workers {
-            0 => QueryPool::default_size(),
-            n => n,
-        });
-        // Mint this start's leader incarnation before serving: leases
-        // granted by a previous incarnation must be recognizably stale from
-        // the very first Subscribe.
-        let leader_epoch = match &config.data_dir {
-            Some(root) => replication::next_leader_epoch(root),
-            None => 1,
-        };
-        let shared = Arc::new(DaemonShared {
-            config,
-            addr,
-            shutdown: AtomicBool::new(false),
-            shutdown_signal: Mutex::new(false),
-            shutdown_cond: Condvar::new(),
-            computations: Mutex::new(HashMap::new()),
-            conns: Mutex::new(Vec::new()),
-            next_session: AtomicU64::new(1),
-            recovering: AtomicBool::new(!recover_dirs.is_empty()),
-            query_pool,
-            live_conns: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            fail_spawns: AtomicBool::new(false),
-            leader_epoch,
-            lease_counter: AtomicU64::new(0),
-            #[cfg(target_os = "linux")]
-            net_wakes: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(DaemonShared::new(config, addr, !recover_dirs.is_empty()));
         let recovery_thread = if recover_dirs.is_empty() {
             None
         } else {
@@ -488,6 +457,43 @@ impl Daemon {
 }
 
 impl DaemonShared {
+    /// The state every connection shares, before any thread serves it.
+    /// `recovering` closes the `RECOVERING` gate until startup recovery
+    /// opens it.
+    pub(crate) fn new(config: DaemonConfig, addr: SocketAddr, recovering: bool) -> DaemonShared {
+        let query_pool = QueryPool::new(match config.query_workers {
+            0 => QueryPool::default_size(),
+            n => n,
+        });
+        // Mint this start's leader incarnation before serving: leases
+        // granted by a previous incarnation must be recognizably stale from
+        // the very first Subscribe.
+        let leader_epoch = match &config.data_dir {
+            Some(root) => replication::next_leader_epoch(root),
+            None => 1,
+        };
+        DaemonShared {
+            config,
+            addr,
+            shutdown: AtomicBool::new(false),
+            shutdown_signal: Mutex::new(false),
+            shutdown_cond: Condvar::new(),
+            computations: Mutex::new(HashMap::new()),
+            conns: Mutex::new(Vec::new()),
+            next_session: AtomicU64::new(1),
+            recovering: AtomicBool::new(recovering),
+            query_pool,
+            live_conns: AtomicU64::new(0),
+            conns_accepted: AtomicU64::new(0),
+            conns_refused: AtomicU64::new(0),
+            fail_spawns: AtomicBool::new(false),
+            leader_epoch,
+            lease_counter: AtomicU64::new(0),
+            #[cfg(target_os = "linux")]
+            net_wakes: Mutex::new(Vec::new()),
+        }
+    }
+
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         *lock(&self.shutdown_signal) = true;
@@ -600,7 +606,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
     }
 }
 
-/// The per-connection session state machine (thread backend).
+/// One connection on the thread transport: read a frame, step the session,
+/// wait inline for whatever the step needs.
 fn serve_connection(stream: TcpStream, shared: &DaemonShared) -> io::Result<()> {
     shared.live_conns.fetch_add(1, Ordering::AcqRel);
     let r = serve_connection_inner(stream, shared);
@@ -611,10 +618,7 @@ fn serve_connection(stream: TcpStream, shared: &DaemonShared) -> io::Result<()> 
 fn serve_connection_inner(mut stream: TcpStream, shared: &DaemonShared) -> io::Result<()> {
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
     stream.set_nodelay(true)?;
-    let mut session: Option<Arc<Computation>> = None;
-    // Message-set level this connection negotiated via ProtoHello; level-2
-    // verbs (ListComputations, Subscribe) are refused below it.
-    let mut negotiated: u16 = 1;
+    let mut session = Session::new();
 
     loop {
         if shared.shutting_down() {
@@ -632,395 +636,33 @@ fn serve_connection_inner(mut stream: TcpStream, shared: &DaemonShared) -> io::R
             Recv::Eof => return Ok(()),
             Recv::Frame(p) => p,
         };
-        let msg = match Msg::decode(&payload) {
-            Ok(m) => m,
-            Err(e) => {
-                let code = match e {
-                    wire::WireError::BadVersion(_) => code::BAD_VERSION,
-                    // An unknown verb from a newer message set is not a
-                    // framing error: answer typed UNSUPPORTED and keep the
-                    // connection so the peer can downgrade gracefully.
-                    wire::WireError::BadTag(_) => code::UNSUPPORTED,
-                    _ => code::MALFORMED,
-                };
-                write_msg(
-                    &mut stream,
-                    &Msg::Error {
-                        code,
-                        message: e.to_string(),
-                    },
-                )?;
-                if code == code::BAD_VERSION {
-                    return Ok(()); // no common language; hang up
-                }
-                continue;
-            }
-        };
-        // Until recovery has replayed on-disk state, sessions would observe
-        // a daemon that silently forgot events — refuse instead (clients
-        // retry). Shutdown and Goodbye stay valid.
-        if shared.recovering.load(Ordering::Acquire) && !matches!(msg, Msg::Shutdown | Msg::Goodbye)
-        {
-            write_msg(
-                &mut stream,
-                &Msg::Error {
-                    code: code::RECOVERING,
-                    message: "daemon is recovering; retry shortly".into(),
-                },
-            )?;
-            continue;
-        }
-        match msg {
-            Msg::Hello {
-                computation,
-                num_processes,
-                max_cluster_size,
-            } => {
-                let reply = hello(shared, computation, num_processes, max_cluster_size);
-                match reply {
-                    Ok((comp, existing)) => {
-                        session = Some(comp);
-                        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-                        write_msg(
-                            &mut stream,
-                            &Msg::HelloAck {
-                                session: id,
-                                existing,
-                            },
-                        )?;
-                    }
-                    Err(message) => write_msg(
-                        &mut stream,
-                        &Msg::Error {
-                            code: code::BAD_HELLO,
-                            message,
-                        },
-                    )?,
-                }
-            }
-            Msg::Events(events) => {
-                if shared.config.follow.is_some() {
-                    write_msg(&mut stream, &read_only())?;
-                    continue;
-                }
-                let Some(comp) = session.as_ref() else {
-                    write_msg(&mut stream, &no_session())?;
-                    continue;
-                };
-                // Validate process ids here, where we can still answer; the
-                // ingest path is fire-and-forget.
-                if let Some(bad) = events.iter().find(|e| e.process().0 >= comp.num_processes) {
-                    write_msg(
-                        &mut stream,
-                        &Msg::Error {
-                            code: code::MALFORMED,
-                            message: format!(
-                                "event {} names process {} outside 0..{}",
-                                bad.id,
-                                bad.process().0,
-                                comp.num_processes
-                            ),
-                        },
-                    )?;
-                    continue;
-                }
-                if comp.enqueue_events(events).is_err() {
-                    write_msg(
-                        &mut stream,
-                        &Msg::Error {
-                            code: code::SHUTTING_DOWN,
-                            message: "computation is shut down".into(),
-                        },
-                    )?;
-                }
-            }
-            Msg::Flush { expected_total } => {
-                if shared.config.follow.is_some() {
-                    write_msg(&mut stream, &read_only())?;
-                    continue;
-                }
-                let Some(comp) = session.as_ref() else {
-                    write_msg(&mut stream, &no_session())?;
-                    continue;
-                };
-                let reply = match comp.flush(expected_total, shared.config.flush_timeout) {
-                    Ok((epoch, delivered)) => Msg::FlushAck { epoch, delivered },
-                    Err(FlushError::Timeout { delivered }) => Msg::Error {
-                        code: code::FLUSH_TIMEOUT,
-                        message: format!(
-                            "flush target {expected_total} not reached (delivered {delivered})"
-                        ),
-                    },
-                    Err(FlushError::Closed) => Msg::Error {
-                        code: code::SHUTTING_DOWN,
-                        message: "computation is shut down".into(),
-                    },
-                };
+        match session.on_frame(shared, &payload) {
+            Step::Reply(reply) => write_msg(&mut stream, &reply)?,
+            Step::ReplyThenClose(reply) => {
                 write_msg(&mut stream, &reply)?;
-            }
-            Msg::QueryPrecedes { .. }
-            | Msg::QueryGreatestConcurrent { .. }
-            | Msg::QueryWindow { .. }
-            | Msg::QueryPrecedesBatch { .. }
-            | Msg::QueryGcBatch { .. } => {
-                let Some(comp) = session.as_ref() else {
-                    write_msg(&mut stream, &no_session())?;
-                    continue;
-                };
-                let reply = serve_query(comp, &shared.query_pool, &msg);
-                write_msg(&mut stream, &reply)?;
-            }
-            Msg::QueryAsOfPrecedes { .. }
-            | Msg::QueryAsOfGc { .. }
-            | Msg::QueryAsOfWindow { .. }
-            | Msg::ListEpochs
-            | Msg::ReplayInterval { .. } => {
-                let reply = if negotiated < 3 {
-                    needs_protocol_3(time_travel_verb(&msg))
-                } else if let Some(comp) = session.as_ref() {
-                    serve_query(comp, &shared.query_pool, &msg)
-                } else {
-                    no_session()
-                };
-                write_msg(&mut stream, &reply)?;
-            }
-            Msg::QueryClusterMap => {
-                let reply = if negotiated < 4 {
-                    needs_protocol_4("QueryClusterMap")
-                } else if let Some(comp) = session.as_ref() {
-                    cluster_map(comp)
-                } else {
-                    no_session()
-                };
-                write_msg(&mut stream, &reply)?;
-            }
-            Msg::QueryPlacement => {
-                let reply = if negotiated < 5 {
-                    needs_protocol_5("QueryPlacement")
-                } else if let Some(comp) = session.as_ref() {
-                    placement_result(comp)
-                } else {
-                    no_session()
-                };
-                write_msg(&mut stream, &reply)?;
-            }
-            Msg::Stats => {
-                let Some(comp) = session.as_ref() else {
-                    write_msg(&mut stream, &no_session())?;
-                    continue;
-                };
-                let retainer = comp.retainer();
-                let stats = comp.metrics().snapshot(
-                    comp.query_cache().stats(),
-                    retainer.retained(),
-                    retainer.retired(),
-                );
-                write_msg(&mut stream, &Msg::StatsResult(stats))?;
-            }
-            Msg::ProtoHello {
-                protocol_max,
-                wal_max,
-            } => {
-                negotiated = protocol_max.min(wire::PROTOCOL);
-                write_msg(
-                    &mut stream,
-                    &Msg::ProtoHelloAck {
-                        protocol: negotiated,
-                        wal: wal_max.min(wire::WAL_FORMAT),
-                    },
-                )?;
-            }
-            Msg::ListComputations => {
-                let reply = if negotiated < 2 {
-                    needs_protocol_2("ListComputations")
-                } else {
-                    Msg::ComputationList {
-                        comps: list_computations(shared),
-                    }
-                };
-                write_msg(&mut stream, &reply)?;
-            }
-            Msg::Subscribe {
-                computation,
-                from_offset,
-                prev_lease,
-            } => match replication::check_subscribe(
-                shared,
-                negotiated,
-                &computation,
-                from_offset,
-                prev_lease,
-            ) {
-                Ok(grant) => {
-                    write_msg(&mut stream, &grant.ack(shared))?;
-                    // The connection turns into a push stream from here on.
-                    return replication::serve_subscription(stream, shared, &grant);
-                }
-                Err(refusal) => write_msg(&mut stream, &refusal)?,
-            },
-            Msg::Shutdown => {
-                write_msg(&mut stream, &Msg::ShutdownAck)?;
-                shared.request_shutdown();
                 return Ok(());
             }
-            Msg::Goodbye => return Ok(()),
-            // Server-to-client messages arriving here are a protocol abuse.
-            _ => {
-                write_msg(
-                    &mut stream,
-                    &Msg::Error {
-                        code: code::MALFORMED,
-                        message: "server-side message sent by client".into(),
-                    },
-                )?;
+            Step::Close => return Ok(()),
+            Step::Ingest(events) => {
+                // Blocks while the ingest queue is full: backpressure
+                // reaches the peer through this connection's TCP window.
+                if session.computation().enqueue_events(events).is_err() {
+                    write_msg(&mut stream, &computation_closed())?;
+                }
+            }
+            Step::Flush { expected_total } => {
+                let outcome = session
+                    .computation()
+                    .flush(expected_total, shared.config.flush_timeout);
+                write_msg(&mut stream, &flush_reply(expected_total, outcome))?;
+            }
+            Step::Subscribe(grant) => {
+                write_msg(&mut stream, &grant.ack(shared))?;
+                // The connection turns into a push stream from here on.
+                return replication::serve_subscription(stream, shared, &grant);
             }
         }
     }
-}
-
-pub(crate) fn no_session() -> Msg {
-    Msg::Error {
-        code: code::NO_SESSION,
-        message: "no session: send Hello first".into(),
-    }
-}
-
-/// The follower-mode refusal for write verbs.
-pub(crate) fn read_only() -> Msg {
-    Msg::Error {
-        code: code::READ_ONLY,
-        message: "this daemon is a read-only follower; write to the leader".into(),
-    }
-}
-
-/// Refusal for level-2 verbs on a connection still at level 1.
-pub(crate) fn needs_protocol_2(verb: &str) -> Msg {
-    Msg::Error {
-        code: code::UNSUPPORTED,
-        message: format!("{verb} requires ProtoHello negotiation to protocol level >= 2"),
-    }
-}
-
-/// Refusal for level-3 (time-travel) verbs on a connection below level 3.
-pub(crate) fn needs_protocol_3(verb: &str) -> Msg {
-    Msg::Error {
-        code: code::UNSUPPORTED,
-        message: format!("{verb} requires ProtoHello negotiation to protocol level >= 3"),
-    }
-}
-
-/// Refusal for level-4 (adaptive observability) verbs below level 4.
-pub(crate) fn needs_protocol_4(verb: &str) -> Msg {
-    Msg::Error {
-        code: code::UNSUPPORTED,
-        message: format!("{verb} requires ProtoHello negotiation to protocol level >= 4"),
-    }
-}
-
-/// Refusal for level-5 (placement observability) verbs below level 5.
-pub(crate) fn needs_protocol_5(verb: &str) -> Msg {
-    Msg::Error {
-        code: code::UNSUPPORTED,
-        message: format!("{verb} requires ProtoHello negotiation to protocol level >= 5"),
-    }
-}
-
-/// Answer [`Msg::QueryPlacement`] from the computation's placement state
-/// (plus the head snapshot's epoch/delivered pair for correlation).
-pub(crate) fn placement_result(comp: &Computation) -> Msg {
-    let snap = comp.snapshot();
-    let info = comp.placement();
-    Msg::PlacementResult {
-        epoch: snap.epoch,
-        delivered: snap.delivered,
-        shards: info.shards,
-        pinned: info.pinned,
-        rescales: info.rescales,
-        steals: info.steals,
-        occupancy_q16: info.occupancy_q16,
-        routing: info.routing,
-    }
-}
-
-/// Answer [`Msg::QueryClusterMap`] from the computation's head snapshot:
-/// the partition is reported as one representative (smallest member id) per
-/// process, so equality of entries == co-clustering regardless of the order
-/// clusters happen to be enumerated in.
-pub(crate) fn cluster_map(comp: &Computation) -> Msg {
-    let snap = comp.snapshot();
-    let partition = snap.cts.final_partition();
-    let mut reps = vec![0u32; comp.num_processes as usize];
-    for cluster in partition.clusters() {
-        let rep = cluster.iter().map(|p| p.0).min().unwrap_or(0);
-        for &m in cluster {
-            reps[m.idx()] = rep;
-        }
-    }
-    let m = comp.metrics();
-    Msg::ClusterMapResult {
-        epoch: snap.epoch,
-        delivered: snap.delivered,
-        cluster_receives: snap.cts.num_cluster_receives() as u64,
-        merges: snap.cts.num_merges() as u64,
-        migrations: m.drift_migrations.load(Ordering::Relaxed),
-        forced_full: m.drift_forced_full.load(Ordering::Relaxed),
-        partition: reps,
-    }
-}
-
-/// Display name of a level-3 verb for the `UNSUPPORTED` refusal.
-pub(crate) fn time_travel_verb(msg: &Msg) -> &'static str {
-    match msg {
-        Msg::QueryAsOfPrecedes { .. } => "QueryAsOfPrecedes",
-        Msg::QueryAsOfGc { .. } => "QueryAsOfGc",
-        Msg::QueryAsOfWindow { .. } => "QueryAsOfWindow",
-        Msg::ListEpochs => "ListEpochs",
-        Msg::ReplayInterval { .. } => "ReplayInterval",
-        _ => "time-travel verb",
-    }
-}
-
-/// The identity rows for [`Msg::ListComputations`], sorted by name so
-/// discovery sees a deterministic listing.
-pub(crate) fn list_computations(shared: &DaemonShared) -> Vec<CompInfo> {
-    let mut comps: Vec<CompInfo> = lock(&shared.computations)
-        .iter()
-        .map(|(name, c)| CompInfo {
-            name: name.clone(),
-            num_processes: c.num_processes,
-            max_cluster_size: c.max_cluster_size,
-            delivered: c.stored_len(),
-        })
-        .collect();
-    comps.sort_by(|a, b| a.name.cmp(&b.name));
-    comps
-}
-
-/// Answer a query with latency/served metrics recorded — the one query
-/// entry point both network backends share, so the stats a client reads
-/// are identical whichever front end served it.
-pub(crate) fn serve_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> Msg {
-    let t0 = std::time::Instant::now();
-    let (reply, served) = answer_query(comp, pool, msg);
-    let ns = t0.elapsed().as_nanos() as u64;
-    let m = comp.metrics();
-    m.query_ns.record(ns);
-    match msg {
-        Msg::QueryPrecedes { .. } | Msg::QueryAsOfPrecedes { .. } => m.precedes_ns.record(ns),
-        Msg::QueryGreatestConcurrent { .. } | Msg::QueryAsOfGc { .. } => m.gc_ns.record(ns),
-        Msg::QueryWindow { .. } | Msg::QueryAsOfWindow { .. } => m.window_ns.record(ns),
-        Msg::QueryPrecedesBatch { .. } => {
-            m.precedes_ns.record(ns);
-            m.batch_queries.fetch_add(1, Ordering::Relaxed);
-        }
-        Msg::QueryGcBatch { .. } => {
-            m.gc_ns.record(ns);
-            m.batch_queries.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {}
-    }
-    m.queries_served.fetch_add(served, Ordering::Relaxed);
-    reply
 }
 
 /// Directory name for a computation: every byte outside `[a-zA-Z0-9_-]` is
@@ -1134,328 +776,54 @@ fn recover_one(
     Ok((meta.name, report))
 }
 
-pub(crate) fn hello(
-    shared: &DaemonShared,
-    name: String,
-    num_processes: u32,
-    max_cluster_size: u32,
-) -> Result<(Arc<Computation>, bool), String> {
-    if num_processes == 0 {
-        return Err("num_processes must be positive".into());
-    }
-    if max_cluster_size == 0 {
-        return Err("max_cluster_size must be positive".into());
-    }
-    let mut comps = lock(&shared.computations);
-    if let Some(existing) = comps.get(&name) {
-        if existing.num_processes != num_processes || existing.max_cluster_size != max_cluster_size
-        {
-            return Err(format!(
-                "computation {name:?} exists with {} processes / max cluster {}, \
-                 hello asked for {num_processes} / {max_cluster_size}",
-                existing.num_processes, existing.max_cluster_size
-            ));
+impl DaemonShared {
+    /// Join the live computation `name`, or open it: fresh, or — with a data
+    /// directory — recovered from what an earlier run left on disk. The
+    /// flag says whether it was already live. Parameters must match an
+    /// existing computation's exactly; callers range-check them first
+    /// (`crate::session::hello`).
+    pub(crate) fn open_computation(
+        &self,
+        name: String,
+        num_processes: u32,
+        max_cluster_size: u32,
+    ) -> Result<(Arc<Computation>, bool), String> {
+        let mut comps = lock(&self.computations);
+        if let Some(existing) = comps.get(&name) {
+            if existing.num_processes != num_processes
+                || existing.max_cluster_size != max_cluster_size
+            {
+                return Err(format!(
+                    "computation {name:?} exists with {} processes / max cluster {}, \
+                     hello asked for {num_processes} / {max_cluster_size}",
+                    existing.num_processes, existing.max_cluster_size
+                ));
+            }
+            return Ok((Arc::clone(existing), true));
         }
-        return Ok((Arc::clone(existing), true));
-    }
-    let config = computation_config(shared, &name, num_processes, max_cluster_size);
-    let comp = if config.durability.is_some() {
-        // The directory may hold state from a run that predates this
-        // process (e.g. it was added while the daemon was down): recover
-        // it rather than shadowing it. A parameter mismatch against the
-        // on-disk meta is a BAD_HELLO, same as against a live computation.
-        match Computation::spawn_durable(config) {
-            Ok((comp, report)) => {
-                if report.total_events() > 0 {
-                    eprintln!(
-                        "[cts-daemon] {name:?}: restored {} events from disk on hello",
-                        report.total_events()
-                    );
+        let config = computation_config(self, &name, num_processes, max_cluster_size);
+        let comp = if config.durability.is_some() {
+            // The directory may hold state from a run that predates this
+            // process (e.g. it was added while the daemon was down): recover
+            // it rather than shadowing it. A parameter mismatch against the
+            // on-disk meta is a BAD_HELLO, same as against a live computation.
+            match Computation::spawn_durable(config) {
+                Ok((comp, report)) => {
+                    if report.total_events() > 0 {
+                        eprintln!(
+                            "[cts-daemon] {name:?}: restored {} events from disk on hello",
+                            report.total_events()
+                        );
+                    }
+                    comp
                 }
-                comp
+                Err(e) => return Err(format!("cannot open durable computation {name:?}: {e}")),
             }
-            Err(e) => return Err(format!("cannot open durable computation {name:?}: {e}")),
-        }
-    } else {
-        Computation::spawn(config)
-    };
-    comps.insert(name, Arc::clone(&comp));
-    Ok((comp, false))
-}
-
-/// Server-side ceiling on ids per `WindowResult`, whatever the client's
-/// `limit` asks for (bounds reply frames and per-request work).
-pub const WINDOW_PAGE_CAP: u32 = 2048;
-
-/// Server-side ceiling on events per `ReplayChunk` (an encoded event is at
-/// most 17 bytes, so a full chunk stays well inside [`wire::MAX_FRAME`]).
-pub const REPLAY_CHUNK_CAP: u32 = 4096;
-
-/// The precedence verdict for a known pair, via the shared cache.
-fn cached_precedes(snap: &Snapshot, cache: &SharedQueryCache, e: EventId, f: EventId) -> bool {
-    let mut backend = CachedClusterBackend {
-        cts: &snap.cts,
-        cache,
-    };
-    backend.precedes(&snap.trace, e, f)
-}
-
-/// The greatest-concurrent vector for a known event, via the shared cache.
-/// Result vectors grow with the trace, so the memo is keyed by the
-/// snapshot's delivered-prefix length.
-fn cached_gc(snap: &Snapshot, cache: &SharedQueryCache, e: EventId) -> Vec<Option<EventId>> {
-    if let Some(v) = cache.gc(e, snap.delivered) {
-        return (*v).clone();
-    }
-    let mut backend = CachedClusterBackend {
-        cts: &snap.cts,
-        cache,
-    };
-    let v = greatest_concurrent(&mut backend, &snap.trace, e);
-    cache.insert_gc(e, snap.delivered, Arc::new(v.clone()));
-    v
-}
-
-/// Answer a query against the computation's current published snapshot.
-/// Returns the reply and how many individual queries it answered (batch
-/// messages count per item).
-fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
-    let snap = comp.snapshot();
-    let cache = comp.query_cache();
-    match msg {
-        &Msg::QueryPrecedes { e, f } => {
-            for id in [e, f] {
-                if !snap.trace.contains(id) {
-                    return (unknown_event(id, snap.epoch), 1);
-                }
-            }
-            let reply = Msg::PrecedesResult {
-                epoch: snap.epoch,
-                precedes: cached_precedes(&snap, cache, e, f),
-            };
-            (reply, 1)
-        }
-        &Msg::QueryGreatestConcurrent { e } => {
-            if !snap.trace.contains(e) {
-                return (unknown_event(e, snap.epoch), 1);
-            }
-            let reply = Msg::GcResult {
-                epoch: snap.epoch,
-                slots: cached_gc(&snap, cache, e),
-            };
-            (reply, 1)
-        }
-        &Msg::QueryWindow {
-            process,
-            from,
-            to,
-            limit,
-        } => {
-            if process >= comp.num_processes {
-                let err = Msg::Error {
-                    code: code::MALFORMED,
-                    message: format!("process {process} outside 0..{}", comp.num_processes),
-                };
-                return (err, 1);
-            }
-            let from = from.max(1);
-            let cap = match limit {
-                0 => WINDOW_PAGE_CAP,
-                n => n.min(WINDOW_PAGE_CAP),
-            };
-            let page_to = to.min(from.saturating_add(cap));
-            let ids = comp.process_window(ProcessId(process), from, page_to);
-            // The stored row is a contiguous prefix (causal delivery), so a
-            // page that came back short has exhausted what is stored — no
-            // cursor, same completion semantics as an unpaginated scan.
-            let next = if page_to < to && ids.len() as u32 == page_to - from {
-                page_to
-            } else {
-                0
-            };
-            (Msg::WindowResult { ids, next }, 1)
-        }
-        Msg::QueryPrecedesBatch { pairs } => {
-            let served = pairs.len() as u64;
-            let epoch = snap.epoch;
-            let job_cache = Arc::clone(cache);
-            let verdicts = pool.map(pairs.clone(), move |(e, f)| {
-                if !snap.trace.contains(e) || !snap.trace.contains(f) {
-                    return None;
-                }
-                Some(cached_precedes(&snap, &job_cache, e, f))
-            });
-            (Msg::PrecedesBatchResult { epoch, verdicts }, served)
-        }
-        Msg::QueryGcBatch { events } => {
-            let served = events.len() as u64;
-            let epoch = snap.epoch;
-            let job_cache = Arc::clone(cache);
-            let results = pool.map(events.clone(), move |e| {
-                if !snap.trace.contains(e) {
-                    return None;
-                }
-                Some(cached_gc(&snap, &job_cache, e))
-            });
-            (Msg::GcBatchResult { epoch, results }, served)
-        }
-        &Msg::QueryAsOfPrecedes { epoch, e, f } => {
-            let Some(asnap) = comp.retainer().get(epoch) else {
-                return (epoch_retired(epoch, comp.retainer()), 1);
-            };
-            for id in [e, f] {
-                if !asnap.trace.contains(id) {
-                    return (unknown_event(id, epoch), 1);
-                }
-            }
-            // The verdict/stamp cache layers are epoch-safe: happens-before
-            // between two delivered events never changes as later events
-            // arrive (causal delivery pins every predecessor first).
-            let reply = Msg::PrecedesResult {
-                epoch,
-                precedes: cached_precedes(&asnap, cache, e, f),
-            };
-            comp.metrics().asof_hits.fetch_add(1, Ordering::Relaxed);
-            (reply, 1)
-        }
-        &Msg::QueryAsOfGc { epoch, e } => {
-            let Some(asnap) = comp.retainer().get(epoch) else {
-                return (epoch_retired(epoch, comp.retainer()), 1);
-            };
-            if !asnap.trace.contains(e) {
-                return (unknown_event(e, epoch), 1);
-            }
-            // The greatest-concurrent memo is keyed by the snapshot's
-            // delivered length, so retained and head epochs never collide.
-            let reply = Msg::GcResult {
-                epoch,
-                slots: cached_gc(&asnap, cache, e),
-            };
-            comp.metrics().asof_hits.fetch_add(1, Ordering::Relaxed);
-            (reply, 1)
-        }
-        &Msg::QueryAsOfWindow {
-            epoch,
-            process,
-            from,
-            to,
-            limit,
-        } => {
-            let Some(asnap) = comp.retainer().get(epoch) else {
-                return (epoch_retired(epoch, comp.retainer()), 1);
-            };
-            if process >= comp.num_processes {
-                let err = Msg::Error {
-                    code: code::MALFORMED,
-                    message: format!("process {process} outside 0..{}", comp.num_processes),
-                };
-                return (err, 1);
-            }
-            let from = from.max(1);
-            let cap = match limit {
-                0 => WINDOW_PAGE_CAP,
-                n => n.min(WINDOW_PAGE_CAP),
-            };
-            let page_to = to.min(from.saturating_add(cap));
-            // The snapshot's trace holds exactly the delivered prefix as of
-            // `epoch`; each process row is a contiguous 1-based prefix.
-            let row_end = asnap.trace.process_len(ProcessId(process)) as u32 + 1;
-            let ids: Vec<EventId> = (from..page_to.min(row_end))
-                .map(|i| EventId::new(ProcessId(process), EventIndex(i)))
-                .collect();
-            let next = if page_to < to && ids.len() as u32 == page_to - from {
-                page_to
-            } else {
-                0
-            };
-            comp.metrics().asof_hits.fetch_add(1, Ordering::Relaxed);
-            (Msg::WindowResult { ids, next }, 1)
-        }
-        Msg::ListEpochs => {
-            let epochs = comp
-                .retainer()
-                .list()
-                .into_iter()
-                .map(|i| (i.epoch, i.delivered))
-                .collect();
-            (Msg::EpochList { epochs }, 1)
-        }
-        &Msg::ReplayInterval {
-            from_epoch,
-            to_epoch,
-            cursor,
-            limit,
-        } => {
-            let retainer = comp.retainer();
-            // Pin the destination epoch so retention GC cannot retire it
-            // between chunks of a single request (chunk resumption across
-            // requests re-resolves and may legitimately get EPOCH_RETIRED).
-            let Some(to_snap) = retainer.get(to_epoch) else {
-                return (epoch_retired(to_epoch, retainer), 1);
-            };
-            let d_from = if from_epoch == 0 {
-                0
-            } else {
-                match retainer.list().iter().find(|i| i.epoch == from_epoch) {
-                    Some(i) => i.delivered,
-                    None => return (epoch_retired(from_epoch, retainer), 1),
-                }
-            };
-            let d_to = to_snap.delivered;
-            if d_from > d_to {
-                let err = Msg::Error {
-                    code: code::MALFORMED,
-                    message: format!("from_epoch {from_epoch} is newer than to_epoch {to_epoch}"),
-                };
-                return (err, 1);
-            }
-            // `cursor` is the 1-based delivery offset to resume from (0 on
-            // the first request); the snapshot's trace is the delivered
-            // prefix in delivery order, so offsets index it directly.
-            let start0 = if cursor == 0 {
-                d_from
-            } else {
-                (cursor - 1).max(d_from)
-            };
-            let cap = match limit {
-                0 => REPLAY_CHUNK_CAP,
-                n => n.min(REPLAY_CHUNK_CAP),
-            } as u64;
-            let end0 = d_to.min(start0.saturating_add(cap));
-            let events = if start0 >= end0 {
-                Vec::new()
-            } else {
-                to_snap.trace.events()[start0 as usize..end0 as usize].to_vec()
-            };
-            let next = if end0 < d_to { end0 + 1 } else { 0 };
-            let reply = Msg::ReplayChunk {
-                first_offset: start0 + 1,
-                events,
-                next,
-            };
-            (reply, 1)
-        }
-        _ => unreachable!("answer_query only receives queries"),
-    }
-}
-
-fn unknown_event(id: cts_model::EventId, epoch: u64) -> Msg {
-    Msg::Error {
-        code: code::UNKNOWN_EVENT,
-        message: format!("{id} is not covered by snapshot epoch {epoch}"),
-    }
-}
-
-/// The time-travel refusal: the named epoch is outside the retained ring.
-fn epoch_retired(epoch: u64, retainer: &EpochRetainer<Snapshot>) -> Msg {
-    let list = retainer.list();
-    let range = match (list.first(), list.last()) {
-        (Some(a), Some(b)) => format!("{}..={}", a.epoch, b.epoch),
-        _ => "none".into(),
-    };
-    Msg::Error {
-        code: code::EPOCH_RETIRED,
-        message: format!("epoch {epoch} is not retained (retained epochs: {range})"),
+        } else {
+            Computation::spawn(config)
+        };
+        comps.insert(name, Arc::clone(&comp));
+        Ok((comp, false))
     }
 }
 

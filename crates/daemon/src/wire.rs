@@ -42,6 +42,20 @@ pub const WAL_FORMAT: u16 = 2;
 /// Upper bound on a frame's payload, to bound a malicious length prefix.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// Upper bound on a computation's process count: `Hello` above it is
+/// refused with [`code::BAD_HELLO`] before any per-process state is
+/// allocated. (The paper's corpus tops out at 300 processes.)
+pub const MAX_PROCESSES: u32 = 1 << 16;
+
+/// Most events one [`Msg::QueryGcBatch`] may name on a computation of
+/// `num_processes` processes so that the [`Msg::GcBatchResult`] still fits
+/// [`MAX_FRAME`]: every answer is a 5-byte header plus up to 9 bytes per
+/// process, under a reply header of at most 16 bytes. The daemon refuses
+/// larger batches; [`crate::Client::gc_batch`] splits by the same formula.
+pub fn gc_batch_limit(num_processes: u32) -> usize {
+    (MAX_FRAME as usize - 16) / (5 + 9 * num_processes as usize)
+}
+
 /// Error codes carried by [`Msg::Error`].
 pub mod code {
     /// A queried event is not (yet) in the published snapshot.
@@ -1291,10 +1305,20 @@ impl Msg {
     }
 }
 
-/// Write one message as a frame.
+/// Write one message as a frame. A message that encodes past [`MAX_FRAME`]
+/// is an error and nothing is written: the peer would reject the frame and
+/// lose the stream's framing with it.
 pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     let payload = msg.encode();
-    debug_assert!(payload.len() as u32 <= MAX_FRAME);
+    if payload.len() > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "message encodes to {} bytes, over the frame limit {MAX_FRAME}",
+                payload.len()
+            ),
+        ));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&payload)?;
     Ok(())

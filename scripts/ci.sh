@@ -6,8 +6,9 @@
 #   clippy    cargo clippy --all-targets with warnings denied
 #   build     offline release build of the whole workspace
 #   test      full offline test suite
-#   smoke     daemon loopback smoke over TCP + ingest throughput record
-#             + sharded (--shards 4) full-suite differential soak
+#   smoke     daemon loopback smoke over TCP + in-process mini-suite
+#             differential + sharded (--shards 4) full-suite
+#             differential soak
 #   recovery  crash-stop the daemon mid-suite, restart, verify zero
 #             differential mismatches after WAL/checkpoint recovery
 #   query     focused query_path bench run holding the read-path claims:
@@ -37,6 +38,11 @@
 #             on the planted hot-group trace
 #   bench     two cts-bench --quick runs gated against the committed
 #             baseline by scripts/bench_gate.py
+#   benchmark the pinned end-to-end benchmark (benchmark/, its own package
+#             outside the workspace, the command BENCHMARK.json declares)
+#             built and run at 1/20 length: all four workloads must come
+#             back correct with no failed operation, so a daemon API or
+#             flag change cannot break the instrument unnoticed
 #
 # Usage: ci.sh [stage ...]     (no arguments = all stages)
 #        ci.sh --list          (print the stage names, one per line)
@@ -150,9 +156,10 @@ stage_smoke() {
   wait "$daemon_pid"
   echo "ci.sh: daemon smoke ok (port $port)"
 
-  # Record ingest/query throughput in the cts-bench/1 schema (mini suite,
-  # in-process daemon, differential checks included).
-  target/release/cts-loadgen --quick --json results/BENCH_ingest.json
+  # In-process daemon, mini suite, differential checks included; the
+  # cts-bench/1 throughput report is scratch (the recorded numbers live in
+  # benchmark/results/), so a tier-1 run leaves the checkout clean.
+  target/release/cts-loadgen --quick --json "$workdir/loadgen-quick.json"
 
   # Sharded full-suite soak: all 54 computations through a 4-shard ingest
   # path, every answer differentially checked (exit non-zero on mismatch).
@@ -426,7 +433,14 @@ stage_bench() {
     shard_ingest/sharded_web_288_s1:shard_ingest/sharded_web_288_s4:1.8
 }
 
-all_stages=(fmt clippy build test smoke recovery query net repl replay adapt place bench)
+stage_benchmark() {
+  echo "==> benchmark: build and smoke-run the end-to-end benchmark"
+  # run.sh builds cts-daemon and the generator, prints one result line per
+  # workload, and exits non-zero unless every one is correct.
+  bash benchmark/run.sh --smoke
+}
+
+all_stages=(fmt clippy build test smoke recovery query net repl replay adapt place bench benchmark)
 if [[ "${1:-}" == "--list" ]]; then
   printf '%s\n' "${all_stages[@]}"
   exit 0
@@ -434,7 +448,7 @@ fi
 stages=("${@:-${all_stages[@]}}")
 for stage in "${stages[@]}"; do
   case "$stage" in
-  fmt | clippy | build | test | smoke | recovery | query | net | repl | replay | adapt | place | bench)
+  fmt | clippy | build | test | smoke | recovery | query | net | repl | replay | adapt | place | bench | benchmark)
     current_stage="$stage"
     current_start=$SECONDS
     "stage_$stage"

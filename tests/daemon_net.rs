@@ -12,7 +12,10 @@
 //!   time are reassembled, and a flood of pipelined batch queries whose
 //!   replies exceed the write buffer comes back complete and in order;
 //! - timerfd-driven group commit: with a nonzero sync window the WAL is
-//!   synced by the clock, without any `Flush` barrier on the wire.
+//!   synced by the clock, without any `Flush` barrier on the wire;
+//! - two bounds on what a peer can make the daemon allocate or emit, on
+//!   both transports: a `Hello` for an absurd process count is refused, and
+//!   no reply is ever written past the frame limit.
 //!
 //! The thread backend also re-runs the differential soak (mini suite), so
 //! both front ends stay pinned to the offline engine.
@@ -37,12 +40,16 @@ fn tmpdir(name: &str) -> PathBuf {
 
 /// Hello over a raw socket; returns the reply.
 fn raw_hello(s: &mut TcpStream, computation: &str, n: u32) -> Msg {
+    raw_hello_with(s, computation, n, 4)
+}
+
+fn raw_hello_with(s: &mut TcpStream, computation: &str, n: u32, max_cluster_size: u32) -> Msg {
     write_msg(
         s,
         &Msg::Hello {
             computation: computation.into(),
             num_processes: n,
-            max_cluster_size: 4,
+            max_cluster_size,
         },
     )
     .expect("write hello");
@@ -479,4 +486,124 @@ fn timerfd_group_commit_epoll_backend() {
 #[test]
 fn group_commit_thread_backend() {
     group_commit_without_flush(NetBackend::Threads, "gc-threads");
+}
+
+// ---------------------------------------------------------------------------
+// Bounds on outside input: process count, reply frame size.
+// ---------------------------------------------------------------------------
+
+/// A `Hello` naming 50 million processes used to reach the allocator (a
+/// 200 MB per-process table) and abort the whole daemon. It must be refused
+/// up front, and the daemon must go on serving the next connection.
+fn oversized_hello_is_refused(net: NetBackend) {
+    let daemon = Daemon::start(DaemonConfig {
+        net,
+        ..DaemonConfig::default()
+    })
+    .expect("bind");
+    let mut s = TcpStream::connect(daemon.local_addr()).expect("connect");
+    match raw_hello(&mut s, "huge", 50_000_000) {
+        Msg::Error { code: c, message } => {
+            assert_eq!(c, code::BAD_HELLO, "{message}");
+            assert!(message.contains("65536"), "limit not named: {message}");
+        }
+        other => panic!("oversized hello answered {other:?}"),
+    }
+    // The same connection is still usable, and so is the daemon.
+    assert!(matches!(
+        raw_hello(&mut s, "sane", 4),
+        Msg::HelloAck {
+            existing: false,
+            ..
+        }
+    ));
+    let mut next = Client::connect(daemon.local_addr()).expect("daemon still accepts");
+    let (_, existing) = next.hello("sane", 4, 4).expect("daemon still serves");
+    assert!(existing);
+    daemon.shutdown();
+}
+
+#[test]
+fn oversized_hello_is_refused_thread_backend() {
+    oversized_hello_is_refused(NetBackend::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn oversized_hello_is_refused_epoll_backend() {
+    oversized_hello_is_refused(NetBackend::Epoll);
+}
+
+/// On a 296-process computation one greatest-concurrent answer is up to
+/// 2 669 bytes, so 2 048 of them cannot share a frame. `Client::gc_batch`
+/// must still return all 2 048, each equal to the single-query answer, and
+/// a raw batch past the per-frame limit must be refused by name rather than
+/// answered with a frame the peer has to reject.
+fn gc_batch_larger_than_one_frame(net: NetBackend) {
+    let daemon = Daemon::start(DaemonConfig {
+        net,
+        ..DaemonConfig::default()
+    })
+    .expect("bind");
+    let t = Stencil1D {
+        procs: 296,
+        iters: 3,
+    }
+    .generate(7);
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    client.hello("wide", t.num_processes(), 8).expect("hello");
+    client.stream_events(t.events(), 512).expect("stream");
+    client.flush(t.events().len() as u64).expect("flush");
+
+    // The latest events see the most of the computation: long answers.
+    let distinct: Vec<_> = t.events().iter().rev().take(128).map(|e| e.id).collect();
+    let singles: Vec<_> = distinct
+        .iter()
+        .map(|&e| client.greatest_concurrent(e).expect("single gc"))
+        .collect();
+    let ids: Vec<_> = distinct.iter().copied().cycle().take(2048).collect();
+    let batch = client.gc_batch(&ids).expect("gc_batch over one frame");
+    assert_eq!(batch.len(), ids.len());
+    for (i, answer) in batch.iter().enumerate() {
+        assert_eq!(
+            answer.as_ref(),
+            Some(&singles[i % distinct.len()]),
+            "item {i}"
+        );
+    }
+
+    let mut s = TcpStream::connect(daemon.local_addr()).expect("connect");
+    assert!(matches!(
+        raw_hello_with(&mut s, "wide", 296, 8),
+        Msg::HelloAck { existing: true, .. }
+    ));
+    for (n, fits) in [(392usize, true), (393, false)] {
+        write_msg(
+            &mut s,
+            &Msg::QueryGcBatch {
+                events: ids[..n].to_vec(),
+            },
+        )
+        .expect("write batch");
+        match read_msg(&mut s).expect("read reply").expect("reply frame") {
+            Msg::GcBatchResult { results, .. } if fits => assert_eq!(results.len(), n),
+            Msg::Error { code: c, message } if !fits => {
+                assert_eq!(c, code::MALFORMED, "{message}");
+                assert!(message.contains("392"), "limit not named: {message}");
+            }
+            other => panic!("batch of {n}: {other:?}"),
+        }
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn gc_batch_larger_than_one_frame_thread_backend() {
+    gc_batch_larger_than_one_frame(NetBackend::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn gc_batch_larger_than_one_frame_epoll_backend() {
+    gc_batch_larger_than_one_frame(NetBackend::Epoll);
 }
