@@ -1,12 +1,12 @@
 //! Checkpoints, computation metadata, and the recovery scan.
 //!
 //! A checkpoint is *not* a serialized engine: by delivery-order invariance
-//! (the property the whole workspace is built on), the `ClusterEngine` and
-//! `EventStore` are pure functions of the delivered prefix, so the
-//! checkpoint serializes exactly that — the store's delivery log
-//! ([`cts_store::EventStore::delivery_log`]) — and recovery *recomputes*
-//! state by replaying it through the normal ingest pipeline, then replays
-//! the WAL tail on top. Checkpoints exist to bound recovery time and disk:
+//! (the property the whole workspace is built on), the stamps and the
+//! published trace are pure functions of the delivered prefix, so the
+//! checkpoint serializes exactly that — the ingest worker's delivered log
+//! (the sharded runtime's assembled cut) — and recovery *recomputes* state
+//! by replaying it through the normal ingest pipeline, then replays the WAL
+//! tail on top. Checkpoints exist to bound recovery time and disk:
 //! once one is durable, the WAL segments it covers are deleted.
 //!
 //! ## On-disk layout (per computation directory)
@@ -40,7 +40,7 @@
 //!             contiguous run of records continuing from the checkpoint;
 //!             truncate the first torn tail and ignore anything beyond it
 //!          ─► replay checkpoint events, then WAL-tail events, through the
-//!             reorder buffer → engine → store (the normal pipeline)
+//!             reorder buffer → engine → delivered log (the normal pipeline)
 //!          ─► open a fresh segment at the recovered offset; serve
 //! ```
 

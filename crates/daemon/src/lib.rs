@@ -11,9 +11,9 @@
 //!   arrival interleaving of concurrent client streams — duplicates dropped,
 //!   gaps parked until their predecessors arrive;
 //! - [`pipeline`]: the per-computation ingest pipeline — reorder buffer →
-//!   [`cts_core::ClusterEngine`] → [`cts_store::SharedStore`] — publishing
-//!   immutable epoch snapshots that query threads read without blocking
-//!   ingest;
+//!   [`cts_core::ClusterEngine`] → the worker's delivered log — publishing
+//!   immutable epoch snapshots (the partial-order data structure every
+//!   query reads) that query threads read without blocking ingest;
 //! - [`server`]: the TCP daemon — start-up, the computation registry,
 //!   graceful shutdown, and the thread-per-connection transport;
 //! - `session`: the protocol itself — one step function from a received
@@ -27,7 +27,8 @@
 //!   streams and differentially checks every answer against the offline
 //!   batch engine;
 //! - [`wal`] + [`checkpoint`]: the durability subsystem — a CRC-protected,
-//!   group-committed write-ahead log of the post-reorder delivery order,
+//!   group-committed write-ahead log of the post-reorder delivery order
+//!   (one `WalLane` of cursors into the delivered log per ingest worker),
 //!   periodic checkpoints of the delivered prefix, and a recovery scan that
 //!   truncates torn tails and replays through the normal pipeline. Because
 //!   state is a pure function of delivery order, recovery is replay;

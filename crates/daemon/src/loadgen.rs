@@ -647,7 +647,7 @@ fn check_computation(
             }
         }
     }
-    // One window scroll against the store: process 0's first events,
+    // One window scroll: process 0's first events,
     // paged with a deliberately small page so the continuation cursor
     // is exercised, with the ids compared against the trace.
     let p0 = cts_model::ProcessId(0);

@@ -43,7 +43,7 @@ pub struct Metrics {
     pub place_rescales: AtomicU64,
     /// Placement: clusters stolen between shards at a fixed count.
     pub place_steals: AtomicU64,
-    /// Per-event ingest-apply latency (reorder + engine + store), ns.
+    /// Per-event ingest-apply latency (reorder + engine), ns.
     pub ingest_ns: AtomicHistogram,
     /// Per-query service latency, ns (all query types).
     pub query_ns: AtomicHistogram,

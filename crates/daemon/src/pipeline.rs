@@ -2,11 +2,13 @@
 //!
 //! Each computation the daemon monitors gets one [`Computation`]: a single
 //! ingest worker thread that owns the [`ReorderBuffer`], the online
-//! [`ClusterEngine`], and the store's single-writer
-//! [`cts_store::IngestHandle`]. Sessions enqueue event batches onto a
-//! *bounded* channel (backpressure: a full queue blocks the connection
-//! thread, which in turn stops reading its socket, which pushes back on the
-//! client through TCP flow control).
+//! [`ClusterEngine`], and the delivered log — the only per-event structure
+//! on the ingest path besides the stamps. The WAL and the replication
+//! stream are cursors into that log (`wal::WalLane`); the partial-order data
+//! structure queries read is the published [`Snapshot`] built from it.
+//! Sessions enqueue event batches onto a *bounded* channel (backpressure: a
+//! full queue blocks the connection thread, which in turn stops reading its
+//! socket, which pushes back on the client through TCP flow control).
 //!
 //! Queries never touch the engine. The worker periodically *publishes* an
 //! immutable [`Snapshot`] — a delivery-order [`Trace`] of everything
@@ -23,14 +25,14 @@ use crate::metrics::Metrics;
 use crate::reorder::ReorderBuffer;
 use crate::shard::{PlacementParams, StampStrategy};
 use crate::sharded::{PlacementInfo, ShardedRuntime};
-use crate::wal::{self, WalWriter};
+use crate::wal::{Barrier, WalLane};
 use cts_core::cluster::{AdaptiveEngine, ClusterTimestamps};
 use cts_core::strategy::MergeOnFirst;
 use cts_core::ClusterEngine;
-use cts_model::{Event, EventId, ProcessId, Trace};
-use cts_store::{EpochRetainer, EventStore, PartitionedStore, SharedQueryCache, SharedStore};
-use cts_util::failpoint::{DurableSink, FailpointFs};
+use cts_model::{Event, Trace};
+use cts_store::{EpochRetainer, SharedQueryCache};
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -219,11 +221,8 @@ pub(crate) struct CompShared {
     pub(crate) snapshot: cts_store::sync::RwLock<Arc<Snapshot>>,
     pub(crate) progress: Mutex<Progress>,
     pub(crate) cond: Condvar,
-    pub(crate) metrics: Metrics,
-    pub(crate) store: SharedStore,
-    /// The sharded runtime's store (its shards write concurrently, so the
-    /// single-writer [`SharedStore`] does not fit); `None` in single mode.
-    pub(crate) parts: Option<Arc<PartitionedStore>>,
+    /// Shared with the WAL lanes, which count their barriers into it.
+    pub(crate) metrics: Arc<Metrics>,
     /// Raised by [`Computation::kill`]: the worker exits at the next
     /// command without the graceful final sync/checkpoint/publish.
     pub(crate) killed: AtomicBool,
@@ -248,7 +247,7 @@ enum EngineMode {
     Sharded(Arc<ShardedRuntime>),
 }
 
-/// One monitored computation: ingest worker(s) + published snapshot + store.
+/// One monitored computation: ingest worker(s) + published snapshot.
 pub struct Computation {
     pub name: String,
     pub num_processes: u32,
@@ -339,17 +338,12 @@ impl Computation {
         }
     }
 
-    fn new_shared(
-        config: &ComputationConfig,
-        parts: Option<Arc<PartitionedStore>>,
-    ) -> Arc<CompShared> {
+    fn new_shared(config: &ComputationConfig) -> Arc<CompShared> {
         Arc::new(CompShared {
             snapshot: cts_store::sync::RwLock::new(Arc::new(Self::empty_snapshot(config))),
             progress: Mutex::new(Progress::default()),
             cond: Condvar::new(),
-            metrics: Metrics::new(),
-            store: SharedStore::new(EventStore::new(config.num_processes)),
-            parts,
+            metrics: Arc::new(Metrics::new()),
             killed: AtomicBool::new(false),
             query_cache: Arc::new(SharedQueryCache::new(match config.query_cache_capacity {
                 0 => DEFAULT_QUERY_CACHE_CAPACITY,
@@ -369,9 +363,8 @@ impl Computation {
     /// Spawn the sharded runtime's workers. The caller must still run
     /// [`ShardedRuntime::bootstrap`] (recovery, WAL segments, first cut).
     fn spawn_sharded(config: &ComputationConfig) -> (Arc<Computation>, Arc<ShardedRuntime>) {
-        let parts = Arc::new(PartitionedStore::new(config.num_processes));
-        let shared = Self::new_shared(config, Some(Arc::clone(&parts)));
-        let rt = ShardedRuntime::spawn(config, Arc::clone(&shared), parts);
+        let shared = Self::new_shared(config);
+        let rt = ShardedRuntime::spawn(config, Arc::clone(&shared));
         let comp = Arc::new(Computation {
             name: config.name.clone(),
             num_processes: config.num_processes,
@@ -385,7 +378,7 @@ impl Computation {
 
     fn spawn_inner(config: ComputationConfig, replay: Vec<Event>) -> Arc<Computation> {
         let (tx, rx) = sync_channel(config.queue_capacity.max(1));
-        let shared = Self::new_shared(&config, None);
+        let shared = Self::new_shared(&config);
         // The recovered prefix is on disk already (that is where it came
         // from): publish its length as the durable watermark *before* the
         // worker runs, so a subscription racing recovery cannot observe 0
@@ -544,40 +537,10 @@ impl Computation {
         self.dur_dir.as_deref()
     }
 
-    /// The shared event store (for window queries). Single mode only — the
-    /// sharded runtime writes a [`PartitionedStore`] instead; use the
-    /// mode-agnostic [`process_window`](Self::process_window) and
-    /// [`stored_len`](Self::stored_len) for queries.
-    pub fn store(&self) -> &SharedStore {
-        &self.shared.store
-    }
-
-    /// Mode-agnostic window query: the ids stored for process `p` with
-    /// indices in `[from, to]`.
-    pub fn process_window(&self, p: ProcessId, from: u32, to: u32) -> Vec<EventId> {
-        match &self.shared.parts {
-            Some(parts) => parts
-                .process_window(p, from, to)
-                .iter()
-                .map(|r| r.event.id)
-                .collect(),
-            None => self
-                .shared
-                .store
-                .read()
-                .process_window(p, from, to)
-                .iter()
-                .map(|r| r.event.id)
-                .collect(),
-        }
-    }
-
-    /// Mode-agnostic store size (events stored exactly once).
-    pub fn stored_len(&self) -> u64 {
-        match &self.shared.parts {
-            Some(parts) => parts.len(),
-            None => self.shared.store.read().len() as u64,
-        }
+    /// Events delivered so far (the count the flush barrier waits on). May
+    /// run ahead of the published snapshot, never behind it.
+    pub fn delivered(&self) -> u64 {
+        lock(&self.shared.progress).delivered
     }
 
     /// Barrier: wait until `expected` events are delivered *and* a snapshot
@@ -686,23 +649,6 @@ impl Drop for Computation {
     }
 }
 
-/// Open a fresh WAL segment at `start`. A leftover segment with the same
-/// start offset has already been fully consumed by the recovery scan (or is
-/// empty), so it is replaced.
-fn open_segment(
-    dur: &DurabilityConfig,
-    start: u64,
-    fault_budget: &mut Option<u64>,
-) -> io::Result<WalWriter<Box<dyn DurableSink + Send>>> {
-    let path = dur.dir.join(wal::segment_name(start));
-    let _ = std::fs::remove_file(&path);
-    let sink: Box<dyn DurableSink + Send> = match *fault_budget {
-        Some(budget) => Box::new(FailpointFs::create(&path, budget)?),
-        None => Box::new(std::fs::File::create(&path)?),
-    };
-    WalWriter::from_sink(sink, start, dur.sync_window)
-}
-
 /// The single worker's engine under either strategy. The adaptive variant
 /// *is* the offline [`AdaptiveEngine`], run in delivery order — which is
 /// what makes a single-worker daemon's stamps bit-identical to an offline
@@ -754,7 +700,9 @@ impl WorkerEngine {
     }
 }
 
-/// The ingest worker: reorder → engine → WAL → store, publishing epochs.
+/// The ingest worker: reorder → engine → delivered log, with the WAL lane
+/// and the replication stream following the log and epochs published from
+/// it.
 fn worker_loop(
     shared: &CompShared,
     rx: Receiver<IngestCmd>,
@@ -764,10 +712,6 @@ fn worker_loop(
     let n = config.num_processes;
     let mut buf = ReorderBuffer::new(n);
     let mut engine = WorkerEngine::new(n, config.strategy);
-    let mut ingest = shared
-        .store
-        .ingest_handle()
-        .expect("the worker is the store's only writer");
     let mut log: Vec<Event> = Vec::new();
     let mut last_published: Option<u64> = None;
 
@@ -786,6 +730,8 @@ fn worker_loop(
             shared.cond.notify_all();
             return;
         }
+        // The whole-prefix validation is the tripwire for a reorder-buffer
+        // bug: nothing else on this path re-checks delivery order.
         let trace = Trace::from_delivery_order(config.name.clone(), n, log.clone())
             .expect("reorder buffer emits valid delivery orders");
         let cts = engine.snapshot();
@@ -845,7 +791,6 @@ fn worker_loop(
                 Ok(delivered) => {
                     for d in delivered {
                         engine.accept(d);
-                        let _ = ingest.insert(d);
                         log.push(d);
                         while next_mark < marks.len() && marks[next_mark].1 == log.len() as u64 {
                             publish(&engine, &log, &mut last_published, Some(marks[next_mark].0));
@@ -880,53 +825,56 @@ fn worker_loop(
         publish(&engine, &log, &mut last_published, None);
     }
 
-    // Durability state: an open segment continuing from the recovered
-    // frontier. A WAL that cannot be opened or written degrades the
-    // computation to in-memory (loudly) rather than stopping ingest.
+    // Durability state: a lane whose first segment continues from the
+    // recovered frontier (a no-op for an in-memory computation).
     let meta = config.durability.as_ref().map(|_| CompMeta {
         name: config.name.clone(),
         num_processes: n,
         max_cluster_size: config.max_cluster_size,
     });
-    let mut fault_budget = config.durability.as_ref().and_then(|d| d.wal_byte_budget);
     let mut last_checkpoint = log.len() as u64;
-    // Barriers of the current writer already folded into the shared
-    // `wal_syncs` metric (per-writer counters restart at segment rotation).
-    let mut wal_syncs_reported: u64 = 0;
-    let mut wal = config.durability.as_ref().and_then(|dur| {
-        match open_segment(dur, log.len() as u64, &mut fault_budget) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!(
-                    "[cts-daemon] {}: cannot open WAL segment, running in-memory: {e}",
-                    config.name
-                );
-                None
-            }
-        }
-    });
-    let mut fresh: Vec<Event> = Vec::new();
+    let mut lane = WalLane::new(
+        config.durability.clone(),
+        config.name.clone(),
+        Arc::clone(&shared.metrics),
+    );
+    lane.rotate(log.len());
+    // Group commit is timer-driven: the daemon's sync timer (timerfd on the
+    // epoll backend) sends SyncWal each window, so the append path syncs
+    // inline only under a zero window (= fsync every batch, the crash-test
+    // configuration).
+    let on_append = match &config.durability {
+        Some(d) if d.sync_window.is_zero() => Barrier::Forced,
+        _ => Barrier::None,
+    };
 
-    // Events appended to the WAL but not yet covered by a durability
-    // barrier. The moment a sync succeeds they are *committed*: the
-    // watermark advances and the run is broadcast to replication
-    // subscribers (only synced events are ever streamed, so a follower
-    // never applies state a leader crash could lose).
-    let mut pending_first: u64 = 0;
-    let mut pending: Vec<Event> = Vec::new();
-    let broadcast = |pending_first: &mut u64, pending: &mut Vec<Event>, durable: u64| {
-        shared.repl.durable.store(durable, Ordering::Release);
-        if pending.is_empty() {
+    // The one sync-then-broadcast sequence. The moment a barrier holds, the
+    // range it covered is *committed*: the watermark advances and the run is
+    // streamed to replication subscribers (only synced events ever are, so a
+    // follower never applies state a leader crash could lose). The batch is
+    // cut from the log only when somebody subscribes, and after the
+    // watermark store — a subscriber registers first and reads the
+    // watermark second, so it sees every range on one side or the other.
+    let commit = |log: &[Event], durable: Range<usize>| {
+        shared
+            .repl
+            .durable
+            .store(durable.end as u64, Ordering::Release);
+        if durable.is_empty() {
+            return;
+        }
+        let mut subscribers = lock(&shared.repl.subscribers);
+        if subscribers.is_empty() {
             return;
         }
         let batch = Arc::new(ReplBatch {
-            first_offset: *pending_first,
-            commit: durable,
-            events: std::mem::take(pending),
+            first_offset: durable.start as u64 + 1,
+            commit: durable.end as u64,
+            events: log[durable].to_vec(),
         });
         // A full or closed channel drops the subscriber: its streamer sees
         // the disconnect and the follower resubscribes from disk.
-        lock(&shared.repl.subscribers).retain(|tx| tx.try_send(Arc::clone(&batch)).is_ok());
+        subscribers.retain(|tx| tx.try_send(Arc::clone(&batch)).is_ok());
     };
 
     for cmd in rx.iter() {
@@ -935,24 +883,14 @@ fn worker_loop(
         }
         match cmd {
             IngestCmd::Events(batch) => {
-                fresh.clear();
+                let batch_start = log.len();
                 for ev in batch {
                     let t0 = Instant::now();
                     match buf.offer(ev) {
                         Ok(delivered) => {
                             for d in delivered {
                                 engine.accept(d);
-                                if let Err(e) = ingest.insert(d) {
-                                    // Causal delivery makes this unreachable;
-                                    // never kill the worker over a store
-                                    // refusal.
-                                    eprintln!(
-                                        "[cts-daemon] {}: store refused {}: {e}",
-                                        config.name, d.id
-                                    );
-                                }
                                 log.push(d);
-                                fresh.push(d);
                             }
                         }
                         Err(reason) => {
@@ -967,54 +905,9 @@ fn worker_loop(
                         .ingest_ns
                         .record(t0.elapsed().as_nanos() as u64);
                 }
-                // Write-ahead log the newly delivered suffix. Group commit
-                // is timer-driven: the daemon's sync timer (timerfd on the
-                // epoll backend) sends SyncWal each window, so the append
-                // path syncs inline only under a zero window (= fsync every
-                // batch, the crash-test configuration).
-                if !fresh.is_empty() {
-                    if let Some(w) = wal.as_mut() {
-                        let r = w.append(&fresh).and_then(|()| {
-                            if config
-                                .durability
-                                .as_ref()
-                                .is_some_and(|d| d.sync_window.is_zero())
-                            {
-                                w.sync()
-                            } else {
-                                Ok(())
-                            }
-                        });
-                        match r {
-                            Ok(()) => {
-                                if pending.is_empty() {
-                                    pending_first = log.len() as u64 - fresh.len() as u64 + 1;
-                                }
-                                pending.extend_from_slice(&fresh);
-                                if config
-                                    .durability
-                                    .as_ref()
-                                    .is_some_and(|d| d.sync_window.is_zero())
-                                {
-                                    // The inline sync above committed them.
-                                    broadcast(&mut pending_first, &mut pending, log.len() as u64);
-                                }
-                                let s = w.syncs();
-                                shared.metrics.wal_syncs.fetch_add(
-                                    s.saturating_sub(wal_syncs_reported),
-                                    Ordering::Relaxed,
-                                );
-                                wal_syncs_reported = s;
-                            }
-                            Err(e) => {
-                                eprintln!(
-                                    "[cts-daemon] {}: WAL write failed, durability degraded: {e}",
-                                    config.name
-                                );
-                                wal = None;
-                            }
-                        }
-                    }
+                // Write-ahead log the newly delivered suffix.
+                if log.len() > batch_start {
+                    commit(&log, lane.append(&log, on_append));
                 }
                 shared
                     .metrics
@@ -1054,56 +947,27 @@ fn worker_loop(
                 // one, now fully covered, is retired by write_checkpoint).
                 if let (Some(dur), Some(m)) = (&config.durability, &meta) {
                     let delivered = log.len() as u64;
-                    if wal.is_some()
+                    if lane.is_open()
                         && dur.checkpoint_every > 0
                         && delivered - last_checkpoint >= dur.checkpoint_every
                     {
-                        match wal.as_mut().expect("checked above").sync() {
-                            Ok(()) => {
-                                broadcast(&mut pending_first, &mut pending, delivered);
-                                // WAL segments behind the oldest retained
-                                // epoch stay on disk even though the
-                                // checkpoint covers them.
-                                let floor = shared.retainer.oldest_delivered().unwrap_or(delivered);
-                                match checkpoint::write_checkpoint_with_floor(
-                                    &dur.dir, m, &log, floor,
-                                ) {
-                                    Ok(()) => {
-                                        last_checkpoint = delivered;
-                                        let old = wal.take().expect("checked above");
-                                        if let Some(b) = fault_budget.as_mut() {
-                                            *b = b.saturating_sub(old.bytes_written());
-                                        }
-                                        // Fold the retiring writer's barriers in
-                                        // and restart the per-writer baseline.
-                                        shared.metrics.wal_syncs.fetch_add(
-                                            old.syncs().saturating_sub(wal_syncs_reported),
-                                            Ordering::Relaxed,
-                                        );
-                                        wal_syncs_reported = 0;
-                                        drop(old);
-                                        match open_segment(dur, delivered, &mut fault_budget) {
-                                            Ok(w) => wal = Some(w),
-                                            Err(e) => eprintln!(
-                                                "[cts-daemon] {}: WAL rotation failed, \
-                                             durability degraded: {e}",
-                                                config.name
-                                            ),
-                                        }
-                                    }
-                                    Err(e) => eprintln!(
-                                        "[cts-daemon] {}: checkpoint failed: {e}",
-                                        config.name
-                                    ),
+                        commit(&log, lane.sync(&log));
+                        // WAL segments behind the oldest retained epoch
+                        // stay on disk even though the checkpoint covers
+                        // them.
+                        let floor = shared.retainer.oldest_delivered().unwrap_or(delivered);
+                        // (A failed sync has closed the lane: no checkpoint.)
+                        if lane.is_open() {
+                            match checkpoint::write_checkpoint_with_floor(&dur.dir, m, &log, floor)
+                            {
+                                Ok(()) => {
+                                    last_checkpoint = delivered;
+                                    lane.rotate(log.len());
                                 }
-                            }
-                            Err(e) => {
-                                eprintln!(
-                                    "[cts-daemon] {}: WAL sync failed, durability \
-                                     degraded: {e}",
+                                Err(e) => eprintln!(
+                                    "[cts-daemon] {}: checkpoint failed: {e}",
                                     config.name
-                                );
-                                wal = None;
+                                ),
                             }
                         }
                     }
@@ -1112,52 +976,12 @@ fn worker_loop(
             IngestCmd::Publish => {
                 // A flush barrier is also the durability barrier: everything
                 // delivered reaches stable storage before the barrier lifts.
-                if let Some(w) = wal.as_mut() {
-                    match w.sync() {
-                        Ok(()) => {
-                            broadcast(&mut pending_first, &mut pending, log.len() as u64);
-                            let s = w.syncs();
-                            shared
-                                .metrics
-                                .wal_syncs
-                                .fetch_add(s.saturating_sub(wal_syncs_reported), Ordering::Relaxed);
-                            wal_syncs_reported = s;
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "[cts-daemon] {}: WAL sync failed, durability degraded: {e}",
-                                config.name
-                            );
-                            wal = None;
-                        }
-                    }
-                }
+                commit(&log, lane.sync(&log));
                 publish(&engine, &log, &mut last_published, None)
             }
-            IngestCmd::SyncWal => {
-                // Timer tick: close the group-commit window. sync() is a
-                // no-op when nothing was appended since the last barrier.
-                if let Some(w) = wal.as_mut() {
-                    match w.sync() {
-                        Ok(()) => {
-                            broadcast(&mut pending_first, &mut pending, log.len() as u64);
-                            let s = w.syncs();
-                            shared
-                                .metrics
-                                .wal_syncs
-                                .fetch_add(s.saturating_sub(wal_syncs_reported), Ordering::Relaxed);
-                            wal_syncs_reported = s;
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "[cts-daemon] {}: WAL sync failed, durability degraded: {e}",
-                                config.name
-                            );
-                            wal = None;
-                        }
-                    }
-                }
-            }
+            // Timer tick: close the group-commit window (a no-op when
+            // nothing was appended since the last barrier).
+            IngestCmd::SyncWal => commit(&log, lane.sync(&log)),
         }
     }
     if shared.killed.load(Ordering::Acquire) {
@@ -1167,18 +991,10 @@ fn worker_loop(
     // a durable final state (synced WAL + checkpoint) so the next start
     // recovers instantly.
     publish(&engine, &log, &mut last_published, None);
-    if let Some(w) = wal.as_mut() {
-        match w.sync() {
-            Ok(()) => broadcast(&mut pending_first, &mut pending, log.len() as u64),
-            Err(e) => {
-                eprintln!("[cts-daemon] {}: final WAL sync failed: {e}", config.name);
-                wal = None;
-            }
-        }
-    }
+    commit(&log, lane.sync(&log));
     if let (Some(dur), Some(m)) = (&config.durability, &meta) {
         let delivered = log.len() as u64;
-        if wal.is_some() && dur.checkpoint_every > 0 && delivered > last_checkpoint {
+        if lane.is_open() && dur.checkpoint_every > 0 && delivered > last_checkpoint {
             let floor = shared.retainer.oldest_delivered().unwrap_or(delivered);
             if let Err(e) = checkpoint::write_checkpoint_with_floor(&dur.dir, m, &log, floor) {
                 eprintln!("[cts-daemon] {}: final checkpoint failed: {e}", config.name);
@@ -1255,8 +1071,7 @@ mod tests {
                 "gc({e})"
             );
         }
-        // The store saw every event exactly once.
-        assert_eq!(comp.store().read().len(), t.num_events());
+        assert_eq!(comp.delivered(), t.num_events() as u64);
         comp.shutdown();
     }
 
@@ -1289,7 +1104,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(comp.stored_len(), t.num_events() as u64);
+        assert_eq!(comp.delivered(), t.num_events() as u64);
         comp.shutdown();
     }
 

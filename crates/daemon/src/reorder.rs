@@ -127,9 +127,8 @@ impl ReorderBuffer {
             EventKind::Internal | EventKind::Send { .. } => None,
             EventKind::Receive { from } => {
                 if from.process.0 >= self.num_processes {
-                    // Dangling source: undeliverable, parked forever. The
-                    // store would reject it anyway; sessions detect the
-                    // stall via Flush timeouts.
+                    // Dangling source: undeliverable, parked forever;
+                    // sessions detect the stall via Flush timeouts.
                     return Some(from);
                 }
                 if self.delivered[from.process.idx()] >= from.index.0 {
@@ -246,8 +245,8 @@ pub trait ShardHooks {
     /// `my_half` is next-in-line on its own process.
     fn sync_ready(&mut self, my_half: EventId, peer: EventId) -> bool;
 
-    /// `ev` is delivered: apply it to the engine state (store, clocks,
-    /// stamps) before the cascade continues.
+    /// `ev` is delivered: apply it to the engine state (clocks, stamps,
+    /// delivered log) before the cascade continues.
     fn deliver(&mut self, ev: Event);
 }
 

@@ -4,7 +4,7 @@
 //! daemon state is a pure function of the delivered prefix (the
 //! delivery-order-invariance property the core crates establish). That makes
 //! the WAL a complete replication log: a follower that replays the leader's
-//! record stream through its own reorder → engine → store pipeline holds a
+//! record stream through its own reorder → engine → snapshot pipeline holds a
 //! sequence-identical prefix and answers every query bit-identically to the
 //! leader at the same epoch. Nothing new has to be proven about follower
 //! state — it is the recovery argument ("recovery is replay") applied over
@@ -542,7 +542,7 @@ fn follow_once(
     comp: &Arc<Computation>,
     lease: &mut u64,
 ) -> FollowEnd {
-    let from = comp.stored_len();
+    let from = comp.delivered();
     let Ok(mut stream) = TcpStream::connect(leader) else {
         return FollowEnd::Retry;
     };

@@ -311,7 +311,7 @@ fn list_computations(shared: &DaemonShared) -> Vec<CompInfo> {
             name: name.clone(),
             num_processes: c.num_processes,
             max_cluster_size: c.max_cluster_size,
-            delivered: c.stored_len(),
+            delivered: c.delivered(),
         })
         .collect();
     comps.sort_by(|a, b| a.name.cmp(&b.name));
@@ -508,34 +508,44 @@ fn page_cap(limit: u32, cap: u32) -> u32 {
     }
 }
 
-/// The paging arithmetic both window verbs share: one page of process
-/// `process`'s ids in `[from, to)`, read through `row(process, from,
-/// page_to)`, and the continuation cursor. A process row is a contiguous
-/// prefix (causal delivery), so a page that came back short has exhausted
-/// what is there — no cursor, the same completion semantics as an
-/// unpaginated scan.
-fn window_page(
+/// `QueryWindow` / `QueryAsOfWindow`: one page of process `process`'s ids in
+/// `[from, to)` and the continuation cursor, read from the snapshot — the
+/// head window is the as-of window at the head epoch, so it never names an
+/// event a precedence query on the same epoch would refuse. A process row is
+/// a contiguous 1-based prefix (causal delivery), so a page that came back
+/// short has exhausted what is there — no cursor, the same completion
+/// semantics as an unpaginated scan.
+fn window(
     comp: &Computation,
+    at: Option<u64>,
     process: u32,
     from: u32,
     to: u32,
     limit: u32,
-    row: impl FnOnce(ProcessId, u32, u32) -> Vec<EventId>,
 ) -> Msg {
+    let snap = match resolve(comp, at) {
+        Ok(s) => s,
+        Err(refusal) => return *refusal,
+    };
     if process >= comp.num_processes {
         return malformed(format!(
             "process {process} outside 0..{}",
             comp.num_processes
         ));
     }
+    let p = ProcessId(process);
     let from = from.max(1);
     let page_to = to.min(from.saturating_add(page_cap(limit, WINDOW_PAGE_CAP)));
-    let ids = row(ProcessId(process), from, page_to);
+    let row_end = snap.trace.process_len(p) as u32 + 1;
+    let ids: Vec<EventId> = (from..page_to.min(row_end))
+        .map(|i| EventId::new(p, EventIndex(i)))
+        .collect();
     let next = if page_to < to && ids.len() as u32 == page_to - from {
         page_to
     } else {
         0
     };
+    count_asof(comp, at);
     Msg::WindowResult { ids, next }
 }
 
@@ -548,44 +558,19 @@ fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
         &Msg::QueryAsOfPrecedes { epoch, e, f } => (precedes(comp, Some(epoch), e, f), 1),
         &Msg::QueryGreatestConcurrent { e } => (gc(comp, None, e), 1),
         &Msg::QueryAsOfGc { epoch, e } => (gc(comp, Some(epoch), e), 1),
-        // The head window reads the live store, which may run ahead of the
-        // published snapshot.
         &Msg::QueryWindow {
             process,
             from,
             to,
             limit,
-        } => {
-            let reply = window_page(comp, process, from, to, limit, |p, from, to| {
-                comp.process_window(p, from, to)
-            });
-            (reply, 1)
-        }
-        // The as-of window reads the retained trace, which holds exactly the
-        // delivered prefix as of `epoch`; each process row is a contiguous
-        // 1-based prefix.
+        } => (window(comp, None, process, from, to, limit), 1),
         &Msg::QueryAsOfWindow {
             epoch,
             process,
             from,
             to,
             limit,
-        } => {
-            let snap = match resolve(comp, Some(epoch)) {
-                Ok(s) => s,
-                Err(refusal) => return (*refusal, 1),
-            };
-            let reply = window_page(comp, process, from, to, limit, |p, from, to| {
-                let row_end = snap.trace.process_len(p) as u32 + 1;
-                (from..to.min(row_end))
-                    .map(|i| EventId::new(p, EventIndex(i)))
-                    .collect()
-            });
-            if !matches!(reply, Msg::Error { .. }) {
-                count_asof(comp, Some(epoch));
-            }
-            (reply, 1)
-        }
+        } => (window(comp, Some(epoch), process, from, to, limit), 1),
         Msg::QueryPrecedesBatch { pairs } => {
             let snap = comp.snapshot();
             let epoch = snap.epoch;

@@ -3,7 +3,7 @@
 //! The single-worker pipeline ([`crate::pipeline`]) delivers every event of a
 //! computation on one thread. This module partitions that work per *process
 //! group*: each [`ShardCore`] owns the reorder buffer, Fidge/Mattern
-//! frontier, cluster stamper, and store rows for a subset of the processes,
+//! frontier, cluster stamper, and delivered log for a subset of the processes,
 //! seeded from a balanced block partition and rebalanced so that each cluster
 //! of the (growing) cluster hierarchy lives on one shard.
 //!
@@ -57,7 +57,8 @@
 //! The schedule-exploration harness ([`SimShards`]) drives the very same
 //! cores deterministically, one step at a time, so `tests/shard_schedules.rs`
 //! can explore interleavings (including mid-stream rebalances) and assert
-//! precedence/store equivalence with the offline batch engine.
+//! that the cut's precedence equals the offline batch engine's and that every
+//! process row of the cut holds exactly that process's events in index order.
 
 use crate::reorder::{RejectReason, ShardHooks, ShardReorderBuffer};
 use cts_core::cluster::{
@@ -66,7 +67,6 @@ use cts_core::cluster::{
 use cts_core::strategy::{MergeOnFirst, MergePolicy};
 use cts_core::VectorClock;
 use cts_model::{Event, EventId, EventKind, ProcessId, Trace};
-use cts_store::PartitionedStore;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -670,7 +670,7 @@ impl ShardEnv {
 }
 
 /// One shard's delivery state: reorder buffer, Fidge/Mattern frontier,
-/// cluster stamper, and a positional writer handle on the shared store.
+/// cluster stamper, and the shard's delivered log.
 ///
 /// The core is fully synchronous — the threaded runtime wraps it in a mutex
 /// and the schedule harness steps it directly, so both execute the exact
@@ -680,7 +680,6 @@ pub struct ShardCore {
     reorder: ShardReorderBuffer,
     fm: ShardFm,
     stamper: ShardStamper,
-    store: Arc<PartitionedStore>,
     /// Delivered records not yet drained into the cut assembler.
     outbox: Vec<DeliveredRec>,
     /// This shard's full delivered order (per-shard WAL/checkpoint unit).
@@ -693,19 +692,12 @@ pub struct ShardCore {
 impl ShardCore {
     /// A core owning the processes for which `owned` is true, stamping
     /// under the environment's strategy.
-    pub fn new(
-        id: ShardId,
-        n: u32,
-        owned: Vec<bool>,
-        store: Arc<PartitionedStore>,
-        env: &ShardEnv,
-    ) -> ShardCore {
+    pub fn new(id: ShardId, n: u32, owned: Vec<bool>, env: &ShardEnv) -> ShardCore {
         ShardCore {
             id,
             reorder: ShardReorderBuffer::new(n, owned.clone()),
             fm: ShardFm::new(n, owned),
             stamper: ShardStamper::new(env),
-            store,
             outbox: Vec::new(),
             log: Vec::new(),
             rebalance_needed: false,
@@ -729,7 +721,6 @@ impl ShardCore {
             me: self.id,
             fm: &mut self.fm,
             stamper: &mut self.stamper,
-            store: &self.store,
             outbox: &mut self.outbox,
             log: &mut self.log,
             env,
@@ -745,7 +736,6 @@ impl ShardCore {
             me: self.id,
             fm: &mut self.fm,
             stamper: &mut self.stamper,
-            store: &self.store,
             outbox: &mut self.outbox,
             log: &mut self.log,
             env,
@@ -807,7 +797,6 @@ struct CoreHooks<'a> {
     me: ShardId,
     fm: &'a mut ShardFm,
     stamper: &'a mut ShardStamper,
-    store: &'a PartitionedStore,
     outbox: &'a mut Vec<DeliveredRec>,
     log: &'a mut Vec<Event>,
     env: &'a ShardEnv,
@@ -831,17 +820,6 @@ impl ShardHooks for CoreHooks<'_> {
     }
 
     fn deliver(&mut self, ev: Event) {
-        // Store first: the exchange publication below is the release edge a
-        // remote receive synchronizes on, so its source row is visible by
-        // the time the far shard's store insert checks it.
-        if let Err(e) = self.store.insert(ev) {
-            // Causal delivery makes this unreachable; never wedge a shard
-            // over a store refusal.
-            eprintln!(
-                "[cts-daemon] shard {}: store refused {}: {e}",
-                self.me, ev.id
-            );
-        }
         let clock = self.fm.accept(ev, &self.env.exchange, self.wakes);
         let (stamp, merged) = self.stamper.stamp(ev, &clock, self.env);
         if merged {
@@ -903,7 +881,6 @@ pub fn migrate_between(
         me: src.id,
         fm: &mut src.fm,
         stamper: &mut src.stamper,
-        store: &src.store,
         outbox: &mut src.outbox,
         log: &mut src.log,
         env,
@@ -1439,7 +1416,6 @@ pub struct SimShards {
     /// active-slot discipline.
     active: Vec<bool>,
     assembler: CutAssembler,
-    store: Arc<PartitionedStore>,
     rejected: u64,
 }
 
@@ -1472,13 +1448,12 @@ impl SimShards {
         let shards = shards.clamp(1, n.max(1) as usize);
         let env = ShardEnv::new(n, strategy);
         let routing = initial_routing(n, shards);
-        let store = Arc::new(PartitionedStore::new(n));
         let cores = (0..shards)
             .map(|s| {
                 let owned: Vec<bool> = (0..n)
                     .map(|p| routing[p as usize].load(Ordering::Relaxed) as usize == s)
                     .collect();
-                ShardCore::new(s, n, owned, Arc::clone(&store), &env)
+                ShardCore::new(s, n, owned, &env)
             })
             .collect();
         SimShards {
@@ -1489,7 +1464,6 @@ impl SimShards {
             inboxes: (0..shards).map(|_| VecDeque::new()).collect(),
             active: vec![true; shards],
             assembler: CutAssembler::new(n),
-            store,
             rejected: 0,
         }
     }
@@ -1525,13 +1499,8 @@ impl SimShards {
         }
         let n = self.routing.len() as u32;
         let to = self.cores.len();
-        self.cores.push(ShardCore::new(
-            to,
-            n,
-            vec![false; n as usize],
-            Arc::clone(&self.store),
-            &self.env,
-        ));
+        self.cores
+            .push(ShardCore::new(to, n, vec![false; n as usize], &self.env));
         self.inboxes.push(VecDeque::new());
         self.active.push(true);
         let mut wakes = Vec::new();
@@ -1693,11 +1662,6 @@ impl SimShards {
         self.env.sets.snapshot().0
     }
 
-    /// The shared store.
-    pub fn store(&self) -> &PartitionedStore {
-        &self.store
-    }
-
     /// Total events delivered across all shards.
     pub fn delivered_total(&self) -> u64 {
         self.cores.iter().map(|c| c.delivered_total()).sum()
@@ -1767,7 +1731,14 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(sim.store().len(), t.num_events() as u64);
+            // Every process row of the cut holds exactly that process's
+            // events, in index order, whichever shard delivered them.
+            for p in (0..t.num_processes()).map(ProcessId) {
+                let row = |tr: &Trace| -> Vec<Event> {
+                    tr.process_events(p).map(|id| tr.event(id)).collect()
+                };
+                assert_eq!(row(&trace), row(&t), "{shards} shards: row of {p}");
+            }
         }
     }
 

@@ -52,7 +52,8 @@
 //! ## Durability layout
 //!
 //! Each shard write-ahead logs *its own* delivered order into
-//! `dir/shard-NN/` segments (group-committed like the single-worker WAL).
+//! `dir/shard-NN/` segments through the same [`WalLane`] the single worker
+//! uses: one writer and two cursors into [`ShardCore::log`].
 //! Checkpoints stay global: the assembled cut — a valid delivery order — is
 //! checkpointed at the top level, and shard segments are retired once the
 //! cut has caught up with every delivered event. Recovery unions the
@@ -70,10 +71,8 @@ use crate::shard::{
     clusters_on, initial_routing, migrate_between, rebalance, CutAssembler, PlacementAction,
     PlacementEngine, ShardCore, ShardEnv, ShardId, Wake,
 };
-use crate::wal::{self, WalWriter};
+use crate::wal::{self, Barrier, WalLane};
 use cts_model::{Event, EventId};
-use cts_store::PartitionedStore;
-use cts_util::failpoint::{DurableSink, FailpointFs};
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -94,21 +93,19 @@ enum ShardMsg {
     Stop,
 }
 
-/// One shard's mutable state: the core plus its WAL cursor.
+/// One shard's mutable state: the core plus the WAL lane following its log.
 struct ShardState {
     core: ShardCore,
-    wal: Option<WalWriter<Box<dyn DurableSink + Send>>>,
-    /// Log entries already appended to the WAL (or abandoned with it).
-    wal_cursor: usize,
-    /// Start offset of the currently open segment (for retirement).
-    wal_start: u64,
-    fault_budget: Option<u64>,
-    dur: Option<DurabilityConfig>,
+    lane: WalLane,
     reported_dup: u64,
     reported_depth: u64,
-    /// Durability barriers already folded into the shared `wal_syncs`
-    /// metric (per-shard WALs sync independently; the metric is the sum).
-    reported_syncs: u64,
+}
+
+impl ShardState {
+    /// Append this shard's un-logged delivered suffix to its WAL.
+    fn append_wal(&mut self, barrier: Barrier) {
+        self.lane.append(self.core.log(), barrier);
+    }
 }
 
 struct ShardHandle {
@@ -182,7 +179,6 @@ impl ShardedRuntime {
     pub(crate) fn spawn(
         config: &ComputationConfig,
         shared: Arc<CompShared>,
-        store: Arc<PartitionedStore>,
     ) -> Arc<ShardedRuntime> {
         let n = config.num_processes;
         let requested = (config.shards.max(2) as usize).min(n.max(1) as usize);
@@ -227,12 +223,16 @@ impl ShardedRuntime {
                 let owned: Vec<bool> = (0..n)
                     .map(|p| routing[p as usize].load(Ordering::Relaxed) as usize == s)
                     .collect();
-                let core = ShardCore::new(s, n, owned, Arc::clone(&store), &env);
+                let core = ShardCore::new(s, n, owned, &env);
                 let dur = config.durability.as_ref().map(|d| DurabilityConfig {
                     dir: d.dir.join(format!("shard-{s:02}")),
                     ..d.clone()
                 });
-                let fault_budget = dur.as_ref().and_then(|d| d.wal_byte_budget);
+                let lane = WalLane::new(
+                    dur,
+                    format!("{}: shard {s}", config.name),
+                    Arc::clone(&shared.metrics),
+                );
                 let (tx, rx) = sync_channel(config.queue_capacity.max(1));
                 receivers.push(rx);
                 ShardHandle {
@@ -240,14 +240,9 @@ impl ShardedRuntime {
                     overflow: Mutex::new(VecDeque::new()),
                     state: Mutex::new(ShardState {
                         core,
-                        wal: None,
-                        wal_cursor: 0,
-                        wal_start: 0,
-                        fault_budget,
-                        dur,
+                        lane,
                         reported_dup: 0,
                         reported_depth: 0,
-                        reported_syncs: 0,
                     }),
                     join: Mutex::new(None),
                 }
@@ -404,34 +399,24 @@ impl ShardedRuntime {
                 self.ctl.last_checkpoint.store(assembled, Ordering::Release);
             }
             for st in guards.iter_mut() {
-                if let Some(dur) = st.dur.clone() {
-                    if let Err(e) = std::fs::create_dir_all(&dur.dir) {
-                        eprintln!(
-                            "[cts-daemon] {}: cannot create {}: {e}",
-                            self.name,
-                            dur.dir.display()
-                        );
-                        continue;
-                    }
-                    // The fresh checkpoint covers every delivered event
-                    // (quiesced cuts leave nothing dangling), so every old
-                    // segment here is either covered or holds only unacked
-                    // orphans — both safe to drop.
-                    for (_, path) in wal::list_segments(&dur.dir).unwrap_or_default() {
-                        let _ = std::fs::remove_file(path);
-                    }
-                    let start = st.core.log().len() as u64;
-                    st.wal_cursor = st.core.log().len();
-                    st.wal_start = start;
-                    match open_shard_segment(&dur, start, &mut st.fault_budget) {
-                        Ok(w) => st.wal = Some(w),
-                        Err(e) => eprintln!(
-                            "[cts-daemon] {}: cannot open WAL for shard {}, \
-                             running in-memory: {e}",
-                            self.name, st.core.id
-                        ),
-                    }
+                let Some(dir) = st.lane.dir() else { continue };
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    eprintln!(
+                        "[cts-daemon] {}: cannot create {}: {e}",
+                        self.name,
+                        dir.display()
+                    );
+                    continue;
                 }
+                // The fresh checkpoint covers every delivered event
+                // (quiesced cuts leave nothing dangling), so every old
+                // segment here is either covered or holds only unacked
+                // orphans — both safe to drop.
+                for (_, path) in wal::list_segments(dir).unwrap_or_default() {
+                    let _ = std::fs::remove_file(path);
+                }
+                let start = st.core.log().len();
+                st.lane.rotate(start);
             }
             // Legacy top-level segments are covered by the fresh checkpoint;
             // stale shard directories were unioned above.
@@ -541,11 +526,12 @@ impl ShardedRuntime {
     fn post(&self, s: ShardId, msg: ShardMsg) {
         self.ctl.pending_msgs.fetch_add(1, Ordering::AcqRel);
         lock(&self.shards[s].overflow).push_back(msg);
-        match self.shards[s].tx.try_send(ShardMsg::Nudge) {
-            Ok(()) => {
-                self.ctl.pending_msgs.fetch_add(1, Ordering::AcqRel);
-            }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {}
+        // Count the nudge before it is visible (un-counting a refused one),
+        // as `nudge_wal` does: the target may consume and release it before
+        // a count taken after the send would have landed.
+        self.ctl.pending_msgs.fetch_add(1, Ordering::AcqRel);
+        if self.shards[s].tx.try_send(ShardMsg::Nudge).is_err() {
+            self.ctl.pending_msgs.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -598,61 +584,18 @@ impl ShardedRuntime {
         drop(f);
     }
 
-    /// Append a shard's un-logged delivered suffix to its WAL (group
-    /// commit); a write failure degrades that shard to in-memory, loudly.
-    fn append_wal(&self, st: &mut ShardState, force_sync: bool) {
-        let ShardState {
-            core,
-            wal,
-            wal_cursor,
-            reported_syncs,
-            ..
-        } = st;
-        let log = core.log();
-        if let Some(w) = wal.as_mut() {
-            let mut r = Ok(());
-            if log.len() > *wal_cursor {
-                r = w.append(&log[*wal_cursor..]).and_then(|()| {
-                    if force_sync {
-                        w.sync()
-                    } else {
-                        w.maybe_sync().map(|_| ())
-                    }
-                });
-            } else if force_sync {
-                r = w.sync();
-            }
-            match r {
-                Ok(()) => {
-                    *wal_cursor = log.len();
-                    let syncs = w.syncs();
-                    self.shared
-                        .metrics
-                        .wal_syncs
-                        .fetch_add(syncs.saturating_sub(*reported_syncs), Ordering::Relaxed);
-                    *reported_syncs = syncs;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "[cts-daemon] {}: shard {} WAL write failed, durability degraded: {e}",
-                        self.name, core.id
-                    );
-                    *wal = None;
-                    *wal_cursor = log.len();
-                }
-            }
-        } else {
-            *wal_cursor = log.len();
-        }
-    }
-
     /// The two-phase cut, under an already-held freeze: sync WALs (when
     /// asked), drain every shard's delivered records, extend the merged
     /// order, and publish the union as an epoch snapshot. Returns the
     /// assembled-cut size.
     fn publish_world(&self, guards: &mut [MutexGuard<'_, ShardState>], sync_wal: bool) -> u64 {
+        let barrier = if sync_wal {
+            Barrier::Forced
+        } else {
+            Barrier::WindowElapsed
+        };
         for st in guards.iter_mut() {
-            self.append_wal(st, sync_wal);
+            st.append_wal(barrier);
         }
         let mut asm = lock(&self.ctl.assembler);
         for st in guards.iter_mut() {
@@ -750,44 +693,19 @@ impl ShardedRuntime {
             }
         }
         for st in guards.iter_mut() {
-            if st.wal.is_none() {
+            if !st.lane.is_open() {
                 continue;
             }
-            let Some(dur) = st.dur.clone() else { continue };
-            let old = st.wal.take().expect("checked above");
-            if let Some(b) = st.fault_budget.as_mut() {
-                *b = b.saturating_sub(old.bytes_written());
-            }
-            // Fold the retiring writer's tail into the sync metric and
-            // restart the per-writer baseline (a fresh segment counts
-            // from zero).
-            self.shared.metrics.wal_syncs.fetch_add(
-                old.syncs().saturating_sub(st.reported_syncs),
-                Ordering::Relaxed,
-            );
-            st.reported_syncs = 0;
-            drop(old);
-            let start = st.core.log().len() as u64;
-            let old_start = st.wal_start;
-            match open_shard_segment(&dur, start, &mut st.fault_budget) {
-                Ok(w) => {
-                    st.wal = Some(w);
-                    st.wal_start = start;
-                    st.wal_cursor = st.core.log().len();
-                    for (seg_start, path) in wal::list_segments(&dur.dir).unwrap_or_default() {
-                        if seg_start == start {
-                            continue; // the segment we just opened
-                        }
-                        if seg_start == old_start && start == old_start {
-                            continue;
-                        }
-                        let _ = std::fs::remove_file(path);
-                    }
+            let start = st.core.log().len();
+            st.lane.rotate(start);
+            // A failed rotation degraded the lane, which then has no
+            // directory. Otherwise the fresh segment exists, and every
+            // other one here is behind the checkpoint.
+            let Some(dir) = st.lane.dir() else { continue };
+            for (seg_start, path) in wal::list_segments(dir).unwrap_or_default() {
+                if seg_start != start as u64 {
+                    let _ = std::fs::remove_file(path);
                 }
-                Err(e) => eprintln!(
-                    "[cts-daemon] {}: shard {} WAL rotation failed, durability degraded: {e}",
-                    self.name, st.core.id
-                ),
             }
         }
     }
@@ -810,7 +728,7 @@ impl ShardedRuntime {
             all_wakes.extend(wakes);
         }
         for st in guards.iter_mut() {
-            self.append_wal(st, false); // migrations may have delivered
+            st.append_wal(Barrier::WindowElapsed); // migrations may have delivered
         }
         self.unfreeze(f, guards);
         if delivered > 0 {
@@ -905,8 +823,8 @@ impl ShardedRuntime {
                         self.routing[p.idx()].store(to as u32, Ordering::Release);
                     }
                 }
-                self.append_wal(&mut src, false);
-                self.append_wal(&mut dst, false);
+                src.append_wal(Barrier::WindowElapsed);
+                dst.append_wal(Barrier::WindowElapsed);
                 self.active.store(active + 1, Ordering::Release);
                 lock(&self.placement).note_split(from, to);
             }
@@ -950,8 +868,8 @@ impl ShardedRuntime {
                         self.routing[p.idx()].store(dst as u32, Ordering::Release);
                     }
                 }
-                self.append_wal(&mut src, false);
-                self.append_wal(&mut dstg, false);
+                src.append_wal(Barrier::WindowElapsed);
+                dstg.append_wal(Barrier::WindowElapsed);
                 self.active.store(top, Ordering::Release);
                 lock(&self.placement).note_retire(top);
             }
@@ -973,8 +891,8 @@ impl ShardedRuntime {
                         migrate_between(&mut src.core, &mut dst.core, p, &self.env, &mut wakes);
                     self.routing[p.idx()].store(to as u32, Ordering::Release);
                 }
-                self.append_wal(&mut src, false);
-                self.append_wal(&mut dst, false);
+                src.append_wal(Barrier::WindowElapsed);
+                dst.append_wal(Barrier::WindowElapsed);
                 lock(&self.placement).note_steal(1);
             }
         }
@@ -1154,14 +1072,11 @@ fn shard_loop(rt: &ShardedRuntime, s: ShardId, rx: Receiver<ShardMsg>) {
         let (delivered, want_rebalance, depth) = {
             let mut st = lock(&rt.shards[s].state);
             let delivered = process_msg(rt, &mut st, msg, &mut wakes);
-            rt.append_wal(&mut st, false);
+            st.append_wal(Barrier::WindowElapsed);
             report_shard_metrics(rt, &mut st);
             (delivered, st.core.rebalance_needed, st.core.depth() as u64)
         };
-        // Follow-on work is enqueued before this message's count releases,
-        // so pending_msgs can only hit zero at true quiescence.
         rt.dispatch(wakes);
-        rt.ctl.pending_msgs.fetch_sub(1, Ordering::AcqRel);
         if delivered > 0 {
             rt.note_delivered(delivered);
         }
@@ -1170,6 +1085,11 @@ fn shard_loop(rt: &ShardedRuntime, s: ShardId, rx: Receiver<ShardMsg>) {
         }
         rt.maybe_rescale(s, delivered + depth);
         rt.maybe_publish();
+        // This message's count releases only now: its deliveries are in
+        // `progress.delivered` and every wake it, its rebalance or its
+        // rescale produced is already counted, so `pending_msgs` can only
+        // hit zero at true quiescence.
+        rt.ctl.pending_msgs.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -1237,22 +1157,6 @@ fn report_shard_metrics(rt: &ShardedRuntime, st: &mut ShardState) {
             Ordering::Relaxed,
         );
     }
-}
-
-/// Open a fresh WAL segment for one shard (same failpoint discipline as the
-/// single-worker path).
-fn open_shard_segment(
-    dur: &DurabilityConfig,
-    start: u64,
-    fault_budget: &mut Option<u64>,
-) -> io::Result<WalWriter<Box<dyn DurableSink + Send>>> {
-    let path = dur.dir.join(wal::segment_name(start));
-    let _ = std::fs::remove_file(&path);
-    let sink: Box<dyn DurableSink + Send> = match *fault_budget {
-        Some(budget) => Box::new(FailpointFs::create(&path, budget)?),
-        None => Box::new(std::fs::File::create(&path)?),
-    };
-    WalWriter::from_sink(sink, start, dur.sync_window)
 }
 
 fn parse_shard_dir(name: &str) -> Option<usize> {

@@ -52,14 +52,23 @@
 //! unconditionally on flush barriers, checkpoints, and graceful shutdown.
 //! The window bounds the crash-loss tail; clients re-transmitting after a
 //! restart close it (the reorder buffer deduplicates replayed deliveries).
+//!
+//! An ingest worker does not drive a [`WalWriter`] directly: it owns a
+//! `WalLane`, which follows the worker's delivered log with two cursors
+//! and is the only caller of the writer outside tests and benches.
 
+use crate::metrics::Metrics;
+use crate::pipeline::DurabilityConfig;
 use crate::wire::{self, WireError};
 use cts_model::Event;
 use cts_util::crc32::crc32;
-use cts_util::failpoint::DurableSink;
+use cts_util::failpoint::{DurableSink, FailpointFs};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Segment header magic written by pre-delta-encoding builds; still
@@ -186,6 +195,151 @@ impl<S: DurableSink> WalWriter<S> {
     /// Durability barriers issued so far.
     pub fn syncs(&self) -> u64 {
         self.syncs
+    }
+}
+
+/// Whether a [`WalLane::append`] also issues a durability barrier. Every
+/// call site passes the decision its runtime has always made there; this is
+/// an argument, not a setting.
+#[derive(Clone, Copy)]
+pub(crate) enum Barrier {
+    /// Append only; a later barrier (the group-commit tick, a flush) covers
+    /// it.
+    None,
+    /// Sync if this call appended something and the group-commit window has
+    /// elapsed ([`WalWriter::maybe_sync`]).
+    WindowElapsed,
+    /// Sync unconditionally.
+    Forced,
+}
+
+/// One ingest worker's durability lane. The worker's delivered log is the
+/// state; the lane holds the open segment writer and two cursors into that
+/// log, `synced <= appended <= log.len()`: `log[..appended]` has been
+/// written to the WAL, `log[..synced]` is covered by a durability barrier.
+/// Everything a caller needs from a barrier is the range it made durable.
+///
+/// The log index of an event is its offset within the owner's delivery
+/// order, so a segment opened at cursor `start` is named and headed `start`.
+/// Any I/O error degrades the lane to in-memory, loudly and for good: the
+/// writer is dropped, the cursors freeze, and every later call is a no-op
+/// that reports nothing durable — ingest never stops over a disk fault.
+pub(crate) struct WalLane {
+    /// `None` for an in-memory owner (never durable, or degraded).
+    dur: Option<DurabilityConfig>,
+    /// Who is logging, for the degradation messages.
+    label: String,
+    metrics: Arc<Metrics>,
+    writer: Option<WalWriter<Box<dyn DurableSink + Send>>>,
+    /// Test failpoint: WAL bytes left before the simulated crash, across
+    /// this lane's segments.
+    fault_budget: Option<u64>,
+    appended: usize,
+    synced: usize,
+}
+
+impl WalLane {
+    /// A lane with no open segment; [`rotate`](Self::rotate) opens the
+    /// first one once the owner knows its recovered frontier.
+    pub(crate) fn new(
+        dur: Option<DurabilityConfig>,
+        label: String,
+        metrics: Arc<Metrics>,
+    ) -> WalLane {
+        WalLane {
+            fault_budget: dur.as_ref().and_then(|d| d.wal_byte_budget),
+            dur,
+            label,
+            metrics,
+            writer: None,
+            appended: 0,
+            synced: 0,
+        }
+    }
+
+    /// Is a segment open (durable and not degraded)?
+    pub(crate) fn is_open(&self) -> bool {
+        self.writer.is_some()
+    }
+
+    /// The directory this lane's segments live in, while it is durable.
+    pub(crate) fn dir(&self) -> Option<&Path> {
+        self.dur.as_ref().map(|d| d.dir.as_path())
+    }
+
+    /// Retire the open segment, if any — its bytes are charged to the
+    /// failpoint budget; its barriers were counted as they were issued — and
+    /// open a fresh one at `start`. The caller has made sure `log[..start]`
+    /// is on disk already (a checkpoint, or the recovery it was read back
+    /// from), so both cursors move there whether or not the open succeeds.
+    /// A leftover file of the same name was fully consumed by the recovery
+    /// scan, or is empty, and is replaced.
+    pub(crate) fn rotate(&mut self, start: usize) {
+        if let (Some(old), Some(b)) = (self.writer.take(), self.fault_budget.as_mut()) {
+            *b = b.saturating_sub(old.bytes_written());
+        }
+        let Some(dur) = &self.dur else { return };
+        self.appended = start;
+        self.synced = start;
+        let path = dur.dir.join(segment_name(start as u64));
+        let _ = std::fs::remove_file(&path);
+        let sink: io::Result<Box<dyn DurableSink + Send>> = match self.fault_budget {
+            Some(budget) => FailpointFs::create(&path, budget).map(|f| Box::new(f) as _),
+            None => File::create(&path).map(|f| Box::new(f) as _),
+        };
+        match sink.and_then(|s| WalWriter::from_sink(s, start as u64, dur.sync_window)) {
+            Ok(w) => self.writer = Some(w),
+            Err(e) => self.degrade("cannot open WAL segment", &e),
+        }
+    }
+
+    /// Write `log[appended..]` as one record, then apply `barrier`. Returns
+    /// the range of `log` this call made durable (empty when it issued no
+    /// barrier, or the lane is in-memory).
+    pub(crate) fn append(&mut self, log: &[Event], barrier: Barrier) -> Range<usize> {
+        let from = self.synced;
+        let Some(w) = self.writer.as_mut() else {
+            return from..from;
+        };
+        let fresh = log.len() > self.appended;
+        let syncs_before = w.syncs();
+        let written = if fresh {
+            w.append(&log[self.appended..])
+        } else {
+            Ok(())
+        };
+        let barrier_held = written.and_then(|()| match barrier {
+            Barrier::Forced => w.sync().map(|()| true),
+            Barrier::WindowElapsed if fresh => w.maybe_sync(),
+            Barrier::WindowElapsed | Barrier::None => Ok(false),
+        });
+        self.metrics
+            .wal_syncs
+            .fetch_add(w.syncs() - syncs_before, Ordering::Relaxed);
+        match barrier_held {
+            Ok(held) => {
+                self.appended = log.len();
+                if held {
+                    self.synced = self.appended;
+                }
+            }
+            Err(e) => self.degrade("WAL write failed", &e),
+        }
+        from..self.synced
+    }
+
+    /// Durability barrier over everything in `log`.
+    pub(crate) fn sync(&mut self, log: &[Event]) -> Range<usize> {
+        self.append(log, Barrier::Forced)
+    }
+
+    fn degrade(&mut self, what: &str, e: &io::Error) {
+        eprintln!(
+            "[cts-daemon] {}: {what}, durability degraded to in-memory: {e}",
+            self.label
+        );
+        self.writer = None;
+        self.dur = None;
     }
 }
 
@@ -511,7 +665,6 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_util::failpoint::FailpointFs;
     use cts_workloads::{spmd::Stencil1D, Workload};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -723,6 +876,131 @@ mod tests {
             .flat_map(|r| r.events.iter().copied())
             .collect();
         assert_eq!(replayed, events);
+    }
+
+    /// A lane over `dir` with a failpoint budget, its first segment open at
+    /// 0, and the metrics it counts barriers into.
+    fn lane(dir: &Path, window: Duration, budget: u64) -> (WalLane, Arc<Metrics>) {
+        let metrics = Arc::new(Metrics::new());
+        let dur = DurabilityConfig {
+            dir: dir.to_path_buf(),
+            sync_window: window,
+            checkpoint_every: 0,
+            wal_byte_budget: Some(budget),
+        };
+        let mut lane = WalLane::new(Some(dur), "lane-test".into(), Arc::clone(&metrics));
+        lane.rotate(0);
+        assert!(lane.is_open());
+        (lane, metrics)
+    }
+
+    /// Bytes a segment holds after its header and one record of `events`.
+    fn one_record_len(events: &[Event]) -> u64 {
+        let mut probe = WalWriter::from_sink(Vec::new(), 0, Duration::ZERO).unwrap();
+        probe.append(events).unwrap();
+        probe.bytes_written()
+    }
+
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    #[test]
+    fn lane_torn_write_degrades_and_never_reports_unsynced_events() {
+        let dir = tmpdir("lane-torn");
+        let log = sample_events();
+        // The failpoint trips 5 bytes into the second record.
+        let (mut lane, metrics) = lane(&dir, HOUR, one_record_len(&log[..8]) + 5);
+        // Appended inside the window: written, not durable.
+        assert_eq!(lane.append(&log[..8], Barrier::WindowElapsed), 0..0);
+        assert_eq!((lane.synced, lane.appended), (0, 8));
+        // The torn write: nothing becomes durable — not the record that
+        // tore, and not the earlier one no barrier ever covered.
+        assert_eq!(lane.sync(&log[..16]), 0..0);
+        assert!(!lane.is_open() && lane.dir().is_none());
+        assert_eq!((lane.synced, lane.appended), (0, 8));
+        // In-memory from here on: every call is a no-op.
+        assert_eq!(lane.append(&log[..24], Barrier::Forced), 0..0);
+        lane.rotate(24);
+        assert!(!lane.is_open());
+        assert_eq!((lane.synced, lane.appended), (0, 8));
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 0);
+        // On disk: the first record whole, the second torn.
+        let scan = scan_segment(&dir.join(segment_name(0))).unwrap();
+        assert_eq!(scan.torn, Some(TornTail::ShortRecord));
+        assert_eq!(scan.num_events(), 8);
+    }
+
+    #[test]
+    fn lane_rotate_counts_syncs_once_and_charges_the_budget() {
+        let dir = tmpdir("lane-rotate");
+        let log = sample_events();
+        // Room for all of segment 0 (two records), then a second segment's
+        // header and 5 bytes of its first record.
+        let mut probe = WalWriter::from_sink(Vec::new(), 0, Duration::ZERO).unwrap();
+        probe.append(&log[..8]).unwrap();
+        probe.append(&log[8..16]).unwrap();
+        let seg0 = probe.bytes_written();
+        let (mut lane, metrics) = lane(&dir, HOUR, seg0 + HEADER_LEN + 5);
+        let syncs = || metrics.wal_syncs.load(Ordering::Relaxed);
+
+        assert_eq!(lane.sync(&log[..8]), 0..8);
+        assert_eq!(lane.append(&log[..16], Barrier::None), 8..8);
+        assert_eq!(syncs(), 1);
+        assert_eq!(lane.sync(&log[..16]), 8..16);
+        assert_eq!(
+            lane.sync(&log[..16]),
+            16..16,
+            "clean: no barrier, nothing new"
+        );
+        assert_eq!(syncs(), 2);
+
+        lane.rotate(16);
+        assert!(lane.is_open());
+        assert_eq!(
+            syncs(),
+            2,
+            "the retired writer's barriers are not recounted"
+        );
+        assert_eq!((lane.synced, lane.appended), (16, 16));
+        assert_eq!(lane.fault_budget, Some(HEADER_LEN + 5));
+        assert_eq!(
+            std::fs::metadata(dir.join(segment_name(0))).unwrap().len(),
+            seg0
+        );
+
+        // The fresh writer counts from zero; its first barrier is one more.
+        assert_eq!(lane.sync(&log[..16]), 16..16);
+        assert_eq!(syncs(), 3);
+        // And the charged budget trips where the sum says it should.
+        assert_eq!(lane.sync(&log[..24]), 16..16);
+        assert!(!lane.is_open());
+        assert_eq!(syncs(), 3);
+        let scan = scan_segment(&dir.join(segment_name(16))).unwrap();
+        assert_eq!(scan.start_offset, 16);
+        assert_eq!(
+            (scan.num_events(), scan.torn),
+            (0, Some(TornTail::ShortRecord))
+        );
+    }
+
+    #[test]
+    fn lane_zero_window_append_is_durable_immediately() {
+        let dir = tmpdir("lane-zero-window");
+        let log = sample_events();
+        let (mut lane, metrics) = lane(&dir, Duration::ZERO, u64::MAX);
+        // What the single worker passes under a zero window, and what a
+        // shard passes always: both close the (empty) window at once.
+        assert_eq!(lane.append(&log[..8], Barrier::Forced), 0..8);
+        assert_eq!(lane.append(&log[..20], Barrier::WindowElapsed), 8..20);
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 2);
+        // Window-elapsed is about *this* append: with nothing new it issues
+        // no barrier even though the window is long gone.
+        assert_eq!(lane.append(&log[..20], Barrier::WindowElapsed), 20..20);
+        assert_eq!(lane.append(&log[..30], Barrier::None), 20..20);
+        assert_eq!(lane.append(&log[..30], Barrier::WindowElapsed), 20..20);
+        assert_eq!((lane.synced, lane.appended), (20, 30));
+        assert_eq!(lane.sync(&log[..30]), 20..30);
+        let scan = scan_segment(&dir.join(segment_name(0))).unwrap();
+        assert_eq!((scan.num_events(), scan.torn), (30, None));
     }
 
     #[test]

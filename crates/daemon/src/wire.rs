@@ -190,8 +190,8 @@ pub enum Msg {
     QueryGreatestConcurrent {
         e: EventId,
     },
-    /// Scroll a window of the partial-order store: process `p`, indices
-    /// `[from, to)`. `limit` caps the ids per reply (`0` = server default);
+    /// Scroll a window of the published partial order: process `p`, indices
+    /// `[from, to)` as of the head epoch. `limit` caps the ids per reply (`0` = server default);
     /// the server answers with at most that many and a continuation cursor.
     QueryWindow {
         process: u32,

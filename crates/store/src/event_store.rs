@@ -154,28 +154,6 @@ impl EventStore {
     pub fn records(&self) -> &[EventRecord] {
         &self.records
     }
-
-    /// The store's canonical serialization: the bare events in delivery
-    /// order. Because the store is a deterministic function of this
-    /// sequence, `from_delivery_log(num_processes, &delivery_log())` is an
-    /// exact clone — this is what daemon checkpoints persist.
-    pub fn delivery_log(&self) -> Vec<Event> {
-        self.records.iter().map(|r| r.event).collect()
-    }
-
-    /// Rebuild a store from a delivery log (see
-    /// [`delivery_log`](EventStore::delivery_log)). Fails if the sequence is
-    /// not a valid delivery order.
-    pub fn from_delivery_log(
-        num_processes: u32,
-        events: &[Event],
-    ) -> Result<EventStore, StoreError> {
-        let mut s = EventStore::new(num_processes);
-        for &ev in events {
-            s.insert(ev)?;
-        }
-        Ok(s)
-    }
 }
 
 /// The second [`SharedStore::ingest_handle`] claim while a handle is alive.
@@ -266,142 +244,6 @@ impl Drop for IngestHandle {
     }
 }
 
-/// A partial-order store partitioned by process: one append-only row of
-/// [`EventRecord`]s per process, each behind its own lock — the storage
-/// shape of a *sharded* monitoring entity, where N ingest workers each own
-/// a disjoint group of processes and insert concurrently.
-///
-/// Writer discipline is positional rather than handle-enforced: every
-/// process has exactly one owning shard at a time (ownership moves only at
-/// full-stop rebalance barriers), so row appends never race. Cross-process
-/// succ back-fill takes the partner's row lock briefly; locks are never
-/// nested, so the store cannot deadlock. Row `p` holds the events of
-/// process `p` in index order, which makes window scans a direct slice —
-/// no global B+-tree is needed.
-///
-/// Unlike [`EventStore::insert`], a receive's remote source may be owned by
-/// another shard. Causal delivery still guarantees the source was inserted
-/// first (a shard publishes a send's clock only after storing it, and the
-/// receiver consumes that clock before inserting the receive), so the
-/// partner check remains exact — it reads the source row's length instead
-/// of a shared index.
-pub struct PartitionedStore {
-    rows: Vec<RwLock<Vec<EventRecord>>>,
-    len: std::sync::atomic::AtomicU64,
-}
-
-impl PartitionedStore {
-    /// Empty store over `n` processes.
-    pub fn new(num_processes: u32) -> PartitionedStore {
-        PartitionedStore {
-            rows: (0..num_processes)
-                .map(|_| RwLock::new(Vec::new()))
-                .collect(),
-            len: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Number of processes.
-    pub fn num_processes(&self) -> u32 {
-        self.rows.len() as u32
-    }
-
-    /// Total events stored (all rows).
-    pub fn len(&self) -> u64 {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Insert the next event of its process (the caller must be the
-    /// process's owning shard, making this per-row sequential). Maintains
-    /// transitive-reduction edges in both directions, back-filling the
-    /// partner row without ever holding two row locks at once.
-    pub fn insert(&self, event: Event) -> Result<(), StoreError> {
-        let p = event.process();
-        if p.idx() >= self.rows.len() {
-            return Err(StoreError::UnknownProcess(p));
-        }
-        let src = event.kind.receive_source();
-        if let Some(src_id) = src {
-            if src_id.process.idx() >= self.rows.len() {
-                return Err(StoreError::UnknownProcess(src_id.process));
-            }
-            let present = self.rows[src_id.process.idx()].read().len() as u32 >= src_id.index.0;
-            let is_sync = matches!(event.kind, EventKind::Sync { .. });
-            if !present && !is_sync {
-                return Err(StoreError::MissingPartner(event.id));
-            }
-        }
-        let preds = [event.id.prev_in_process(), src];
-        {
-            let mut row = self.rows[p.idx()].write();
-            if event.index().0 != row.len() as u32 + 1 {
-                return Err(StoreError::OutOfOrder(event.id));
-            }
-            row.push(EventRecord {
-                event,
-                preds,
-                succs: Vec::new(),
-            });
-        }
-        self.len.fetch_add(1, Ordering::AcqRel);
-        // Back-fill successor links, one short row lock at a time.
-        for pred in preds.into_iter().flatten() {
-            let mut row = self.rows[pred.process.idx()].write();
-            if let Some(rec) = row.get_mut(pred.index.0 as usize - 1) {
-                rec.succs.push(event.id);
-            }
-        }
-        Ok(())
-    }
-
-    /// Look up an event record (cloned out of its row).
-    pub fn get(&self, id: EventId) -> Option<EventRecord> {
-        let row = self.rows.get(id.process.idx())?.read();
-        row.get(id.index.0.checked_sub(1)? as usize).cloned()
-    }
-
-    /// Is the event stored?
-    pub fn contains(&self, id: EventId) -> bool {
-        match self.rows.get(id.process.idx()) {
-            Some(row) => id.index.0 >= 1 && row.read().len() as u32 >= id.index.0,
-            None => false,
-        }
-    }
-
-    /// Events accepted for process `p` so far.
-    pub fn process_len(&self, p: ProcessId) -> u32 {
-        self.rows
-            .get(p.idx())
-            .map_or(0, |row| row.read().len() as u32)
-    }
-
-    /// The events of process `p` with indices in `[from, to)` — a direct
-    /// row slice, no tree walk.
-    pub fn process_window(&self, p: ProcessId, from: u32, to: u32) -> Vec<EventRecord> {
-        let Some(row) = self.rows.get(p.idx()) else {
-            return Vec::new();
-        };
-        let row = row.read();
-        let lo = (from.max(1) - 1) as usize;
-        let hi = ((to.max(1) - 1) as usize).min(row.len());
-        if lo >= hi {
-            return Vec::new();
-        }
-        row[lo..hi].to_vec()
-    }
-
-    /// The full row of process `p` (cloned) — the per-process event
-    /// sequence a snapshot cut merges from.
-    pub fn process_events(&self, p: ProcessId) -> Vec<Event> {
-        self.rows[p.idx()].read().iter().map(|r| r.event).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,26 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_log_roundtrips_exactly() {
-        let t = sample_trace();
-        let s = EventStore::from_trace(&t);
-        let log = s.delivery_log();
-        assert_eq!(log, t.events());
-        let rebuilt = EventStore::from_delivery_log(s.num_processes(), &log).unwrap();
-        assert_eq!(rebuilt.len(), s.len());
-        for r in s.records() {
-            let r2 = rebuilt.get(r.event.id).unwrap();
-            assert_eq!(r2.event, r.event);
-            assert_eq!(r2.preds, r.preds);
-            assert_eq!(r2.succs, r.succs);
-        }
-        // An invalid order (gap) is rejected, not silently absorbed.
-        let mut bad = log.clone();
-        bad.remove(0);
-        assert!(EventStore::from_delivery_log(s.num_processes(), &bad).is_err());
-    }
-
-    #[test]
     fn shared_store_concurrent_readers() {
         let t = sample_trace();
         let shared = SharedStore::new(EventStore::from_trace(&t));
@@ -518,64 +340,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), t.num_events());
         }
-    }
-
-    #[test]
-    fn partitioned_store_matches_event_store_on_a_trace() {
-        let t = sample_trace();
-        let part = PartitionedStore::new(t.num_processes());
-        for &ev in t.events() {
-            part.insert(ev).unwrap();
-        }
-        let flat = EventStore::from_trace(&t);
-        assert_eq!(part.len(), flat.len() as u64);
-        for r in flat.records() {
-            let pr = part.get(r.event.id).unwrap();
-            assert_eq!(pr.event, r.event);
-            assert_eq!(pr.preds, r.preds);
-            // succ *sets* agree; order may differ because back-fill is
-            // per-row rather than global.
-            let mut a = pr.succs.clone();
-            let mut b = r.succs.clone();
-            a.sort_unstable_by_key(|e| (e.process.0, e.index.0));
-            b.sort_unstable_by_key(|e| (e.process.0, e.index.0));
-            assert_eq!(a, b, "succs of {}", r.event.id);
-        }
-        // Window scans agree with the flat store's.
-        for pr in 0..t.num_processes() {
-            let w: Vec<EventId> = part
-                .process_window(p(pr), 1, 100)
-                .into_iter()
-                .map(|r| r.event.id)
-                .collect();
-            let w2: Vec<EventId> = flat
-                .process_window(p(pr), 1, 100)
-                .into_iter()
-                .map(|r| r.event.id)
-                .collect();
-            assert_eq!(w, w2);
-        }
-    }
-
-    #[test]
-    fn partitioned_store_rejects_bad_inserts() {
-        let s = PartitionedStore::new(2);
-        assert_eq!(
-            s.insert(Event::new(id(0, 2), EventKind::Internal)),
-            Err(StoreError::OutOfOrder(id(0, 2)))
-        );
-        assert_eq!(
-            s.insert(Event::new(id(1, 1), EventKind::Receive { from: id(0, 1) })),
-            Err(StoreError::MissingPartner(id(1, 1)))
-        );
-        assert_eq!(
-            s.insert(Event::new(id(5, 1), EventKind::Internal)),
-            Err(StoreError::UnknownProcess(p(5)))
-        );
-        assert!(!s.contains(id(0, 1)));
-        s.insert(Event::new(id(0, 1), EventKind::Internal)).unwrap();
-        assert!(s.contains(id(0, 1)));
-        assert_eq!(s.process_len(p(0)), 1);
     }
 
     #[test]

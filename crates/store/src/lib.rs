@@ -35,7 +35,7 @@ pub mod vm_sim;
 
 pub use btree::BPlusTree;
 pub use epoch_retainer::{EpochInfo, EpochRetainer, PinnedEpoch};
-pub use event_store::{EventStore, IngestHandle, PartitionedStore, SharedStore};
+pub use event_store::{EventStore, IngestHandle, SharedStore};
 pub use lru::LruCache;
 pub use shared_cache::{CacheStats, CachedClusterBackend, SharedQueryCache};
 pub use timestamp_cache::TimestampCache;

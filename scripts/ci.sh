@@ -46,6 +46,9 @@
 #
 # Usage: ci.sh [stage ...]     (no arguments = all stages)
 #        ci.sh --list          (print the stage names, one per line)
+#        ci.sh --loc [dir ...] (print scripts/loc.sh's line counts: all and
+#                              non-test lines per file and in total — the
+#                              figure ROADMAP Aim 2 tracks; not a gate)
 #
 # A per-stage wall-clock summary is printed on exit — including on
 # failure, so a hung CI run's log shows where the time went.
@@ -443,6 +446,10 @@ stage_benchmark() {
 all_stages=(fmt clippy build test smoke recovery query net repl replay adapt place bench benchmark)
 if [[ "${1:-}" == "--list" ]]; then
   printf '%s\n' "${all_stages[@]}"
+  exit 0
+fi
+if [[ "${1:-}" == "--loc" ]]; then
+  scripts/loc.sh "${@:2}"
   exit 0
 fi
 stages=("${@:-${all_stages[@]}}")

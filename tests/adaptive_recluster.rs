@@ -215,12 +215,12 @@ fn run_schedule(
         ));
     }
     assert_precedence_exact(t, &view, &cts)?;
-    if sim.store().len() != t.num_events() as u64 {
-        return Err(format!(
-            "store holds {} of {} events",
-            sim.store().len(),
-            t.num_events()
-        ));
+    for p in (0..t.num_processes()).map(ProcessId) {
+        let row =
+            |tr: &Trace| -> Vec<Event> { tr.process_events(p).map(|id| tr.event(id)).collect() };
+        if row(&view) != row(t) {
+            return Err(format!("cut row of {p} diverges from the trace"));
+        }
     }
     Ok(sim.world().num_migrations)
 }

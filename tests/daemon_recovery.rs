@@ -199,6 +199,42 @@ fn sharded_torn_shard_tail_with_one_shard_ahead() {
 }
 
 #[test]
+fn sharded_recovery_is_quiescent_when_spawn_returns() {
+    // A guard on the sharded runtime's quiescence accounting, not a
+    // reproducer: `spawn_durable` returns once `pending_msgs` has drained,
+    // and that must mean the whole recovered prefix is delivered *and*
+    // counted — `flush(0, …)` waits for nothing, so it reports whatever
+    // `progress.delivered` holds at that instant.
+    for seed in [3u64, 17, 29, 41, 53] {
+        let dir = tmpdir(&format!("sharded-quiescent-{seed}"));
+        let trace = Stencil1D {
+            procs: 8,
+            iters: 12,
+        }
+        .generate(seed);
+        let total = trace.num_events() as u64;
+        let mut cfg = durable_config("quiescent", trace.num_processes(), &dir, None);
+        cfg.shards = 2;
+
+        let (comp, _) = Computation::spawn_durable(cfg.clone()).expect("spawn");
+        for chunk in trace.events().chunks(23) {
+            comp.enqueue_events(chunk.to_vec()).unwrap();
+        }
+        comp.flush(total, Duration::from_secs(30)).expect("flush");
+        comp.kill();
+
+        let (comp, report) = Computation::spawn_durable(cfg).expect("respawn");
+        assert_eq!(report.total_events(), total, "seed {seed}");
+        let (_, delivered) = comp.flush(0, Duration::ZERO).expect("flush(0)");
+        assert_eq!(
+            delivered, total,
+            "seed {seed}: recovery returned with replay still outstanding"
+        );
+        comp.shutdown();
+    }
+}
+
+#[test]
 fn sharded_graceful_shutdown_restarts_from_global_checkpoint() {
     // Graceful sharded shutdown writes a final *global* checkpoint of the
     // assembled cut; a restart must serve exact answers with no re-stream.

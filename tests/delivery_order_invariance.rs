@@ -138,7 +138,8 @@ fn drop_then_retransmit_converges_to_exact_precedence() {
 }
 
 /// Exact-precedence check of a sharded simulation against the causal oracle,
-/// plus the store-holds-every-event-once invariant.
+/// plus the invariant that every process row of the cut holds exactly that
+/// process's events in index order.
 fn assert_shards_exact(t: &Trace, sim: &mut SimShards, ctx: &str) {
     assert_eq!(sim.rejected(), 0, "{ctx}: events rejected");
     assert_eq!(
@@ -158,11 +159,11 @@ fn assert_shards_exact(t: &Trace, sim: &mut SimShards, ctx: &str) {
             );
         }
     }
-    assert_eq!(
-        sim.store().len(),
-        t.num_events() as u64,
-        "{ctx}: store length"
-    );
+    for p in (0..t.num_processes()).map(ProcessId) {
+        let row =
+            |tr: &Trace| -> Vec<Event> { tr.process_events(p).map(|id| tr.event(id)).collect() };
+        assert_eq!(row(&trace), row(t), "{ctx}: cut row of {p}");
+    }
 }
 
 #[test]

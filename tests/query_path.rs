@@ -16,6 +16,7 @@ use cts_store::queries::{greatest_concurrent, greatest_concurrent_linear, Cluste
 use cts_workloads::spmd::Stencil1D;
 use cts_workloads::suite::mini_suite;
 use cts_workloads::Workload;
+use std::time::{Duration, Instant};
 
 /// Deterministic sampled pairs, the same prime strides the loadgen uses.
 fn sample_pairs(ids: &[EventId], k: usize) -> Vec<(EventId, EventId)> {
@@ -178,6 +179,54 @@ fn window_pagination_resumes_exactly_across_epochs() {
     let (all, pages) = client.window_paged(0, 1, to, 5).expect("window_paged");
     assert_eq!(all, expect);
     assert!(pages > 1, "page size 5 over {rows} rows must paginate");
+
+    client.goodbye().expect("goodbye");
+    daemon.shutdown();
+}
+
+/// A window never names an event the snapshot does not know: the head
+/// window is answered at the head epoch, like every other query, not from a
+/// structure that runs ahead of it. Fewer events than one epoch are streamed
+/// with no `Flush`, so they are delivered but unpublished; whatever a scroll
+/// returns at that point must be answerable by `QueryPrecedes`.
+#[test]
+fn window_never_names_an_event_the_snapshot_does_not_know() {
+    let t = Stencil1D {
+        procs: 4,
+        iters: 24,
+    }
+    .generate(11);
+    let total = t.num_events() as u64;
+    let config = DaemonConfig::default();
+    assert!(total < config.epoch_every, "fixture must fit in one epoch");
+    let p0 = ProcessId(0);
+
+    let daemon = Daemon::start(config).expect("bind loopback");
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    client
+        .hello("unflushed", t.num_processes(), 4)
+        .expect("hello");
+    client.stream_events(t.events(), 64).expect("stream");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.stats().expect("stats").events_ingested < total {
+        assert!(Instant::now() < deadline, "ingest stalled");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let to = t.process_len(p0) as u32 + 1;
+    let ids = client.window(0, 1, to).expect("window before flush");
+    for &id in &ids {
+        if let Err(e) = client.precedes(id, id) {
+            panic!(
+                "the window named {id} ({} ids returned) but QueryPrecedes refused it: {e}",
+                ids.len()
+            );
+        }
+    }
+
+    client.flush(total).expect("flush");
+    let full = client.window(0, 1, to).expect("window after flush");
+    assert_eq!(full, t.process_events(p0).collect::<Vec<_>>());
 
     client.goodbye().expect("goodbye");
     daemon.shutdown();

@@ -85,37 +85,23 @@ fn verify(t: &Trace, sim: &mut SimShards) -> Result<(), String> {
             }
         }
     }
-    // Store equivalence: every process row holds exactly its events, in
-    // index order, regardless of which shards inserted them (or how often
-    // ownership migrated along the way).
-    if sim.store().len() != t.num_events() as u64 {
-        return Err(format!(
-            "store holds {} of {} events",
-            sim.store().len(),
-            t.num_events()
-        ));
-    }
-    for p in 0..t.num_processes() {
-        let expected: Vec<Event> = t
-            .events()
-            .iter()
-            .copied()
-            .filter(|e| e.process() == ProcessId(p))
-            .collect();
-        let got = sim
-            .store()
-            .process_window(ProcessId(p), 1, expected.len() as u32 + 1);
+    // Row order of the cut, the structure window queries read: every
+    // process row holds exactly that process's events, in index order,
+    // regardless of which shards delivered them (or how often ownership
+    // migrated along the way).
+    for p in (0..t.num_processes()).map(ProcessId) {
+        let row =
+            |tr: &Trace| -> Vec<Event> { tr.process_events(p).map(|id| tr.event(id)).collect() };
+        let (got, expected) = (row(&trace), row(t));
         if got.len() != expected.len() {
             return Err(format!(
-                "P{p}: store row has {} of {} events",
+                "{p}: cut row has {} of {} events",
                 got.len(),
                 expected.len()
             ));
         }
-        for (rec, want) in got.iter().zip(&expected) {
-            if rec.event != *want {
-                return Err(format!("P{p}: store row diverges at {}", want.id));
-            }
+        if let Some((_, want)) = got.iter().zip(&expected).find(|(g, w)| g != w) {
+            return Err(format!("{p}: cut row diverges at {}", want.id));
         }
     }
     Ok(())
