@@ -168,7 +168,7 @@ impl LoadReport {
              ingest wall       {:.3} s  ({:.0} events/s, {:.0} ns/event)\n\
              query wall        {:.3} s\n\
              checks            {} precedence, {} greatest-concurrent, {} windows\n\
-             batch re-issues   {} items (warm cache, one frame per computation)\n\
+             batch re-issues   {} items (one frame per computation)\n\
              as-of checks      {} (time-travel, historical epochs)\n\
              query RTT         p50 {} ns, p95 {} ns (n = {})\n\
              mismatches        {}",
@@ -452,12 +452,13 @@ pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
 
     // ---- query phase: differential checks per computation ----
     //
-    // Each computation runs the same pattern: *cold* single queries
-    // (RTT-timed, populating the daemon's shared cache), then a *warm*
-    // batched re-issue of the identical items in one frame. Three answers
+    // Each computation runs the same pattern: single queries (RTT-timed;
+    // the greatest-concurrent ones leave their slot vectors in the daemon's
+    // shared memo), then a batched re-issue of the identical items in one
+    // frame (the greatest-concurrent ones now memo hits). Three answers
     // must agree per item — single, batch, and the offline engine — so a
-    // cache that ever returned a stale or cross-wired verdict shows up as
-    // a mismatch.
+    // memo that ever returned a stale or cross-wired vector shows up as a
+    // mismatch.
     let counters = QueryCounters::new();
     let t1 = Instant::now();
     let query_jobs: Vec<usize> = (0..suite.len()).collect();
@@ -946,7 +947,7 @@ pub fn wait_followers_converged(
 }
 
 /// One computation's warm workload: name, process count, and the
-/// prime-stride pair sample the query phase already primed caches with.
+/// prime-stride pair sample the query phase already asked.
 type WarmJob = (String, u32, Vec<(EventId, EventId)>);
 
 /// `repl/warm_batch_{leader,fleet}` entries: wall time of a fixed warm
@@ -972,7 +973,7 @@ pub fn fleet_bench_entries(
         "fleet bench requires follower_addrs"
     );
     // Pre-sample each computation's warm pairs (the query phase already
-    // primed the caches with exactly these).
+    // asked exactly these).
     let work: Vec<WarmJob> = suite
         .iter()
         .map(|entry| {

@@ -106,9 +106,10 @@ pub struct ComputationConfig {
     pub retain_bytes: u64,
 }
 
-/// Default [`ComputationConfig::query_cache_capacity`]: bounds each memo
-/// layer at ~64k entries (a stamp entry for an N-process computation is
-/// ~4·N bytes, so the worst-case footprint stays in the tens of MB).
+/// Default [`ComputationConfig::query_cache_capacity`]: asks for ~64k
+/// greatest-concurrent vectors, which the memo's own ceiling of 1 024 per
+/// lock shard turns into 16 384 (an entry is one slot per process, ~12·N
+/// bytes, so a full memo stays in the tens of MB).
 pub const DEFAULT_QUERY_CACHE_CAPACITY: usize = 1 << 16;
 
 /// Default [`ComputationConfig::retain_epochs`]: how many published epochs

@@ -5,12 +5,12 @@
 //! every other request on that connection behind one slow
 //! greatest-concurrent. The pool scatters a batch across a few workers and
 //! joins the results in order. Jobs only ever *read* — an `Arc<Snapshot>`
-//! plus the shared query cache — so there is no job-to-job ordering to
-//! preserve and no way for a job to deadlock the pool (jobs never submit
-//! jobs).
+//! plus the shared greatest-concurrent memo — so there is no job-to-job
+//! ordering to preserve and no way for a job to deadlock the pool (jobs
+//! never submit jobs).
 //!
 //! Small batches run inline: the scatter/join overhead (~µs) dwarfs the
-//! work of a handful of cache-hit lookups (~ns each).
+//! work of a handful of precedence tests (a few hundred ns each).
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};

@@ -115,7 +115,7 @@ pub struct DaemonConfig {
     /// `max_shards` also raises the pre-allocated slot count past the
     /// host's parallelism, which is how soaks force splits on small hosts.
     pub placement: Option<PlacementParams>,
-    /// Entry bound per layer of each computation's shared query cache;
+    /// Entry bound of each computation's greatest-concurrent memo;
     /// `0` selects [`crate::pipeline::DEFAULT_QUERY_CACHE_CAPACITY`].
     pub query_cache_capacity: usize,
     /// Worker threads for batched queries; `0` picks a host-sized default

@@ -27,6 +27,7 @@
 //! 6. **arguments** — process ids, batch sizes and `Hello` parameters are
 //!    range-checked before anything is allocated or enqueued.
 
+use crate::metrics::Metrics;
 use crate::pipeline::{Computation, FlushError, Snapshot};
 use crate::query_pool::QueryPool;
 use crate::replication::{self, Grant};
@@ -397,51 +398,46 @@ fn cluster_map(comp: &Computation) -> Msg {
 fn serve_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> Msg {
     let t0 = std::time::Instant::now();
     let (reply, served) = answer_query(comp, pool, msg);
-    let ns = t0.elapsed().as_nanos() as u64;
-    let m = comp.metrics();
-    m.query_ns.record(ns);
-    match msg {
-        Msg::QueryPrecedes { .. } | Msg::QueryAsOfPrecedes { .. } => m.precedes_ns.record(ns),
-        Msg::QueryGreatestConcurrent { .. } | Msg::QueryAsOfGc { .. } => m.gc_ns.record(ns),
-        Msg::QueryWindow { .. } | Msg::QueryAsOfWindow { .. } => m.window_ns.record(ns),
-        Msg::QueryPrecedesBatch { .. } => {
-            m.precedes_ns.record(ns);
-            m.batch_queries.fetch_add(1, Ordering::Relaxed);
-        }
-        Msg::QueryGcBatch { .. } => {
-            m.gc_ns.record(ns);
-            m.batch_queries.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {}
-    }
-    m.queries_served.fetch_add(served, Ordering::Relaxed);
+    record_query(comp.metrics(), msg, t0.elapsed().as_nanos() as u64, served);
     reply
 }
 
-/// The precedence verdict for a known pair, via the shared cache.
-fn cached_precedes(snap: &Snapshot, cache: &SharedQueryCache, e: EventId, f: EventId) -> bool {
-    let mut backend = CachedClusterBackend {
-        cts: &snap.cts,
-        cache,
-    };
-    backend.precedes(&snap.trace, e, f)
+/// Account for one query message that took `ns` to answer `items` questions
+/// (what [`answer_query`] returns: a batch counts per item, a refused batch
+/// once). The latency histograms hold the cost of *one* answer — a verdict,
+/// a slot vector, a window page — whichever verb carried it, so a batch
+/// contributes one sample of `ns / items` (DESIGN A.3).
+fn record_query(m: &Metrics, msg: &Msg, ns: u64, items: u64) {
+    let per_item = ns / items.max(1);
+    m.query_ns.record(per_item);
+    match msg {
+        Msg::QueryPrecedes { .. }
+        | Msg::QueryAsOfPrecedes { .. }
+        | Msg::QueryPrecedesBatch { .. } => m.precedes_ns.record(per_item),
+        Msg::QueryGreatestConcurrent { .. }
+        | Msg::QueryAsOfGc { .. }
+        | Msg::QueryGcBatch { .. } => m.gc_ns.record(per_item),
+        Msg::QueryWindow { .. } | Msg::QueryAsOfWindow { .. } => m.window_ns.record(per_item),
+        _ => {}
+    }
+    if matches!(
+        msg,
+        Msg::QueryPrecedesBatch { .. } | Msg::QueryGcBatch { .. }
+    ) {
+        m.batch_queries.fetch_add(1, Ordering::Relaxed);
+    }
+    m.queries_served.fetch_add(items, Ordering::Relaxed);
 }
 
-/// The greatest-concurrent vector for a known event, via the shared cache.
-/// Result vectors grow with the trace, so the memo is keyed by the
-/// snapshot's delivered-prefix length — which also keeps retained and head
-/// epochs from colliding.
-fn cached_gc(snap: &Snapshot, cache: &SharedQueryCache, e: EventId) -> Vec<Option<EventId>> {
-    if let Some(v) = cache.gc(e, snap.delivered) {
-        return (*v).clone();
-    }
-    let mut backend = CachedClusterBackend {
+/// The read backend over one snapshot: the §2.3 precedence test on its
+/// cluster timestamps, greatest-concurrent through the computation's memo
+/// (keyed by the snapshot's delivered-prefix length, so head and retained
+/// epochs never collide).
+fn reader<'a>(snap: &'a Snapshot, cache: &'a SharedQueryCache) -> CachedClusterBackend<'a> {
+    CachedClusterBackend {
         cts: &snap.cts,
         cache,
-    };
-    let v = greatest_concurrent(&mut backend, &snap.trace, e);
-    cache.insert_gc(e, snap.delivered, Arc::new(v.clone()));
-    v
+    }
 }
 
 /// The snapshot a query reads: the published head, or the retained epoch an
@@ -463,9 +459,7 @@ fn count_asof(comp: &Computation, at: Option<u64>) {
     }
 }
 
-/// `QueryPrecedes` / `QueryAsOfPrecedes`. The verdict and stamp cache layers
-/// are epoch-safe: happens-before between two delivered events never changes
-/// as later events arrive (causal delivery pins every predecessor first).
+/// `QueryPrecedes` / `QueryAsOfPrecedes`.
 fn precedes(comp: &Computation, at: Option<u64>, e: EventId, f: EventId) -> Msg {
     let snap = match resolve(comp, at) {
         Ok(s) => s,
@@ -479,7 +473,7 @@ fn precedes(comp: &Computation, at: Option<u64>, e: EventId, f: EventId) -> Msg 
     count_asof(comp, at);
     Msg::PrecedesResult {
         epoch: snap.epoch,
-        precedes: cached_precedes(&snap, comp.query_cache(), e, f),
+        precedes: reader(&snap, comp.query_cache()).precedes(&snap.trace, e, f),
     }
 }
 
@@ -495,7 +489,7 @@ fn gc(comp: &Computation, at: Option<u64>, e: EventId) -> Msg {
     count_asof(comp, at);
     Msg::GcResult {
         epoch: snap.epoch,
-        slots: cached_gc(&snap, comp.query_cache(), e),
+        slots: greatest_concurrent(&mut reader(&snap, comp.query_cache()), &snap.trace, e),
     }
 }
 
@@ -579,7 +573,7 @@ fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
                 if !snap.trace.contains(e) || !snap.trace.contains(f) {
                     return None;
                 }
-                Some(cached_precedes(&snap, &cache, e, f))
+                Some(reader(&snap, &cache).precedes(&snap.trace, e, f))
             });
             (
                 Msg::PrecedesBatchResult { epoch, verdicts },
@@ -606,7 +600,11 @@ fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
                 if !snap.trace.contains(e) {
                     return None;
                 }
-                Some(cached_gc(&snap, &cache, e))
+                Some(greatest_concurrent(
+                    &mut reader(&snap, &cache),
+                    &snap.trace,
+                    e,
+                ))
             });
             (Msg::GcBatchResult { epoch, results }, events.len() as u64)
         }
@@ -1188,5 +1186,50 @@ mod tests {
             flush_reply(9, Err(FlushError::Closed)),
             computation_closed()
         );
+    }
+
+    /// p50 of a histogram holding exactly the given samples.
+    fn p50_of(samples: &[u64]) -> u64 {
+        let h = cts_util::hist::AtomicHistogram::new();
+        samples.iter().for_each(|&ns| h.record(ns));
+        h.percentile(50.0)
+    }
+
+    #[test]
+    fn a_batch_is_recorded_per_item_whichever_verb_carried_it() {
+        let m = Metrics::new();
+        let pairs = vec![(ev(0, 1), ev(1, 1)); 256];
+        record_query(&m, &Msg::QueryPrecedesBatch { pairs }, 256_000, 256);
+        // One verdict of that batch cost what a 1 000 ns single one does.
+        assert_eq!(m.precedes_ns.count(), 1);
+        assert_eq!(m.precedes_ns.percentile(50.0), p50_of(&[1_000]));
+        assert_eq!(m.query_ns.percentile(50.0), p50_of(&[1_000]));
+        record_query(
+            &m,
+            &Msg::QueryPrecedes {
+                e: ev(0, 1),
+                f: ev(1, 1),
+            },
+            1_000,
+            1,
+        );
+        assert_eq!(m.precedes_ns.percentile(50.0), p50_of(&[1_000, 1_000]));
+        assert_eq!(m.gc_ns.count(), 0);
+        assert_eq!(m.batch_queries.load(Ordering::Relaxed), 1);
+        assert_eq!(m.queries_served.load(Ordering::Relaxed), 257);
+
+        // A refused batch answered one thing, the refusal: one sample of
+        // the whole service time, one query served.
+        let events = vec![ev(0, 1); 4096];
+        record_query(&m, &Msg::QueryGcBatch { events }, 8_000, 1);
+        assert_eq!(m.gc_ns.count(), 1);
+        assert_eq!(m.gc_ns.percentile(50.0), p50_of(&[8_000]));
+        assert_eq!(m.batch_queries.load(Ordering::Relaxed), 2);
+        assert_eq!(m.queries_served.load(Ordering::Relaxed), 258);
+        // An empty batch divides by one, not by zero.
+        record_query(&m, &Msg::QueryGcBatch { events: vec![] }, 500, 0);
+        assert_eq!(m.gc_ns.count(), 2);
+        assert_eq!(m.window_ns.count(), 0);
+        assert_eq!(m.query_ns.count(), 4);
     }
 }

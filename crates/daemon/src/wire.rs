@@ -114,8 +114,8 @@ pub struct StatsSnapshot {
     /// Query service latency percentiles, nanoseconds (all query types).
     pub query_p50_ns: u64,
     pub query_p95_ns: u64,
-    /// Shared query-cache counters (aggregated over the stamp, verdict and
-    /// greatest-concurrent memo layers).
+    /// Counters of the computation's shared greatest-concurrent memo (a
+    /// precedence query looks nothing up and moves none of them).
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_evictions: u64,

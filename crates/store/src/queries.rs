@@ -4,7 +4,9 @@
 //! All queries are generic over a [`PrecedenceBackend`], so the same query
 //! code runs against precomputed Fidge/Mattern stamps, cluster timestamps,
 //! the recompute-forward cache, or the paged-memory simulator — which is how
-//! the experiments compare their costs.
+//! the experiments compare their costs. The daemon's read path is one more
+//! backend, [`CachedClusterBackend`](crate::CachedClusterBackend): cluster
+//! timestamps whose finished [`greatest_concurrent`] answers are remembered.
 
 use cts_core::cluster::ClusterTimestamps;
 use cts_core::fm::FmStore;
@@ -28,6 +30,20 @@ pub trait PrecedenceBackend {
     fn predecessor_clock(&mut self, trace: &Trace, e: EventId) -> Option<VectorClock> {
         let _ = (trace, e);
         None
+    }
+
+    /// A [`greatest_concurrent`] answer for `e` over exactly this trace —
+    /// the answer grows with the trace, so a backend that keeps answers
+    /// keys them by `(e, trace.num_events())` — if the backend remembers
+    /// one. Most backends remember nothing.
+    fn recall_gc(&mut self, trace: &Trace, e: EventId) -> Option<Vec<Option<EventId>>> {
+        let _ = (trace, e);
+        None
+    }
+
+    /// Offered every answer [`greatest_concurrent`] had to search for.
+    fn remember_gc(&mut self, trace: &Trace, e: EventId, slots: &[Option<EventId>]) {
+        let _ = (trace, e, slots);
     }
 }
 
@@ -83,11 +99,20 @@ impl PrecedenceBackend for crate::vm_sim::PagedTimestampStore<'_> {
 /// greatest concurrent element is `E(q, b − 1)` unless the prefix and
 /// suffix are adjacent. Backends without a clock fall back to the linear
 /// scan, [`greatest_concurrent_linear`].
+///
+/// The clock is the only whole vector the query builds; every probe of the
+/// search is a plain `precedes` on the backend. A backend that remembers
+/// finished answers ([`PrecedenceBackend::recall_gc`]) is asked once, first,
+/// and told the result once, last — a repeated query is one lookup however
+/// many processes there are.
 pub fn greatest_concurrent<B: PrecedenceBackend>(
     backend: &mut B,
     trace: &Trace,
     e: EventId,
 ) -> Vec<Option<EventId>> {
+    if let Some(slots) = backend.recall_gc(trace, e) {
+        return slots;
+    }
     let clock = match backend.predecessor_clock(trace, e) {
         Some(c) => c,
         None => return greatest_concurrent_linear(backend, trace, e),
@@ -119,6 +144,7 @@ pub fn greatest_concurrent<B: PrecedenceBackend>(
             None
         });
     }
+    backend.remember_gc(trace, e, &out);
     out
 }
 

@@ -37,7 +37,8 @@ Design notes:
   sanity bound that still catches sharding collapsing throughput.
 - `--require-ratio SLOW_ID:FAST_ID:RATIO` is the same claim *without*
   the parallelism scaling — for single-thread algorithmic or caching
-  claims (warm-cache vs cold-path, binary vs linear search) that must
+  claims (cluster-timestamp test vs reconstructed vector, binary vs
+  linear search) that must
   hold on any host, including a 1-cpu CI container.
 - `--subset` tolerates baseline benches missing from the candidate —
   for gating a *filtered* run (`cts-bench query_path`) against the full

@@ -12,8 +12,10 @@
 #   recovery  crash-stop the daemon mid-suite, restart, verify zero
 #             differential mismatches after WAL/checkpoint recovery
 #   query     focused query_path bench run holding the read-path claims:
-#             warm-cache precedence >= 5x the cold path, batched wire
-#             round trips >= 5x single RTTs (host-independent ratios)
+#             the cluster-timestamp precedence test >= 2x cheaper than
+#             reconstructing the vector, the daemon's greatest-concurrent
+#             <= 2x the bare binary search, batched wire round trips >= 5x
+#             single RTTs (host-independent ratios)
 #   net       C10K soak against an external daemon process: 10,000 idle
 #             connections held while the differential smoke suite runs
 #             clean; thread-backend differential; idle-cost ratio gates
@@ -189,15 +191,23 @@ stage_query() {
   # One filtered run is enough: the claims are *within-run* ratios, so
   # host speed cancels out. --claims-only because a filtered run lacks the
   # calibration kernel (absolute comparisons happen in the bench stage);
-  # --require-ratio (not --require-speedup) because a cache hit needs no
-  # second core to be fast.
+  # --require-ratio (not --require-speedup) because none of these needs a
+  # second core. In order: the paper's precedence test (what the daemon
+  # runs) beats reconstructing f's vector on both widest computations; the
+  # daemon's greatest-concurrent (memo miss + insert included) costs at most
+  # 2x the bare search; one batch beats 256 round trips; the binary search
+  # is no slower than the linear oracle.
   target/release/cts-bench --quick query_path >"$workdir/bench-query.json"
   python3 scripts/bench_gate.py results/BENCH_baseline.json \
     "$workdir/bench-query.json" --claims-only \
     --require-ratio \
-    query_path/precedes_cold_sharded_web_288:query_path/precedes_warm_sharded_web_288:5.0 \
+    query_path/precedes_materialized_sharded_web_288:query_path/precedes_cluster_sharded_web_288:2.0 \
     --require-ratio \
-    query_path/precedes_cold_blocked_stencil1d_128:query_path/precedes_warm_blocked_stencil1d_128:5.0 \
+    query_path/precedes_materialized_blocked_stencil1d_128:query_path/precedes_cluster_blocked_stencil1d_128:2.0 \
+    --require-ratio \
+    query_path/gc_binary_sharded_web_288:query_path/gc_daemon_sharded_web_288:0.5 \
+    --require-ratio \
+    query_path/gc_binary_blocked_stencil1d_128:query_path/gc_daemon_blocked_stencil1d_128:0.5 \
     --require-ratio \
     query_path/rtt_single_256:query_path/rtt_batch_256:5.0 \
     --require-ratio \

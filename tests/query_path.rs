@@ -1,6 +1,6 @@
 //! Integration tests for the fast query read path: batched wire queries,
-//! the shared epoch-carried precedence cache, window-scan pagination, and
-//! the binary-searched greatest-concurrent rewrite.
+//! the shared epoch-carried greatest-concurrent memo, window-scan
+//! pagination, and the binary-searched greatest-concurrent rewrite.
 //!
 //! The invariant throughout is the same one the soak leans on: the daemon's
 //! online answers — single, batched, cached, or paginated — must be
@@ -265,35 +265,47 @@ fn stats_expose_cache_counters_and_latency() {
 
     let ids: Vec<EventId> = trace.all_event_ids().collect();
     let pairs = sample_pairs(&ids, 32);
-    // Twice: the second pass must be answered from the shared cache.
+    // Precedence is the cluster-timestamp test itself: nothing is looked up
+    // or remembered, however often a batch is re-issued.
     for _ in 0..2 {
         let _ = client.precedes_batch(&pairs).expect("batch");
     }
-    let _ = client.greatest_concurrent(ids[0]).expect("gc");
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+    // Greatest-concurrent twice: the second ask must be answered from the
+    // shared memo.
+    let first = client.greatest_concurrent(ids[0]).expect("gc");
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (0, 1),
+        "the first ask cannot hit"
+    );
+    assert_eq!(client.greatest_concurrent(ids[0]).expect("gc"), first);
     let _ = client.window(0, 1, 4).expect("window");
 
     let stats = client.stats().expect("stats");
-    assert!(
-        stats.cache_hits > 0,
-        "re-issued batch produced no cache hits"
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (1, 1),
+        "the re-issued query must hit the memo"
     );
-    assert!(stats.cache_misses > 0, "first pass cannot hit");
     assert!(stats.batch_queries >= 2);
     assert!(stats.precedes_p50_ns > 0);
     assert!(stats.gc_p50_ns > 0);
     assert!(stats.window_p50_ns > 0);
 
-    // A second connection to the same computation shares the cache: its
-    // first identical batch already hits.
+    // A second connection to the same computation shares the memo: its
+    // first identical query already hits.
     let mut c2 = Client::connect(daemon.local_addr()).expect("connect 2");
     c2.hello(&entry.name, trace.num_processes(), 4)
         .expect("hello 2");
-    let before = client.stats().expect("stats before").cache_hits;
-    let _ = c2.precedes_batch(&pairs).expect("batch via c2");
-    let after = client.stats().expect("stats after").cache_hits;
-    assert!(
-        after > before,
-        "a second connection's identical batch must hit the shared cache"
+    assert_eq!(c2.greatest_concurrent(ids[0]).expect("gc via c2"), first);
+    let stats = client.stats().expect("stats after");
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (2, 1),
+        "a second connection's identical query must hit the shared memo"
     );
     c2.goodbye().expect("goodbye 2");
 
