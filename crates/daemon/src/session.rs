@@ -8,6 +8,12 @@
 //! [`Step`] that comes back. Nothing outside this module matches on client
 //! verbs.
 //!
+//! What a verb needs before it is served — its protocol level, and whether
+//! it needs a bound session — is declared in its row of the wire table
+//! ([`Msg::level`], [`Msg::scope`]); this module holds only the handlers.
+//! Adding a message is one table row in [`crate::wire`] plus its handler
+//! here.
+//!
 //! ## Gating order
 //!
 //! Every frame passes the same checks in the same order, and the first one
@@ -20,10 +26,11 @@
 //!    everything but `Shutdown`/`Goodbye` answers `RECOVERING`;
 //! 3. **read-only** — a follower refuses `Events` and `Flush` with
 //!    `READ_ONLY`;
-//! 4. **protocol level** — a verb above the connection's negotiated level
-//!    ([`required_level`]) answers `UNSUPPORTED`;
-//! 5. **session** — a session-scoped verb before `Hello` answers
-//!    `NO_SESSION`;
+//! 4. **protocol level** — a server-side message answers `MALFORMED`; a
+//!    verb above the connection's negotiated level ([`Msg::level`]) answers
+//!    `UNSUPPORTED`;
+//! 5. **session** — a session-scoped verb ([`Scope::Session`]) before
+//!    `Hello` answers `NO_SESSION`;
 //! 6. **arguments** — process ids, batch sizes and `Hello` parameters are
 //!    range-checked before anything is allocated or enqueued.
 
@@ -32,7 +39,7 @@ use crate::pipeline::{Computation, FlushError, Snapshot};
 use crate::query_pool::QueryPool;
 use crate::replication::{self, Grant};
 use crate::server::{lock, DaemonShared};
-use crate::wire::{self, code, CompInfo, Msg, WireError};
+use crate::wire::{self, code, CompInfo, Msg, Scope, WireError};
 use cts_model::{Event, EventId, EventIndex, ProcessId};
 use cts_store::queries::{greatest_concurrent, PrecedenceBackend};
 use cts_store::{CachedClusterBackend, SharedQueryCache};
@@ -132,15 +139,30 @@ impl Session {
                 message: "this daemon is a read-only follower; write to the leader".into(),
             });
         }
-        let level = required_level(&msg);
-        if self.protocol < level {
-            return Step::Reply(Msg::Error {
-                code: code::UNSUPPORTED,
-                message: format!(
-                    "{} requires ProtoHello negotiation to protocol level >= {level}",
-                    gated_verb(&msg)
-                ),
-            });
+        let level = msg.level();
+        match msg.scope() {
+            Scope::Reply => {
+                return Step::Reply(malformed("server-side message sent by client".into()))
+            }
+            _ if self.protocol < level => {
+                return Step::Reply(Msg::Error {
+                    code: code::UNSUPPORTED,
+                    message: format!(
+                        "{} requires ProtoHello negotiation to protocol level >= {level}",
+                        msg.name()
+                    ),
+                });
+            }
+            Scope::Session => {
+                return match &self.comp {
+                    Some(comp) => in_session(comp, &shared.query_pool, msg),
+                    None => Step::Reply(Msg::Error {
+                        code: code::NO_SESSION,
+                        message: "no session: send Hello first".into(),
+                    }),
+                };
+            }
+            Scope::Connection => {}
         }
         match msg {
             Msg::Hello {
@@ -189,62 +211,8 @@ impl Session {
                 Step::ReplyThenClose(Msg::ShutdownAck)
             }
             Msg::Goodbye => Step::Close,
-            Msg::Events(_)
-            | Msg::Flush { .. }
-            | Msg::QueryPrecedes { .. }
-            | Msg::QueryGreatestConcurrent { .. }
-            | Msg::QueryWindow { .. }
-            | Msg::QueryPrecedesBatch { .. }
-            | Msg::QueryGcBatch { .. }
-            | Msg::QueryAsOfPrecedes { .. }
-            | Msg::QueryAsOfGc { .. }
-            | Msg::QueryAsOfWindow { .. }
-            | Msg::ListEpochs
-            | Msg::ReplayInterval { .. }
-            | Msg::QueryClusterMap
-            | Msg::QueryPlacement
-            | Msg::Stats => match &self.comp {
-                Some(comp) => in_session(comp, &shared.query_pool, msg),
-                None => Step::Reply(Msg::Error {
-                    code: code::NO_SESSION,
-                    message: "no session: send Hello first".into(),
-                }),
-            },
-            // Server-to-client messages arriving here are a protocol abuse.
-            _ => Step::Reply(malformed("server-side message sent by client".into())),
+            other => unreachable!("{} is not a connection verb", other.name()),
         }
-    }
-}
-
-/// The one verb → protocol-level table: the lowest message-set level
-/// (negotiated by `ProtoHello`, see [`wire::PROTOCOL`]) that carries `msg`.
-fn required_level(msg: &Msg) -> u16 {
-    match msg {
-        Msg::ListComputations | Msg::Subscribe { .. } => 2,
-        Msg::QueryAsOfPrecedes { .. }
-        | Msg::QueryAsOfGc { .. }
-        | Msg::QueryAsOfWindow { .. }
-        | Msg::ListEpochs
-        | Msg::ReplayInterval { .. } => 3,
-        Msg::QueryClusterMap => 4,
-        Msg::QueryPlacement => 5,
-        _ => 1,
-    }
-}
-
-/// Display name of a verb above level 1, for the `UNSUPPORTED` refusal.
-fn gated_verb(msg: &Msg) -> &'static str {
-    match msg {
-        Msg::ListComputations => "ListComputations",
-        Msg::Subscribe { .. } => "Subscribe",
-        Msg::QueryAsOfPrecedes { .. } => "QueryAsOfPrecedes",
-        Msg::QueryAsOfGc { .. } => "QueryAsOfGc",
-        Msg::QueryAsOfWindow { .. } => "QueryAsOfWindow",
-        Msg::ListEpochs => "ListEpochs",
-        Msg::ReplayInterval { .. } => "ReplayInterval",
-        Msg::QueryClusterMap => "QueryClusterMap",
-        Msg::QueryPlacement => "QueryPlacement",
-        _ => "this verb",
     }
 }
 
@@ -299,6 +267,10 @@ pub(crate) fn hello(
     }
     if max_cluster_size == 0 {
         return Err("max_cluster_size must be positive".into());
+    }
+    // The name becomes a thread name, which cannot hold a NUL.
+    if name.contains('\0') {
+        return Err("computation name must not contain NUL".into());
     }
     shared.open_computation(name, num_processes, max_cluster_size)
 }
@@ -814,6 +786,26 @@ mod tests {
                 BASE,
                 "Reply(Error 2)",
             ),
+            row(
+                "Hello/nul-name",
+                Msg::Hello {
+                    computation: "a\0b".into(),
+                    num_processes: 2,
+                    max_cluster_size: 2,
+                },
+                BASE,
+                "Reply(Error 2)",
+            ),
+            row(
+                "Hello/long-mismatch",
+                Msg::Hello {
+                    computation: long_name(),
+                    num_processes: 3,
+                    max_cluster_size: 2,
+                },
+                BASE,
+                "Reply(Error 2)",
+            ),
             row("Events", Msg::Events(trace()), write, "Ingest"),
             row(
                 "Events/bad-process",
@@ -979,7 +971,15 @@ mod tests {
         ]
     }
 
+    /// A computation name so long that a refusal quoting it overflows a
+    /// string field's `u16` length.
+    fn long_name() -> String {
+        "n".repeat(65_500)
+    }
+
     fn msg_class(m: &Msg) -> String {
+        // Whatever the session answers must survive the wire.
+        let m = &Msg::decode(&m.encode()).expect("the reply decodes");
         match m {
             Msg::Error { code, .. } => format!("Error {code}"),
             other => {
@@ -1079,6 +1079,11 @@ mod tests {
         comp.enqueue_events(trace()).expect("ingest open");
         let (epoch, delivered) = comp.flush(3, Duration::from_secs(30)).expect("flush");
         assert_eq!(delivered, 3);
+        // What the `Hello/long-mismatch` row mismatches. A name this long
+        // has no directory to live in, so only an in-memory daemon has it.
+        if shared.config.data_dir.is_none() {
+            hello(shared, long_name(), 2, 2).expect("open the long-named computation");
+        }
         epoch
     }
 
