@@ -32,6 +32,37 @@ pub fn web_trace(requests: u32) -> Trace {
 /// The process counts the scaling benches sweep.
 pub const SCALES: &[u32] = &[50, 100, 200, 400];
 
+/// The two widest multi-process computations in the workload corpus:
+/// 128- and 288-process traces with strong group locality plus a
+/// cross-group traffic floor.
+pub fn widest_computations() -> Vec<(&'static str, Trace)> {
+    use cts_workloads::spmd::BlockedStencil1D;
+    use cts_workloads::web::ShardedWebServer;
+    vec![
+        (
+            "blocked_stencil1d_128",
+            BlockedStencil1D {
+                procs: 128,
+                iters: 6,
+                block: 8,
+            }
+            .generate(3),
+        ),
+        (
+            "sharded_web_288",
+            ShardedWebServer {
+                shards: 24,
+                clients_per_shard: 6,
+                workers_per_shard: 4,
+                requests: 1100,
+                affinity: 0.85,
+                redirect: 0.25,
+            }
+            .generate(24),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -277,7 +277,7 @@ fn bench_query_path(r: &mut Runner) {
     use cts_store::{CachedClusterBackend, SharedQueryCache};
 
     let g = "query_path";
-    for (label, trace) in cts_daemon::loadgen::widest_computations() {
+    for (label, trace) in cts_bench::widest_computations() {
         let cts = ClusterEngine::run(&trace, MergeOnFirst::new(8));
         let pairs = query_pairs(&trace, 256);
         r.run(g, &format!("precedes_cluster_{label}"), || {
@@ -459,20 +459,46 @@ fn bench_calibration(r: &mut Runner) {
     });
 }
 
-/// Shard-ingest scaling: the two widest suite computations delivered
-/// through the in-process pipeline at 1/2/4 ingest shards. One iteration =
-/// the whole delivery (spawn, stream, flush barrier, shutdown), so the
-/// `_s1` / `_s4` ratio is the end-to-end ingest speedup the sharded
-/// runtime buys on this host.
-fn bench_shard_ingest(r: &mut Runner) {
-    for (label, t) in cts_daemon::loadgen::widest_computations() {
-        let arrivals = relinearize(&t, 7);
-        for shards in [1u32, 2, 4] {
-            r.run("shard_ingest", &format!("{label}_s{shards}"), || {
-                cts_daemon::loadgen::ingest_trace_wall_ns(label, &t, arrivals.events(), shards)
-            });
-        }
+/// Deliver `arrivals` (a valid delivery order of `t`) through an
+/// in-process computation running `shards` ingest shards — with `auto_pin`,
+/// autoscaling from there with workers pinned to topology-chosen cores —
+/// from first enqueue to flush completion. Returns the wall nanoseconds.
+fn ingest_wall_ns(
+    t: &cts_model::Trace,
+    arrivals: &[cts_model::Event],
+    shards: u32,
+    auto_pin: bool,
+) -> u64 {
+    use cts_daemon::pipeline::{Computation, ComputationConfig};
+    let comp = Computation::spawn(ComputationConfig {
+        name: format!("bench-{}-s{shards}", t.name()),
+        num_processes: t.num_processes(),
+        max_cluster_size: 8,
+        strategy: cts_daemon::shard::StampStrategy::Merge1st {
+            max_cluster_size: 8,
+        },
+        queue_capacity: 64,
+        epoch_every: 4096,
+        shards,
+        auto_scale: auto_pin,
+        balance: false,
+        pin_cores: auto_pin,
+        placement: None,
+        durability: None,
+        query_cache_capacity: 0,
+        retain_epochs: 0,
+        retain_bytes: 0,
+    });
+    let start = std::time::Instant::now();
+    for chunk in arrivals.chunks(512) {
+        comp.enqueue_events(chunk.to_vec())
+            .expect("bench ingest enqueue");
     }
+    comp.flush(arrivals.len() as u64, std::time::Duration::from_secs(120))
+        .expect("bench ingest flush");
+    let ns = start.elapsed().as_nanos() as u64;
+    comp.shutdown();
+    ns
 }
 
 /// Placement under planted imbalance: one hot process group delivered
@@ -482,28 +508,16 @@ fn bench_shard_ingest(r: &mut Runner) {
 /// delivery; `ci.sh place` gates `hot6g4w_s1 / hot6g4w_auto_pin` at 1.3x
 /// on >=4-core hosts.
 fn bench_placement(r: &mut Runner) {
-    let t = cts_daemon::place::hot_group_trace(6, 4, 24, 32);
+    let t = cts_workloads::drift::hot_group_trace(6, 4, 24, 32);
     let arrivals = relinearize(&t, 11);
     let g = "placement";
     for shards in [1u32, 2, 4] {
         r.run(g, &format!("hot6g4w_s{shards}"), || {
-            cts_daemon::loadgen::ingest_trace_wall_ns(
-                "place-hot6g4w",
-                &t,
-                arrivals.events(),
-                shards,
-            )
+            ingest_wall_ns(&t, arrivals.events(), shards, false)
         });
     }
     r.run(g, "hot6g4w_auto_pin", || {
-        cts_daemon::loadgen::ingest_trace_wall_ns_placed(
-            "place-hot6g4w",
-            &t,
-            arrivals.events(),
-            2,
-            true,
-            true,
-        )
+        ingest_wall_ns(&t, arrivals.events(), 2, true)
     });
 }
 
@@ -633,40 +647,21 @@ fn bench_wal(r: &mut Runner) {
 ///   pays for itself exactly where static clustering goes stale.
 fn bench_adaptive(r: &mut Runner) {
     use cts_core::cluster::{AdaptiveEngine, AdaptiveParams};
-    use cts_workloads::drift::{PhaseShiftStencil, RebalancedWebTiers};
-    use cts_workloads::Workload;
 
     let g = "adaptive";
-    let stencil = PhaseShiftStencil {
-        procs: 32,
-        phases: 4,
-        iters_per_phase: 6,
-        block: 8,
-    }
-    .generate(1);
-    let tiers = RebalancedWebTiers {
-        clients: 12,
-        frontends: 6,
-        backends: 6,
-        requests: 600,
-        phases: 3,
-    }
-    .generate(1);
+    // The drift soak's fixtures: the phase-shift stencil, then the tiers.
+    let fixtures = cts_daemon::loadgen::DRIFT.fixtures(Vec::new);
+    let (stencil, tiers) = (&fixtures.suite[0].trace, &fixtures.suite[1].trace);
     let params = AdaptiveParams::new(12);
 
     r.run(g, "engine_run_stencil", || {
-        AdaptiveEngine::run(&stencil, params).num_cluster_receives()
+        AdaptiveEngine::run(stencil, params).num_cluster_receives()
     });
     r.run(g, "engine_run_merge1st_stencil", || {
-        ClusterEngine::run(&stencil, MergeOnFirst::new(12)).num_cluster_receives()
+        ClusterEngine::run(stencil, MergeOnFirst::new(12)).num_cluster_receives()
     });
 
-    for t in [&stencil, &tiers] {
-        let tag = if std::ptr::eq(t, &stencil) {
-            "stencil"
-        } else {
-            "tiers"
-        };
+    for (tag, t) in [("stencil", stencil), ("tiers", tiers)] {
         let n = t.num_processes();
         let adaptive = AdaptiveEngine::run(t, params).num_cluster_receives();
         let statics = [
@@ -717,7 +712,6 @@ fn main() {
     bench_query_path(&mut r);
     bench_timetravel(&mut r);
     bench_daemon(&mut r);
-    bench_shard_ingest(&mut r);
     bench_placement(&mut r);
     bench_wal(&mut r);
     bench_adaptive(&mut r);

@@ -23,9 +23,12 @@
 //!   generator;
 //! - [`metrics`]: lock-free counters and latency histograms behind the
 //!   `Stats` wire message;
-//! - [`loadgen`]: replays the standard workload suite as concurrent client
+//! - [`loadgen`]: replays workload computations as concurrent client
 //!   streams and differentially checks every answer against the offline
-//!   batch engine;
+//!   batch engine — one pipeline whose scenarios (the standard suite, the
+//!   adaptive re-clustering soak over the planted-drift fixtures, the
+//!   shard-autoscaling soak over planted hot groups) differ only in their
+//!   fixtures, daemon setting, plant-phase sampler and liveness gate;
 //! - [`wal`] + [`checkpoint`]: the durability subsystem — a CRC-protected,
 //!   group-committed write-ahead log of the post-reorder delivery order
 //!   (one `WalLane` of cursors into the delivered log per ingest worker),
@@ -40,14 +43,6 @@
 //!   replication log, so `--follow <leader>` daemons replay it through the
 //!   normal pipeline and answer queries bit-identically to the leader at
 //!   commit-point epochs, fenced by leader leases;
-//! - [`drift`]: the adaptive re-clustering soak — streams the
-//!   planted-drift fixtures through an `--adaptive` daemon, samples
-//!   cluster-receive-ratio curves at the planted phase boundaries, and
-//!   gates on the differential oracle plus drift-detector liveness;
-//! - [`place`]: the shard-autoscaling soak — planted hot-group fixtures
-//!   through a `--shards auto` daemon, placement sampled over the wire
-//!   mid-stream, gated on autoscaler liveness plus the differential
-//!   oracle;
 //! - [`topology`]: CPU/cache/NUMA discovery from sysfs and the placement
 //!   plan that pins shard workers, pollers, and the WAL clock to distinct
 //!   cores (`--pin-cores`), feeding the live shard autoscaler
@@ -61,7 +56,6 @@
 
 pub mod checkpoint;
 pub mod client;
-pub mod drift;
 #[cfg(target_os = "linux")]
 pub mod event_loop;
 pub mod loadgen;
@@ -69,7 +63,6 @@ pub mod metrics;
 #[cfg(target_os = "linux")]
 pub mod netpoll;
 pub mod pipeline;
-pub mod place;
 pub mod query_pool;
 pub mod reorder;
 pub mod replication;

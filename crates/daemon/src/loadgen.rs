@@ -14,25 +14,35 @@
 //!    [`ClusterEngine`] batch run over the original in-order trace.
 //!
 //! Any divergence is a *mismatch* — by the delivery-order-invariance
-//! property, the correct count is exactly zero. The report doubles as a
-//! quick ingest/query throughput reading (`--json`, `cts-bench/1` schema);
-//! the recorded end-to-end numbers are `benchmark/results/baseline.json`.
+//! property, the correct count is exactly zero. The report's wall-clock
+//! lines are a reading, not a measurement: the recorded end-to-end numbers
+//! are `benchmark/results/baseline.json`.
+//!
+//! A [`Scenario`] is one row of what differs between the soaks
+//! `cts-loadgen` runs: the fixtures, the in-process daemon setting, the
+//! plant phase's frame size and sampler, and so the liveness gate.
+//! [`run_planted`] is the pipeline they share: the plant phase, then
+//! [`run`] over the same computations.
 
-use crate::client::Client;
+use crate::client::{Client, ClusterMap, Placement};
+use crate::server::{Daemon, DaemonConfig};
+use cts_core::cluster::AdaptiveParams;
 use cts_core::strategy::MergeOnFirst;
 use cts_core::ClusterEngine;
-use cts_model::{Event, EventId};
+use cts_model::{Event, EventId, ProcessId, Trace};
 use cts_store::queries::{greatest_concurrent, ClusterBackend};
 use cts_util::bench::BenchEntry;
 use cts_util::hist::AtomicHistogram;
 use cts_util::prng::{ChaCha8Rng, Rng};
-use cts_workloads::suite::SuiteEntry;
+use cts_workloads::drift::{hot_group_trace, PhaseShiftStencil, RebalancedWebTiers};
+use cts_workloads::suite::{Env, SuiteEntry};
+use cts_workloads::Workload;
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Load-run parameters.
 #[derive(Clone, Debug)]
@@ -133,33 +143,6 @@ impl LoadReport {
         self.ingest_wall_ns as f64 / self.total_events as f64
     }
 
-    /// The report as `cts-bench/1` entries for the perf trajectory.
-    pub fn bench_entries(&self) -> Vec<BenchEntry> {
-        let ns_per_event = self.ns_per_event();
-        vec![
-            BenchEntry {
-                group: "daemon_ingest".into(),
-                name: "suite_ns_per_event".into(),
-                samples: 1,
-                iters_per_sample: self.total_events,
-                min_ns: ns_per_event,
-                median_ns: ns_per_event,
-                p95_ns: ns_per_event,
-                mean_ns: ns_per_event,
-            },
-            BenchEntry {
-                group: "daemon_query".into(),
-                name: "precedes_rtt".into(),
-                samples: self.rtt_samples as usize,
-                iters_per_sample: 1,
-                min_ns: self.rtt_min_ns as f64,
-                median_ns: self.rtt_p50_ns as f64,
-                p95_ns: self.rtt_p95_ns as f64,
-                mean_ns: self.rtt_mean_ns as f64,
-            },
-        ]
-    }
-
     /// Human-readable summary block.
     pub fn render(&self) -> String {
         format!(
@@ -190,121 +173,6 @@ impl LoadReport {
             self.mismatches,
         )
     }
-}
-
-/// The two widest multi-process computations in the workload corpus: the
-/// fixtures for the shard-ingest scaling sweep (`shard_ingest/*` bench
-/// ids). 128- and 288-process traces with strong group locality plus a
-/// cross-group traffic floor — the regime the sharded ingest path is for.
-pub fn widest_computations() -> Vec<(&'static str, cts_model::Trace)> {
-    use cts_workloads::spmd::BlockedStencil1D;
-    use cts_workloads::web::ShardedWebServer;
-    use cts_workloads::Workload;
-    vec![
-        (
-            "blocked_stencil1d_128",
-            BlockedStencil1D {
-                procs: 128,
-                iters: 6,
-                block: 8,
-            }
-            .generate(3),
-        ),
-        (
-            "sharded_web_288",
-            ShardedWebServer {
-                shards: 24,
-                clients_per_shard: 6,
-                workers_per_shard: 4,
-                requests: 1100,
-                affinity: 0.85,
-                redirect: 0.25,
-            }
-            .generate(24),
-        ),
-    ]
-}
-
-/// Deliver `arrivals` (a valid delivery order of `t`) through an
-/// in-process computation running `shards` ingest shards, from first
-/// enqueue to flush completion. Returns the wall nanoseconds.
-pub fn ingest_trace_wall_ns(
-    label: &str,
-    t: &cts_model::Trace,
-    arrivals: &[Event],
-    shards: u32,
-) -> u64 {
-    ingest_trace_wall_ns_placed(label, t, arrivals, shards, false, false)
-}
-
-/// [`ingest_trace_wall_ns`] with the placement knobs exposed: `auto`
-/// enables live shard autoscaling, `pin` pins workers to topology-chosen
-/// cores.
-pub fn ingest_trace_wall_ns_placed(
-    label: &str,
-    t: &cts_model::Trace,
-    arrivals: &[Event],
-    shards: u32,
-    auto: bool,
-    pin: bool,
-) -> u64 {
-    let comp = crate::pipeline::Computation::spawn(crate::pipeline::ComputationConfig {
-        name: format!("bench-{label}-s{shards}"),
-        num_processes: t.num_processes(),
-        max_cluster_size: 8,
-        strategy: crate::shard::StampStrategy::Merge1st {
-            max_cluster_size: 8,
-        },
-        queue_capacity: 64,
-        epoch_every: 4096,
-        shards,
-        auto_scale: auto,
-        balance: false,
-        pin_cores: pin,
-        placement: None,
-        durability: None,
-        query_cache_capacity: 0,
-        retain_epochs: 0,
-        retain_bytes: 0,
-    });
-    let start = Instant::now();
-    for chunk in arrivals.chunks(512) {
-        comp.enqueue_events(chunk.to_vec())
-            .expect("bench ingest enqueue");
-    }
-    comp.flush(arrivals.len() as u64, std::time::Duration::from_secs(120))
-        .expect("bench ingest flush");
-    let ns = start.elapsed().as_nanos() as u64;
-    comp.shutdown();
-    ns
-}
-
-/// `shard_ingest/<label>_s<k>` entries: whole-delivery wall time of each
-/// widest computation at each shard count, best of `rounds` runs. The 4-
-/// vs-1-shard ratio of these entries is the ingest-scaling claim
-/// `scripts/bench_gate.py --require-speedup` gates on.
-pub fn shard_sweep_entries(shard_counts: &[u32], rounds: usize) -> Vec<BenchEntry> {
-    let mut out = Vec::new();
-    for (label, t) in widest_computations() {
-        let arrivals = cts_model::linearize::relinearize(&t, 7);
-        for &s in shard_counts {
-            let mut runs: Vec<u64> = (0..rounds.max(1))
-                .map(|_| ingest_trace_wall_ns(label, &t, arrivals.events(), s))
-                .collect();
-            runs.sort_unstable();
-            out.push(BenchEntry {
-                group: "shard_ingest".into(),
-                name: format!("{label}_s{s}"),
-                samples: runs.len(),
-                iters_per_sample: 1,
-                min_ns: runs[0] as f64,
-                median_ns: runs[runs.len() / 2] as f64,
-                p95_ns: *runs.last().unwrap() as f64,
-                mean_ns: runs.iter().sum::<u64>() as f64 / runs.len() as f64,
-            });
-        }
-    }
-    out
 }
 
 /// Build one slice of a computation's stream: round-robin split, window
@@ -348,9 +216,14 @@ pub fn build_slice(
     (out, duplicates)
 }
 
-/// Fixed-size thread pool draining a job queue; each worker owns one
-/// connection for its whole lifetime.
-fn run_pool<J, F>(connections: usize, jobs: Vec<J>, addr: SocketAddr, f: F) -> io::Result<()>
+/// `connections` pool workers, all aimed at `addr`.
+fn pool(addr: SocketAddr, connections: usize) -> Vec<SocketAddr> {
+    vec![addr; connections.max(1)]
+}
+
+/// Thread pool draining a job queue: one worker per entry of `targets`,
+/// each owning one connection to its target for its whole lifetime.
+fn run_pool<J, F>(targets: &[SocketAddr], jobs: Vec<J>, f: F) -> io::Result<()>
 where
     J: Send,
     F: Fn(&mut Client, J) -> io::Result<()> + Sync,
@@ -358,24 +231,25 @@ where
     let queue = Mutex::new(VecDeque::from(jobs));
     let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
     std::thread::scope(|s| {
-        for _ in 0..connections.max(1) {
-            s.spawn(|| {
+        let (queue, first_error, f) = (&queue, &first_error, &f);
+        for &addr in targets {
+            s.spawn(move || {
                 let mut client = match Client::connect(addr) {
                     Ok(c) => c,
                     Err(e) => {
-                        set_error(&first_error, e);
+                        set_error(first_error, e);
                         return;
                     }
                 };
                 loop {
-                    if lock(&first_error).is_some() {
+                    if lock(first_error).is_some() {
                         return;
                     }
-                    let Some(job) = lock(&queue).pop_front() else {
+                    let Some(job) = lock(queue).pop_front() else {
                         break;
                     };
                     if let Err(e) = f(&mut client, job) {
-                        set_error(&first_error, e);
+                        set_error(first_error, e);
                         return;
                     }
                 }
@@ -401,20 +275,20 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run the full load scenario against a daemon at `cfg.addr`.
-pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
+/// The ingest phase: all (computation, slice) streams over the pool. With
+/// a `quota`, each slice sends only its proportional share of that many
+/// events, so the bytes *sent* are deterministic. Returns the duplicates
+/// sent.
+fn ingest(suite: &[SuiteEntry], cfg: &LoadConfig, quota: Option<u64>) -> io::Result<u64> {
     let total_events: u64 = suite.iter().map(|e| e.trace.num_events() as u64).sum();
     let duplicates_sent = AtomicU64::new(0);
-
-    // ---- ingest phase: all (computation, slice) jobs over the pool ----
-    let mut ingest_jobs: Vec<(usize, usize)> = Vec::new();
+    let mut jobs: Vec<(usize, usize)> = Vec::new();
     for c in 0..suite.len() {
         for s in 0..cfg.slices_per_comp.max(1) {
-            ingest_jobs.push((c, s));
+            jobs.push((c, s));
         }
     }
-    let t0 = Instant::now();
-    run_pool(cfg.connections, ingest_jobs, cfg.addr, |client, (c, s)| {
+    run_pool(&pool(cfg.addr, cfg.connections), jobs, |client, (c, s)| {
         let entry = &suite[c];
         client.hello(
             &entry.name,
@@ -423,12 +297,28 @@ pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
         )?;
         let (events, dups) = build_slice(entry.trace.events(), s, cfg, c);
         duplicates_sent.fetch_add(dups, Ordering::Relaxed);
-        client.stream_events(&events, cfg.batch)
+        let share = quota.map_or(events.len(), |q| {
+            (events.len() as u64)
+                .saturating_mul(q)
+                .checked_div(total_events)
+                .unwrap_or(0) as usize
+        });
+        client.stream_events(&events[..share.min(events.len())], cfg.batch)
     })?;
+    Ok(duplicates_sent.into_inner())
+}
+
+/// Run the full load scenario against a daemon at `cfg.addr`.
+pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
+    let total_events: u64 = suite.iter().map(|e| e.trace.num_events() as u64).sum();
+    let leader = pool(cfg.addr, cfg.connections);
+    let all: Vec<usize> = (0..suite.len()).collect();
+
+    let t0 = Instant::now();
+    let duplicates_sent = ingest(suite, cfg, None)?;
 
     // ---- barrier: every computation fully delivered and snapshotted ----
-    let flush_jobs: Vec<usize> = (0..suite.len()).collect();
-    run_pool(cfg.connections, flush_jobs, cfg.addr, |client, c| {
+    run_pool(&leader, all.clone(), |client, c| {
         let entry = &suite[c];
         client.hello(
             &entry.name,
@@ -460,18 +350,23 @@ pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
     // memo that ever returned a stale or cross-wired vector shows up as a
     // mismatch.
     let counters = QueryCounters::new();
+    let head = |client: &mut Client, c: usize, who: &str| {
+        let entry = &suite[c];
+        client.hello(
+            &entry.name,
+            entry.trace.num_processes(),
+            cfg.max_cluster_size,
+        )?;
+        check(client, &entry.name, &entry.trace, None, cfg, &counters, who)
+    };
     let t1 = Instant::now();
-    let query_jobs: Vec<usize> = (0..suite.len()).collect();
-    run_pool(cfg.connections, query_jobs, cfg.addr, |client, c| {
-        check_computation(client, &suite[c], c, cfg, &counters, "leader")
-    })?;
+    run_pool(&leader, all.clone(), |client, c| head(client, c, "leader"))?;
 
     // ---- time-travel phase: the same differential idea, one retained
     // epoch back in history at a time (PR 8) ----
     if cfg.asof_epochs > 0 {
-        let asof_jobs: Vec<usize> = (0..suite.len()).collect();
-        run_pool(cfg.connections, asof_jobs, cfg.addr, |client, c| {
-            check_asof(client, &suite[c], cfg, &counters)
+        run_pool(&leader, all, |client, c| {
+            check_history(client, &suite[c], cfg, &counters)
         })?;
     }
 
@@ -483,19 +378,14 @@ pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
     // the same offline oracle the leader phase used, which by transitivity
     // is a leader-vs-follower differential too.
     if !cfg.follower_addrs.is_empty() {
-        wait_followers_converged(
-            &cfg.follower_addrs,
-            suite,
-            cfg,
-            std::time::Duration::from_secs(120),
-        )?;
+        wait_followers_converged(&cfg.follower_addrs, suite, cfg, Duration::from_secs(120))?;
         for (fi, &addr) in cfg.follower_addrs.iter().enumerate() {
             let jobs: Vec<usize> = (0..suite.len())
                 .filter(|c| c % cfg.follower_addrs.len() == fi)
                 .collect();
             let label = format!("follower {fi}");
-            run_pool(cfg.connections, jobs, addr, |client, c| {
-                check_computation(client, &suite[c], c, cfg, &counters, &label)
+            run_pool(&pool(addr, cfg.connections), jobs, |client, c| {
+                head(client, c, &label)
             })?;
         }
     }
@@ -506,7 +396,7 @@ pub fn run(suite: &[SuiteEntry], cfg: &LoadConfig) -> io::Result<LoadReport> {
     Ok(LoadReport {
         computations: suite.len(),
         total_events,
-        duplicates_sent: duplicates_sent.into_inner(),
+        duplicates_sent,
         ingest_wall_ns,
         query_wall_ns,
         precedence_checked: counters.precedence_checked.into_inner(),
@@ -552,43 +442,78 @@ impl QueryCounters {
             rtt_min: AtomicU64::new(u64::MAX),
         }
     }
+
+    /// Report and count one differential failure.
+    fn mismatch(&self, name: &str, who: &str, text: String) {
+        eprintln!("[cts-loadgen] MISMATCH {name} on {who}: {text}");
+        self.mismatches.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-/// One computation's full differential check against the offline engine:
-/// cold single queries, warm batched re-issues, and a paged window
-/// scroll. `who` names the daemon under test in mismatch reports.
-fn check_computation(
+/// Pair `j` of the precedence sample over `ids`. Prime strides decorrelate
+/// the sampled pairs from trace layout.
+fn sampled_pair(ids: &[EventId], j: usize) -> (EventId, EventId) {
+    (
+        ids[(j * 7919) % ids.len()],
+        ids[(j * 104_729 + 13) % ids.len()],
+    )
+}
+
+/// One computation's differential check against an offline engine over
+/// `trace`, on a connection already bound to the computation `name`.
+///
+/// At the head (`epoch` is `None`): cold single queries, their warm batched
+/// re-issue, and a paged window scroll. As of a retained historical epoch,
+/// whose delivered prefix `trace` then is: the same single queries (at most
+/// 64 pairs) and scroll through the `QueryAsOf*` verbs, all counted as
+/// as-of checks. `who` names the daemon under test in mismatch reports.
+fn check(
     client: &mut Client,
-    entry: &SuiteEntry,
-    comp_index: usize,
+    name: &str,
+    trace: &Trace,
+    epoch: Option<u64>,
     cfg: &LoadConfig,
     k: &QueryCounters,
     who: &str,
 ) -> io::Result<()> {
-    let _ = comp_index;
-    let trace = &entry.trace;
-    client.hello(&entry.name, trace.num_processes(), cfg.max_cluster_size)?;
     let offline = ClusterEngine::run(trace, MergeOnFirst::new(cfg.max_cluster_size as usize));
     let ids: Vec<EventId> = trace.all_event_ids().collect();
     if ids.is_empty() {
         return Ok(());
     }
-    let mismatch = |text: String| {
-        eprintln!("[cts-loadgen] MISMATCH {} on {who}: {text}", entry.name);
-        k.mismatches.fetch_add(1, Ordering::Relaxed);
+    let who = match epoch {
+        None => who.to_string(),
+        Some(epoch) => format!("{who} as of epoch {epoch}"),
     };
-    // Prime strides decorrelate the sampled pairs from trace layout.
-    let mut pairs = Vec::with_capacity(cfg.precedence_queries);
-    let mut singles = Vec::with_capacity(cfg.precedence_queries);
-    for j in 0..cfg.precedence_queries {
-        let e = ids[(j * 7919) % ids.len()];
-        let f = ids[(j * 104_729 + 13) % ids.len()];
-        let q0 = Instant::now();
-        let got = client.precedes(e, f)?;
-        let ns = q0.elapsed().as_nanos() as u64;
-        k.rtt.record(ns);
-        k.rtt_min.fetch_min(ns, Ordering::Relaxed);
-        k.precedence_checked.fetch_add(1, Ordering::Relaxed);
+    let mismatch = |text: String| k.mismatch(name, &who, text);
+    let tally = |at_head: &AtomicU64| {
+        (if epoch.is_some() {
+            &k.asof_checked
+        } else {
+            at_head
+        })
+        .fetch_add(1, Ordering::Relaxed)
+    };
+    let precedence_queries = match epoch {
+        None => cfg.precedence_queries,
+        Some(_) => cfg.precedence_queries.min(64),
+    };
+    let mut pairs = Vec::with_capacity(precedence_queries);
+    let mut singles = Vec::with_capacity(precedence_queries);
+    for j in 0..precedence_queries {
+        let (e, f) = sampled_pair(&ids, j);
+        let got = match epoch {
+            None => {
+                let q0 = Instant::now();
+                let got = client.precedes(e, f)?;
+                let ns = q0.elapsed().as_nanos() as u64;
+                k.rtt.record(ns);
+                k.rtt_min.fetch_min(ns, Ordering::Relaxed);
+                got
+            }
+            Some(epoch) => client.asof_precedes(epoch, e, f)?,
+        };
+        tally(&k.precedence_checked);
         let want = offline.precedes(trace, e, f);
         if got != want {
             mismatch(format!("precedes({e}, {f}) = {got}, offline says {want}"));
@@ -596,10 +521,28 @@ fn check_computation(
         pairs.push((e, f));
         singles.push(want);
     }
+    let mut gc_events = Vec::with_capacity(cfg.gc_probes);
+    let mut gc_singles = Vec::with_capacity(cfg.gc_probes);
+    for j in 0..cfg.gc_probes {
+        let e = ids[(j * 15_485_863 + 3) % ids.len()];
+        let got = match epoch {
+            None => client.greatest_concurrent(e)?,
+            Some(epoch) => client.asof_greatest_concurrent(epoch, e)?,
+        };
+        tally(&k.gc_checked);
+        let want = greatest_concurrent(&mut ClusterBackend(&offline), trace, e);
+        if got != want {
+            mismatch(format!(
+                "greatest_concurrent({e}) = {got:?}, offline says {want:?}"
+            ));
+        }
+        gc_events.push(e);
+        gc_singles.push(want);
+    }
     // Warm batch re-issue: the flush barrier (or, on a follower, the
     // convergence barrier) guarantees every sampled event is delivered,
     // so `None` (unknown event) is itself a bug.
-    if !pairs.is_empty() {
+    if epoch.is_none() {
         let verdicts = client.precedes_batch(&pairs)?;
         k.batch_checked
             .fetch_add(verdicts.len() as u64, Ordering::Relaxed);
@@ -619,23 +562,6 @@ fn check_computation(
                 ));
             }
         }
-    }
-    let mut gc_events = Vec::with_capacity(cfg.gc_probes);
-    let mut gc_singles = Vec::with_capacity(cfg.gc_probes);
-    for j in 0..cfg.gc_probes {
-        let e = ids[(j * 15_485_863 + 3) % ids.len()];
-        let got = client.greatest_concurrent(e)?;
-        k.gc_checked.fetch_add(1, Ordering::Relaxed);
-        let want = greatest_concurrent(&mut ClusterBackend(&offline), trace, e);
-        if got != want {
-            mismatch(format!(
-                "greatest_concurrent({e}) = {got:?}, offline says {want:?}"
-            ));
-        }
-        gc_events.push(e);
-        gc_singles.push(want);
-    }
-    if !gc_events.is_empty() {
         let results = client.gc_batch(&gc_events)?;
         k.batch_checked
             .fetch_add(results.len() as u64, Ordering::Relaxed);
@@ -648,17 +574,20 @@ fn check_computation(
             }
         }
     }
-    // One window scroll: process 0's first events,
-    // paged with a deliberately small page so the continuation cursor
-    // is exercised, with the ids compared against the trace.
-    let p0 = cts_model::ProcessId(0);
+    // One window scroll over process 0's first events, the ids compared
+    // against the trace. At the head it is paged with a deliberately small
+    // page so the continuation cursor is exercised.
+    let p0 = ProcessId(0);
     let upto = (trace.process_len(p0) as u32).min(16) + 1;
-    let (got, pages) = client.window_paged(0, 1, upto, cfg.window_page)?;
+    let (got, pages) = match epoch {
+        None => client.window_paged(0, 1, upto, cfg.window_page)?,
+        Some(epoch) => (client.asof_window(epoch, 0, 1, upto)?, 0),
+    };
     let expect: Vec<EventId> = trace
         .process_events(p0)
         .filter(|id| id.index.0 < upto)
         .collect();
-    k.windows_checked.fetch_add(1, Ordering::Relaxed);
+    tally(&k.windows_checked);
     if got != expect {
         mismatch(format!(
             "window(P0, 1, {upto}) returned {} ids, expected {}",
@@ -666,7 +595,8 @@ fn check_computation(
             expect.len()
         ));
     }
-    if cfg.window_page > 0 && expect.len() as u32 > cfg.window_page && pages < 2 {
+    if epoch.is_none() && cfg.window_page > 0 && expect.len() as u32 > cfg.window_page && pages < 2
+    {
         mismatch(format!(
             "window(P0, 1, {upto}) with page {} returned {} ids in one page",
             cfg.window_page,
@@ -679,99 +609,61 @@ fn check_computation(
 /// One computation's time-travel differential: sample up to
 /// `cfg.asof_epochs` *historical* retained epochs (everything but the
 /// newest), pull each one's delivered prefix back over `ReplayInterval`,
-/// re-timestamp the prefix with the offline engine, and require the
-/// daemon's `QueryAsOf*` answers at that epoch to match it — the same
-/// delivery-order-invariance oracle as the head-epoch phase, applied to
-/// every point in retained history.
-fn check_asof(
+/// and [`check`] the daemon's answers as of that epoch against the
+/// prefix — the same delivery-order-invariance oracle as the head-epoch
+/// phase, applied to every point in retained history.
+fn check_history(
     client: &mut Client,
     entry: &SuiteEntry,
     cfg: &LoadConfig,
     k: &QueryCounters,
 ) -> io::Result<()> {
-    let trace = &entry.trace;
     client.proto_hello()?;
-    client.hello(&entry.name, trace.num_processes(), cfg.max_cluster_size)?;
+    client.hello(
+        &entry.name,
+        entry.trace.num_processes(),
+        cfg.max_cluster_size,
+    )?;
     let epochs = client.list_epochs()?;
     if epochs.len() < 2 {
         // Only the head epoch is retained — nothing historical to check.
         return Ok(());
     }
-    let mismatch = |text: String| {
-        eprintln!("[cts-loadgen] MISMATCH {} (as-of): {text}", entry.name);
-        k.mismatches.fetch_add(1, Ordering::Relaxed);
-    };
     // Spread the sample across retained history, oldest epoch included.
     let historical = &epochs[..epochs.len() - 1];
     let step = (historical.len() / cfg.asof_epochs.max(1)).max(1);
     for &(epoch, delivered) in historical.iter().step_by(step).take(cfg.asof_epochs) {
-        let events = client.replay_interval(0, epoch)?;
-        if events.len() as u64 != delivered {
-            mismatch(format!(
-                "replay_interval(0, {epoch}) returned {} events, epoch delivered {delivered}",
-                events.len()
-            ));
-            continue;
-        }
-        let prefix = match cts_model::Trace::from_delivery_order(
-            format!("{}@{epoch}", entry.name),
-            trace.num_processes(),
-            events,
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                mismatch(format!(
-                    "replayed prefix of epoch {epoch} is not a valid delivery order: {e}"
-                ));
-                continue;
-            }
-        };
-        let offline = ClusterEngine::run(&prefix, MergeOnFirst::new(cfg.max_cluster_size as usize));
-        let ids: Vec<EventId> = prefix.all_event_ids().collect();
-        if ids.is_empty() {
-            continue;
-        }
-        // Same prime strides as the head phase, re-indexed to the prefix.
-        for j in 0..cfg.precedence_queries.min(64) {
-            let e = ids[(j * 7919) % ids.len()];
-            let f = ids[(j * 104_729 + 13) % ids.len()];
-            let got = client.asof_precedes(epoch, e, f)?;
-            k.asof_checked.fetch_add(1, Ordering::Relaxed);
-            let want = offline.precedes(&prefix, e, f);
-            if got != want {
-                mismatch(format!(
-                    "asof_precedes({epoch}, {e}, {f}) = {got}, offline prefix says {want}"
-                ));
-            }
-        }
-        for j in 0..cfg.gc_probes {
-            let e = ids[(j * 15_485_863 + 3) % ids.len()];
-            let got = client.asof_greatest_concurrent(epoch, e)?;
-            k.asof_checked.fetch_add(1, Ordering::Relaxed);
-            let want = greatest_concurrent(&mut ClusterBackend(&offline), &prefix, e);
-            if got != want {
-                mismatch(format!(
-                    "asof_gc({epoch}, {e}) = {got:?}, offline prefix says {want:?}"
-                ));
-            }
-        }
-        let p0 = cts_model::ProcessId(0);
-        let upto = (prefix.process_len(p0) as u32).min(16) + 1;
-        let got = client.asof_window(epoch, 0, 1, upto)?;
-        let expect: Vec<EventId> = prefix
-            .process_events(p0)
-            .filter(|id| id.index.0 < upto)
-            .collect();
-        k.asof_checked.fetch_add(1, Ordering::Relaxed);
-        if got != expect {
-            mismatch(format!(
-                "asof_window({epoch}, P0, 1, {upto}) returned {} ids, expected {}",
-                got.len(),
-                expect.len()
-            ));
+        match replay_prefix(client, entry, epoch, delivered)? {
+            Ok(prefix) => check(client, &entry.name, &prefix, Some(epoch), cfg, k, "leader")?,
+            Err(text) => k.mismatch(&entry.name, "leader", text),
         }
     }
     Ok(())
+}
+
+/// Pull retained epoch `epoch`'s delivered prefix (`delivered` events, per
+/// `ListEpochs`) back over `ReplayInterval` as a trace. The outer error is
+/// the connection's; the inner one says what is wrong with the replayed
+/// events.
+fn replay_prefix(
+    client: &mut Client,
+    entry: &SuiteEntry,
+    epoch: u64,
+    delivered: u64,
+) -> io::Result<Result<Trace, String>> {
+    let events = client.replay_interval(0, epoch)?;
+    if events.len() as u64 != delivered {
+        return Ok(Err(format!(
+            "replay of epoch {epoch} returned {} events, epoch delivered {delivered}",
+            events.len()
+        )));
+    }
+    Ok(Trace::from_delivery_order(
+        format!("{}@{epoch}", entry.name),
+        entry.trace.num_processes(),
+        events,
+    )
+    .map_err(|e| format!("replayed prefix of epoch {epoch} is not a valid delivery order: {e}")))
 }
 
 /// Outcome of `--replay-as` for one computation: the newest retained
@@ -832,37 +724,21 @@ pub fn run_replay_as(
     use cts_core::{Encoding, SpaceReport};
     let mut out = Vec::new();
     for entry in suite {
-        let trace = &entry.trace;
         let mut client = Client::connect(cfg.addr)?;
         client.proto_hello()?;
-        client.hello(&entry.name, trace.num_processes(), cfg.max_cluster_size)?;
+        client.hello(
+            &entry.name,
+            entry.trace.num_processes(),
+            cfg.max_cluster_size,
+        )?;
         let epochs = client.list_epochs()?;
         let Some(&(epoch, delivered)) = epochs.last() else {
             continue;
         };
-        let events = client.replay_interval(0, epoch)?;
-        if events.len() as u64 != delivered {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: replay of epoch {epoch} returned {} events, epoch delivered {delivered}",
-                    entry.name,
-                    events.len()
-                ),
-            ));
-        }
-        let prefix = cts_model::Trace::from_delivery_order(
-            format!("{}@{epoch}", entry.name),
-            trace.num_processes(),
-            events,
-        )
-        .map_err(|e| {
+        let prefix = replay_prefix(&mut client, entry, epoch, delivered)?.map_err(|text| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "{}: replayed prefix of epoch {epoch} is not a valid delivery order: {e}",
-                    entry.name
-                ),
+                format!("{}: {text}", entry.name),
             )
         })?;
         let _ = client.goodbye();
@@ -905,14 +781,14 @@ pub fn wait_followers_converged(
     addrs: &[SocketAddr],
     suite: &[SuiteEntry],
     cfg: &LoadConfig,
-    timeout: std::time::Duration,
+    timeout: Duration,
 ) -> io::Result<()> {
     let deadline = Instant::now() + timeout;
     for (fi, &addr) in addrs.iter().enumerate() {
         for entry in suite {
             let trace = &entry.trace;
             let probe: Vec<(EventId, EventId)> = (0..trace.num_processes())
-                .filter_map(|p| trace.process_events(cts_model::ProcessId(p)).last())
+                .filter_map(|p| trace.process_events(ProcessId(p)).last())
                 .map(|id| (id, id))
                 .collect();
             if probe.is_empty() {
@@ -934,7 +810,7 @@ pub fn wait_followers_converged(
                         ),
                     ));
                 }
-                std::thread::sleep(std::time::Duration::from_millis(25));
+                std::thread::sleep(Duration::from_millis(25));
             }
             let _ = client.goodbye();
         }
@@ -946,13 +822,9 @@ pub fn wait_followers_converged(
     Ok(())
 }
 
-/// One computation's warm workload: name, process count, and the
-/// prime-stride pair sample the query phase already asked.
-type WarmJob = (String, u32, Vec<(EventId, EventId)>);
-
 /// `repl/warm_batch_{leader,fleet}` entries: wall time of a fixed warm
 /// batched-query workload (every suite computation's precedence-pair
-/// batch, several passes, drained from a shared queue) driven by one
+/// batch, `passes` times, drained from a shared queue) driven by one
 /// client thread per follower — first with every thread aimed at the
 /// leader, then with thread *i* aimed at follower *i*.
 ///
@@ -974,32 +846,18 @@ pub fn fleet_bench_entries(
     );
     // Pre-sample each computation's warm pairs (the query phase already
     // asked exactly these).
-    let work: Vec<WarmJob> = suite
+    let work: Vec<Vec<(EventId, EventId)>> = suite
         .iter()
         .map(|entry| {
             let ids: Vec<EventId> = entry.trace.all_event_ids().collect();
-            let pairs = (0..cfg.precedence_queries)
+            (0..cfg.precedence_queries)
                 .filter(|_| !ids.is_empty())
-                .map(|j| {
-                    (
-                        ids[(j * 7919) % ids.len()],
-                        ids[(j * 104_729 + 13) % ids.len()],
-                    )
-                })
-                .collect();
-            (entry.name.clone(), entry.trace.num_processes(), pairs)
+                .map(|j| sampled_pair(&ids, j))
+                .collect()
         })
         .collect();
-    let jobs: Vec<usize> = (0..work.len())
-        .flat_map(|c| std::iter::repeat_n(c, passes.max(1)))
-        .collect();
-    let items_per_round: u64 = jobs.iter().map(|&c| work[c].2.len() as u64).sum();
-    wait_followers_converged(
-        &cfg.follower_addrs,
-        suite,
-        cfg,
-        std::time::Duration::from_secs(120),
-    )?;
+    let items_per_round: u64 = work.iter().map(|w| (w.len() * passes.max(1)) as u64).sum();
+    wait_followers_converged(&cfg.follower_addrs, suite, cfg, Duration::from_secs(120))?;
 
     let leader_targets: Vec<SocketAddr> = vec![cfg.addr; cfg.follower_addrs.len()];
     let mut out = Vec::new();
@@ -1009,12 +867,26 @@ pub fn fleet_bench_entries(
     ] {
         let mut runs: Vec<u64> = Vec::with_capacity(rounds.max(1));
         for _ in 0..rounds.max(1) {
-            runs.push(timed_batch_round(
-                targets,
-                &jobs,
-                &work,
-                cfg.max_cluster_size,
-            )?);
+            let t0 = Instant::now();
+            run_pool(targets, (0..suite.len()).collect(), |client, c| {
+                let entry = &suite[c];
+                client.hello(
+                    &entry.name,
+                    entry.trace.num_processes(),
+                    cfg.max_cluster_size,
+                )?;
+                for _ in 0..passes.max(1) {
+                    let verdicts = client.precedes_batch(&work[c])?;
+                    if verdicts.len() != work[c].len() || verdicts.iter().any(|v| v.is_none()) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("{}: incomplete warm batch answer", entry.name),
+                        ));
+                    }
+                }
+                Ok(())
+            })?;
+            runs.push(t0.elapsed().as_nanos() as u64);
         }
         runs.sort_unstable();
         out.push(BenchEntry {
@@ -1031,71 +903,6 @@ pub fn fleet_bench_entries(
     Ok(out)
 }
 
-/// One timed pass of the fleet bench workload: `targets.len()` client
-/// threads (thread *i* pinned to `targets[i]`) drain a shared queue of
-/// per-computation warm `precedes_batch` jobs. Returns wall nanoseconds
-/// from first job to last.
-fn timed_batch_round(
-    targets: &[SocketAddr],
-    jobs: &[usize],
-    work: &[WarmJob],
-    max_cluster_size: u32,
-) -> io::Result<u64> {
-    let queue = Mutex::new(VecDeque::from(jobs.to_vec()));
-    let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        let queue = &queue;
-        let first_error = &first_error;
-        for &addr in targets {
-            s.spawn(move || {
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        set_error(first_error, e);
-                        return;
-                    }
-                };
-                let mut current: Option<usize> = None;
-                loop {
-                    if lock(first_error).is_some() {
-                        return;
-                    }
-                    let Some(c) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let (name, num_processes, pairs) = &work[c];
-                    let r = (|| -> io::Result<()> {
-                        if current != Some(c) {
-                            client.hello(name, *num_processes, max_cluster_size)?;
-                            current = Some(c);
-                        }
-                        let verdicts = client.precedes_batch(pairs)?;
-                        if verdicts.len() != pairs.len() || verdicts.iter().any(|v| v.is_none()) {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("{name}: incomplete warm batch answer"),
-                            ));
-                        }
-                        Ok(())
-                    })();
-                    if let Err(e) = r {
-                        set_error(first_error, e);
-                        return;
-                    }
-                }
-                let _ = client.goodbye();
-            });
-        }
-    });
-    let wall = t0.elapsed().as_nanos() as u64;
-    let result = lock(&first_error).take();
-    match result {
-        None => Ok(wall),
-        Some(e) => Err(e),
-    }
-}
-
 /// Start `n` in-process follower daemons replicating `leader`, each with
 /// its own data directory under `root` (so a restarted follower catches
 /// up from its own WAL tail). Used by `cts-loadgen --followers N`.
@@ -1103,71 +910,46 @@ pub fn spawn_followers(
     leader: SocketAddr,
     n: usize,
     root: &std::path::Path,
-) -> io::Result<Vec<crate::server::Daemon>> {
+) -> io::Result<Vec<Daemon>> {
     (0..n)
         .map(|i| {
-            let cfg = crate::server::DaemonConfig {
+            let cfg = DaemonConfig {
                 data_dir: Some(root.join(format!("follower-{i}"))),
                 follow: Some(leader),
-                ..crate::server::DaemonConfig::default()
+                ..DaemonConfig::default()
             };
-            crate::server::Daemon::start(cfg)
+            Daemon::start(cfg)
         })
         .collect()
 }
 
-/// Crash-replay scenario: stream a deterministic prefix of the suite into
-/// a durable in-process daemon, **crash-stop** it (workers exit without the
-/// final WAL sync/checkpoint; queued batches are discarded), restart a
-/// fresh daemon on the same data directory, wait for recovery, then
-/// re-stream the *full* suite and run the standard differential checks.
-///
-/// Re-streaming is safe because the reorder buffer deduplicates: every
-/// event the recovered daemon already holds is dropped on arrival, exactly
-/// what a real client re-transmitting after a server crash relies on. The
-/// returned report's `mismatches` must be zero — recovery that loses,
-/// duplicates, or reorders state shows up as a differential failure.
+/// The crash scenario's target: stream a deterministic prefix of the suite
+/// into a durable in-process daemon, **crash-stop** it (workers exit
+/// without the final WAL sync/checkpoint; queued batches are discarded),
+/// and — with `restart` — start a fresh daemon on the same data directory
+/// and wait for its recovery. Returns the recovered daemon.
 ///
 /// `kill_after_events` is distributed proportionally across slices, so the
 /// bytes *sent* are deterministic; what survives the crash is not (that is
 /// the point), but any surviving prefix must recover consistently.
-pub fn run_crash_replay(
+pub fn crash_and_restart(
     suite: &[SuiteEntry],
     cfg: &LoadConfig,
-    daemon_cfg: crate::server::DaemonConfig,
+    daemon_cfg: DaemonConfig,
     kill_after_events: u64,
     restart: bool,
-) -> io::Result<Option<LoadReport>> {
+) -> io::Result<Option<Daemon>> {
     assert!(
         daemon_cfg.data_dir.is_some(),
         "crash replay requires a durable daemon (data_dir)"
     );
     let total_events: u64 = suite.iter().map(|e| e.trace.num_events() as u64).sum();
-
-    // ---- phase 1: partial stream, then crash-stop ----
-    let d1 = crate::server::Daemon::start(daemon_cfg.clone())?;
-    let addr1 = d1.local_addr();
-    let mut ingest_jobs: Vec<(usize, usize)> = Vec::new();
-    for c in 0..suite.len() {
-        for s in 0..cfg.slices_per_comp.max(1) {
-            ingest_jobs.push((c, s));
-        }
-    }
-    run_pool(cfg.connections, ingest_jobs, addr1, |client, (c, s)| {
-        let entry = &suite[c];
-        client.hello(
-            &entry.name,
-            entry.trace.num_processes(),
-            cfg.max_cluster_size,
-        )?;
-        let (events, _) = build_slice(entry.trace.events(), s, cfg, c);
-        // This slice's share of the global kill budget.
-        let quota = (events.len() as u64)
-            .saturating_mul(kill_after_events)
-            .checked_div(total_events)
-            .unwrap_or(0) as usize;
-        client.stream_events(&events[..quota.min(events.len())], cfg.batch)
-    })?;
+    let d1 = Daemon::start(daemon_cfg.clone())?;
+    let partial = LoadConfig {
+        addr: d1.local_addr(),
+        ..cfg.clone()
+    };
+    ingest(suite, &partial, Some(kill_after_events))?;
     eprintln!(
         "[cts-loadgen] crash-stopping the daemon after ~{kill_after_events} of \
          {total_events} events"
@@ -1176,28 +958,374 @@ pub fn run_crash_replay(
     if !restart {
         return Ok(None);
     }
-
-    // ---- phase 2: restart on the same data dir, recover, re-stream ----
-    let d2 = crate::server::Daemon::start(daemon_cfg)?;
+    let d2 = Daemon::start(daemon_cfg)?;
     let t0 = Instant::now();
     while d2.is_recovering() {
-        if t0.elapsed() > std::time::Duration::from_secs(120) {
+        if t0.elapsed() > Duration::from_secs(120) {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 "daemon recovery did not finish within 120 s",
             ));
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
     }
     eprintln!(
         "[cts-loadgen] daemon recovered in {:.3} s; re-streaming the full suite",
         t0.elapsed().as_secs_f64()
     );
-    let mut cfg2 = cfg.clone();
-    cfg2.addr = d2.local_addr();
-    let report = run(suite, &cfg2)?;
-    d2.shutdown();
+    Ok(Some(d2))
+}
+
+/// Crash-replay scenario: [`crash_and_restart`], then re-stream the *full*
+/// suite into the recovered daemon and run the standard differential
+/// checks.
+///
+/// Re-streaming is safe because the reorder buffer deduplicates: every
+/// event the recovered daemon already holds is dropped on arrival, exactly
+/// what a real client re-transmitting after a server crash relies on. The
+/// returned report's `mismatches` must be zero — recovery that loses,
+/// duplicates, or reorders state shows up as a differential failure.
+pub fn run_crash_replay(
+    suite: &[SuiteEntry],
+    cfg: &LoadConfig,
+    daemon_cfg: DaemonConfig,
+    kill_after_events: u64,
+    restart: bool,
+) -> io::Result<Option<LoadReport>> {
+    let Some(daemon) = crash_and_restart(suite, cfg, daemon_cfg, kill_after_events, restart)?
+    else {
+        return Ok(None);
+    };
+    let cfg = LoadConfig {
+        addr: daemon.local_addr(),
+        ..cfg.clone()
+    };
+    let report = run(suite, &cfg)?;
+    daemon.shutdown();
     Ok(Some(report))
+}
+
+// ---- scenarios: what differs between the soaks ----
+
+/// The computations a scenario streams and, per computation, the
+/// delivery-order offsets where its plant phase flushes and samples (the
+/// last is the trace's end). `cuts` is empty when there is no plant phase.
+pub struct Fixtures {
+    pub suite: Vec<SuiteEntry>,
+    pub cuts: Vec<Vec<usize>>,
+}
+
+/// What the plant phase reads at every cut.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sampler {
+    /// No plant phase.
+    None,
+    /// `QueryClusterMap`: a cluster-receive-ratio curve per fixture. The
+    /// liveness gate wants at least one drift migration per fixture.
+    ClusterMap,
+    /// `QueryPlacement`: the live shard layout after the last cut. The
+    /// liveness gate wants at least one autoscale action over all fixtures.
+    Placement,
+}
+
+/// One soak of the driver: everything that differs between soaks. The
+/// pipeline around it — target, plant phase, [`run`], extras, teardown —
+/// is shared.
+#[derive(Clone, Copy, Debug)]
+pub struct Scenario {
+    /// The flag that selects it (without `--`), and its name in messages.
+    pub name: &'static str,
+    /// Planted fixtures and their cuts; `None` streams the suite the
+    /// caller picks, with no plant phase.
+    pub planted: Option<fn() -> Fixtures>,
+    /// What the in-process daemon needs for the soak to mean anything,
+    /// given the max cluster size. An external daemon must be started so.
+    pub daemon: fn(&mut DaemonConfig, u32),
+    /// Max cluster size unless the caller sets one.
+    pub max_cluster_size: Option<u32>,
+    /// Events per frame in the plant phase; `None` = the load's `batch`.
+    pub plant_batch: Option<usize>,
+    pub sampler: Sampler,
+}
+
+/// The differential soak over a workload suite.
+pub const STANDARD: Scenario = Scenario {
+    name: "standard",
+    planted: None,
+    daemon: |_, _| {},
+    max_cluster_size: None,
+    plant_batch: None,
+    sampler: Sampler::None,
+};
+
+/// Adaptive re-clustering: the planted-drift fixtures, cut at their
+/// planted phase boundaries so the ratio curves line up with the plants,
+/// through an adaptive daemon. Max cluster size 12: the phase-stencil
+/// fixture's blocks are 8 wide, and a migration needs headroom in the
+/// destination cluster, so 8 would pin every process in place.
+pub const DRIFT: Scenario = Scenario {
+    name: "drift",
+    planted: Some(drift_fixtures),
+    daemon: |d, max_cluster_size| {
+        d.adaptive = Some(AdaptiveParams::new(max_cluster_size as usize));
+    },
+    max_cluster_size: Some(12),
+    plant_batch: None,
+    sampler: Sampler::ClusterMap,
+};
+
+/// Shard autoscaling: planted hot-group fixtures, cut at thirds, through a
+/// daemon autoscaling from at least two shards. The plant arrives in
+/// 16-event frames: the placement engine paces itself in shard *messages*
+/// (cooldowns, EWMA decay), so the plant must arrive as enough messages to
+/// warm the EWMAs and clear the decision cooldown before the fixture runs
+/// out. Splits and retires must not perturb a single stamp.
+pub const PLACE: Scenario = Scenario {
+    name: "place",
+    planted: Some(place_fixtures),
+    daemon: |d, _| {
+        d.shards = d.shards.max(2);
+        d.auto_scale = true;
+    },
+    max_cluster_size: None,
+    plant_batch: Some(16),
+    sampler: Sampler::Placement,
+};
+
+impl Scenario {
+    /// The computations this scenario streams: its planted fixtures, or
+    /// `suite()` without a plant phase.
+    pub fn fixtures(&self, suite: impl FnOnce() -> Vec<SuiteEntry>) -> Fixtures {
+        match self.planted {
+            Some(planted) => planted(),
+            None => Fixtures {
+                suite: suite(),
+                cuts: Vec::new(),
+            },
+        }
+    }
+}
+
+/// The planted-drift fixtures, cut at their drift points. These are the
+/// parameterizations pinned by the workloads crate's
+/// `golden_drift_families` test — edits there fail goldens before they can
+/// invalidate the soak's phase alignment.
+fn drift_fixtures() -> Fixtures {
+    let stencil = PhaseShiftStencil {
+        procs: 32,
+        phases: 4,
+        iters_per_phase: 6,
+        block: 8,
+    };
+    let tiers = RebalancedWebTiers {
+        clients: 12,
+        frontends: 6,
+        backends: 6,
+        requests: 600,
+        phases: 3,
+    };
+    // Each fixture is cut at its planted drift points and at its end.
+    let fixture = |name, env, trace: Trace, points: Vec<u64>| {
+        let mut cuts: Vec<usize> = points.iter().map(|&p| p as usize).collect();
+        cuts.push(trace.num_events());
+        (SuiteEntry { name, env, trace }, cuts)
+    };
+    let (suite, cuts) = [
+        fixture(
+            stencil.name(),
+            Env::Pvm,
+            stencil.generate(1),
+            stencil.drift_points(),
+        ),
+        fixture(
+            tiers.name(),
+            Env::Java,
+            tiers.generate(1),
+            tiers.drift_points(),
+        ),
+    ]
+    .into_iter()
+    .unzip();
+    Fixtures { suite, cuts }
+}
+
+/// Two hot-group plants with different shapes, each cut at thirds: the
+/// placement verb answers mid-stream, not just at the end, and the
+/// flushes prove cuts interleave with rescales.
+fn place_fixtures() -> Fixtures {
+    let (suite, cuts) = [hot_group_trace(6, 4, 8, 32), hot_group_trace(8, 3, 6, 24)]
+        .into_iter()
+        .map(|trace| {
+            let n = trace.num_events();
+            let name = trace.name().to_string();
+            let env = Env::Synthetic;
+            (SuiteEntry { name, env, trace }, vec![n / 3, 2 * n / 3, n])
+        })
+        .unzip();
+    Fixtures { suite, cuts }
+}
+
+/// Outcome of [`run_planted`].
+#[derive(Debug)]
+pub struct PlantedReport {
+    /// The differential run over the same computations.
+    pub load: LoadReport,
+    /// Per fixture, one cluster map per cut ([`Sampler::ClusterMap`]).
+    pub curves: Vec<(String, Vec<ClusterMap>)>,
+    /// Per fixture, the placement after the last cut
+    /// ([`Sampler::Placement`]).
+    pub placements: Vec<(String, Placement)>,
+}
+
+impl PlantedReport {
+    /// Drift migrations across the fixtures, at their last cut.
+    pub fn migrations(&self) -> u64 {
+        self.curves
+            .iter()
+            .filter_map(|(_, curve)| curve.last())
+            .map(|m| m.migrations)
+            .sum()
+    }
+
+    /// Fixtures whose curve ends without a single migration: the drift
+    /// detector failed to react to a planted drift.
+    pub fn undetected(&self) -> Vec<&str> {
+        self.curves
+            .iter()
+            .filter(|(_, curve)| curve.last().is_some_and(|m| m.migrations == 0))
+            .map(|(name, _)| name.as_str())
+            .collect()
+    }
+
+    /// Autoscale actions (splits + retires) across the fixtures.
+    pub fn rescales(&self) -> u64 {
+        self.placements.iter().map(|(_, p)| p.rescales).sum()
+    }
+
+    /// What the liveness gate read, for the verdict line.
+    pub fn liveness(&self) -> String {
+        let mut out = String::new();
+        if !self.curves.is_empty() {
+            out.push_str(&format!(", {} migrations", self.migrations()));
+        }
+        if !self.placements.is_empty() {
+            out.push_str(&format!(", {} autoscale actions", self.rescales()));
+        }
+        out
+    }
+
+    /// Zero mismatches *and* the scenario's liveness gate.
+    pub fn passed(&self) -> bool {
+        self.load.mismatches == 0
+            && self.undetected().is_empty()
+            && (self.placements.is_empty() || self.rescales() >= 1)
+    }
+
+    /// The load summary, preceded by the placements and followed by the
+    /// ratio curves.
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (name, p) in &self.placements {
+            let occ: Vec<String> = p
+                .occupancy_q16
+                .iter()
+                .map(|&q| format!("{:.2}", q as f64 / 65536.0))
+                .collect();
+            let _ = writeln!(
+                out,
+                "{name}: shards={} rescales={} steals={} pinned={} occupancy=[{}]",
+                p.shards,
+                p.rescales,
+                p.steals,
+                p.pinned,
+                occ.join(" "),
+            );
+        }
+        out.push_str(&self.load.render());
+        if !self.curves.is_empty() {
+            let _ = write!(out, "\nmigrations        {}", self.migrations());
+        }
+        for (name, curve) in &self.curves {
+            let _ = write!(out, "\nratio curve       {name}");
+            for m in curve {
+                let ratio = if m.delivered == 0 {
+                    0.0
+                } else {
+                    m.cluster_receives as f64 / m.delivered as f64
+                };
+                let _ = write!(
+                    out,
+                    "\n  @{:<8} cr {:<7} ratio {ratio:.4}  merges {:<4} migrations {}",
+                    m.delivered, m.cluster_receives, m.merges, m.migrations,
+                );
+            }
+        }
+        let undetected = self.undetected();
+        if !undetected.is_empty() {
+            let _ = write!(
+                out,
+                "\nUNDETECTED drift  {undetected:?} (no migration fired)"
+            );
+        }
+        out
+    }
+}
+
+/// The soak pipeline against the daemon at `cfg.addr`: the plant phase,
+/// then [`run`] over the same computations.
+///
+/// The plant phase streams each planted fixture on one connection *in
+/// delivery order*, flushing and sampling at every cut — that alignment is
+/// what makes the samples interpretable. [`run`] then re-streams the same
+/// computations shuffled and duplicated; the reorder buffer absorbs all of
+/// it (everything is already delivered), and its query, batch, as-of and
+/// window phases do the differential checking. Without planted fixtures
+/// this is [`run`] alone.
+pub fn run_planted(
+    scenario: &Scenario,
+    fixtures: &Fixtures,
+    cfg: &LoadConfig,
+) -> io::Result<PlantedReport> {
+    let batch = scenario.plant_batch.unwrap_or(cfg.batch);
+    let mut curves = Vec::new();
+    let mut placements = Vec::new();
+    for (entry, cuts) in fixtures.suite.iter().zip(&fixtures.cuts) {
+        let mut client = Client::connect(cfg.addr)?;
+        client.proto_hello()?;
+        client.hello(
+            &entry.name,
+            entry.trace.num_processes(),
+            cfg.max_cluster_size,
+        )?;
+        let events = entry.trace.events();
+        let mut curve = Vec::new();
+        let mut placement = None;
+        let mut from = 0usize;
+        for &cut in cuts {
+            client.stream_events(&events[from..cut], batch)?;
+            client.flush(cut as u64)?;
+            match scenario.sampler {
+                Sampler::None => {}
+                Sampler::ClusterMap => curve.push(client.cluster_map()?),
+                Sampler::Placement => placement = Some(client.placement()?),
+            }
+            from = cut;
+        }
+        if !curve.is_empty() {
+            curves.push((entry.name.clone(), curve));
+        }
+        if let Some(p) = placement {
+            placements.push((entry.name.clone(), p));
+        }
+        client.goodbye()?;
+    }
+    let load = run(&fixtures.suite, cfg)?;
+    Ok(PlantedReport {
+        load,
+        curves,
+        placements,
+    })
 }
 
 // ---- C10K: idle-connection capacity and cost ----
@@ -1292,9 +1420,9 @@ pub fn proc_rss_bytes() -> u64 {
 pub fn c10k_bench_entries(
     epoll_conns: usize,
     thread_conns: usize,
-    window: std::time::Duration,
+    window: Duration,
 ) -> io::Result<Vec<BenchEntry>> {
-    use crate::server::{Daemon, DaemonConfig, NetBackend};
+    use crate::server::NetBackend;
     // Both ends of every held connection live in this process.
     #[cfg(target_os = "linux")]
     let _ = crate::netpoll::raise_nofile_to_hard();
@@ -1313,7 +1441,7 @@ pub fn c10k_bench_entries(
         let held = hold_idle_conns(daemon.local_addr(), conns)?;
         // Let accept bursts, thread spawns, and allocator churn settle
         // before sampling.
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        std::thread::sleep(Duration::from_millis(300));
         let rss1 = proc_rss_bytes();
         let cpu0 = proc_cpu_ms();
         std::thread::sleep(window);

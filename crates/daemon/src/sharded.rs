@@ -1181,3 +1181,73 @@ fn shard_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
     out.sort();
     Ok(out)
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::pipeline::{Computation, ComputationConfig, DurabilityConfig};
+    use crate::shard::StampStrategy;
+    use cts_model::{Event, EventId, EventIndex, EventKind, ProcessId};
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    /// The group-commit tick must close a shard's unsynced tail even when
+    /// the shard has nothing new to deliver: one batch of shard-local
+    /// events, no flush, then `nudge_wal_sync` once the window is gone.
+    #[test]
+    fn nudge_syncs_an_idle_shards_tail() {
+        let dir = std::env::temp_dir().join(format!("cts-sharded-nudge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let window = Duration::from_secs(1);
+        let (comp, _) = Computation::spawn_durable(ComputationConfig {
+            name: "nudge".into(),
+            num_processes: 4,
+            max_cluster_size: 4,
+            strategy: StampStrategy::Merge1st {
+                max_cluster_size: 4,
+            },
+            queue_capacity: 8,
+            epoch_every: 1 << 20,
+            shards: 2,
+            auto_scale: false,
+            balance: false,
+            pin_cores: false,
+            placement: None,
+            durability: Some(DurabilityConfig {
+                dir: dir.clone(),
+                sync_window: window,
+                checkpoint_every: 0,
+                wal_byte_budget: None,
+            }),
+            query_cache_capacity: 0,
+            retain_epochs: 0,
+            retain_bytes: 0,
+        })
+        .expect("spawn");
+        let local: Vec<Event> = (1..=8)
+            .map(|i| {
+                Event::new(
+                    EventId::new(ProcessId(0), EventIndex(i)),
+                    EventKind::Internal,
+                )
+            })
+            .collect();
+        comp.enqueue_events(local).expect("enqueue");
+        // Delivered and written well inside the window: not yet synced.
+        std::thread::sleep(window / 5);
+        let syncs = || comp.metrics().wal_syncs.load(Ordering::Relaxed);
+        let before = syncs();
+        std::thread::sleep(window);
+        comp.nudge_wal_sync();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while syncs() == before && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            syncs() > before,
+            "the tick left the idle shard's tail unsynced"
+        );
+        comp.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -200,8 +200,10 @@ pub(crate) enum Barrier {
     /// Append only; a later barrier (the group-commit tick, a flush) covers
     /// it.
     None,
-    /// Sync if this call appended something and the group-commit window has
-    /// elapsed ([`WalWriter::maybe_sync`]).
+    /// Sync if anything written is unsynced — by this call or an earlier
+    /// one — and the group-commit window has elapsed
+    /// ([`WalWriter::maybe_sync`]). A tick that appends nothing still closes
+    /// an idle owner's tail.
     WindowElapsed,
     /// Sync unconditionally.
     Forced,
@@ -304,8 +306,8 @@ impl WalLane {
         };
         let barrier_held = written.and_then(|()| match barrier {
             Barrier::Forced => w.sync().map(|()| true),
-            Barrier::WindowElapsed if fresh => w.maybe_sync(),
-            Barrier::WindowElapsed | Barrier::None => Ok(false),
+            Barrier::WindowElapsed => w.maybe_sync(),
+            Barrier::None => Ok(false),
         });
         self.metrics
             .wal_syncs
@@ -945,15 +947,33 @@ mod tests {
         assert_eq!(lane.append(&log[..8], Barrier::Forced), 0..8);
         assert_eq!(lane.append(&log[..20], Barrier::WindowElapsed), 8..20);
         assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 2);
-        // Window-elapsed is about *this* append: with nothing new it issues
-        // no barrier even though the window is long gone.
+        // Nothing new and nothing unsynced: no barrier.
         assert_eq!(lane.append(&log[..20], Barrier::WindowElapsed), 20..20);
         assert_eq!(lane.append(&log[..30], Barrier::None), 20..20);
-        assert_eq!(lane.append(&log[..30], Barrier::WindowElapsed), 20..20);
         assert_eq!((lane.synced, lane.appended), (20, 30));
-        assert_eq!(lane.sync(&log[..30]), 20..30);
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 2);
+        // Window-elapsed closes the tail an earlier call left unsynced,
+        // whether or not this call appends anything.
+        assert_eq!(lane.append(&log[..30], Barrier::WindowElapsed), 20..30);
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 3);
+        assert_eq!(lane.sync(&log[..30]), 30..30);
         let scan = scan_segment(&dir.join(segment_name(0))).unwrap();
         assert_eq!((scan.num_events(), scan.torn), (30, None));
+    }
+
+    #[test]
+    fn lane_window_tick_closes_an_idle_unsynced_tail() {
+        let dir = tmpdir("lane-idle-tick");
+        let log = sample_events();
+        let window = Duration::from_millis(20);
+        let (mut lane, metrics) = lane(&dir, window, u64::MAX);
+        assert_eq!(lane.append(&log[..8], Barrier::None), 0..0);
+        std::thread::sleep(window);
+        // The group-commit tick of an owner that has gone idle: nothing new
+        // to append, the window long gone, the tail still unsynced.
+        assert_eq!(lane.append(&log[..8], Barrier::WindowElapsed), 0..8);
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 1);
+        assert_eq!((lane.synced, lane.appended), (8, 8));
     }
 
     #[test]

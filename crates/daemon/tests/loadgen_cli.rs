@@ -86,3 +86,35 @@ fn contradictory_follower_flags_exit_2() {
     ]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn in_process_flags_with_addr_exit_2_and_name_the_flag() {
+    // Each of these configures (or is) the in-process daemon; aimed at an
+    // external `--addr` it would do nothing, so it is refused up front.
+    for flag in [
+        &["--data-dir", "unused-dir"][..],
+        &["--checkpoint-every", "200"],
+        &["--epoch-every", "64"],
+        &["--shards", "2"],
+        &["--net-threads"],
+        &["--pollers", "2"],
+        &["--followers", "2"],
+        &["--kill-after", "100"],
+    ] {
+        let mut args = vec!["--smoke", "--addr", "127.0.0.1:1"];
+        args.extend_from_slice(flag);
+        let out = loadgen(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} should exit 2, got {:?}\nstderr: {stderr}",
+            out.status.code()
+        );
+        assert!(
+            stderr.contains(flag[0]),
+            "{args:?} should name {}, stderr was: {stderr}",
+            flag[0]
+        );
+    }
+}

@@ -175,9 +175,56 @@ impl Workload for RebalancedWebTiers {
     }
 }
 
+/// Planted imbalance: `groups` rings of `width` processes each; every cycle,
+/// group 0 runs `hot_factor` intra-group rounds while the other groups run
+/// one. Under the daemon's contiguous initial routing the low-numbered
+/// block — group 0 included — lands on shard 0 and makes it hot, which is
+/// exactly the signal the placement engine's occupancy EWMAs key off.
+pub fn hot_group_trace(groups: u32, width: u32, cycles: u32, hot_factor: u32) -> Trace {
+    assert!(groups >= 2 && width >= 2 && hot_factor >= 1);
+    let mut b = TraceBuilder::new(groups * width);
+    let ring = |b: &mut TraceBuilder, g: u32| {
+        let base = g * width;
+        for k in 0..width {
+            let from = p(base + k);
+            let to = p(base + (k + 1) % width);
+            let tok = b.send(from, to).expect("ring send");
+            b.receive(to, tok).expect("ring receive");
+        }
+    };
+    for _ in 0..cycles {
+        for r in 0..hot_factor {
+            ring(&mut b, 0);
+            if r == 0 {
+                for g in 1..groups {
+                    ring(&mut b, g);
+                }
+            }
+        }
+    }
+    b.finish_complete(format!("place/hot-{groups}g{width}w-x{hot_factor}"))
+        .expect("complete trace")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hot_group_trace_is_complete_and_skewed() {
+        let t = hot_group_trace(6, 4, 2, 8);
+        assert_eq!(t.num_processes(), 24);
+        // Group 0 carries hot_factor rings per cycle vs 1 for each other
+        // group — the skew the occupancy EWMAs key off is per group (per
+        // shard), so compare against a single cold group, not all five.
+        let hot_events = t.events().iter().filter(|e| e.process().0 < 4).count();
+        let cold_events = t.events().len() - hot_events;
+        let cold_per_group = cold_events / 5;
+        assert!(
+            hot_events > 4 * cold_per_group,
+            "plant not hot: {hot_events} vs {cold_per_group} per cold group"
+        );
+    }
 
     #[test]
     fn phase_shift_ring_stays_within_shifted_block() {

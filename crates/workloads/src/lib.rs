@@ -19,7 +19,8 @@
 //! - [`drift`]: planted-drift families whose communication locality changes
 //!   at known event positions (phase-changing SPMD re-blocking,
 //!   re-balancing web tiers) — the fixtures for the online adaptive
-//!   re-clustering work. Not part of the standard suite.
+//!   re-clustering work — and the hot-group imbalance the shard autoscaler
+//!   is soaked on. Not part of the standard suite.
 //!
 //! [`suite::standard_suite`] packages 54 named computations with fixed seeds
 //! as the stand-in for the paper's corpus.

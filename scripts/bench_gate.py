@@ -63,11 +63,9 @@ import sys
 NOISY_GROUPS = {
     "wal": 0.80,  # fsync latency varies with device queue depth
     "daemon_ingest": 0.60,  # TCP + thread handoff
-    "daemon_query": 0.60,  # round-trip latency
     "reorder_buffer": 0.50,  # allocation-heavy, sensitive to heap state
     "precedence_256_queries": 0.60,  # per-query reconstruction allocates;
     # observed ~1.8x min-of-run spread across processes on 1-cpu CI
-    "shard_ingest": 0.60,  # spawns worker threads, cross-shard handoff
     "query_path": 0.60,  # loopback RTTs + lock handoff under 1-cpu CI
     "timetravel": 0.60,  # loopback RTTs against retained-epoch snapshots
     "placement": 0.60,  # live split/steal migrations + worker threads
@@ -79,7 +77,7 @@ FLOOR_NS = 100.0
 # The host-speed reference bench; never gated itself.
 CALIBRATION_ID = "calibration/fixed_work"
 
-# --require-speedup claims assume this many cores (the 4-shard sweep).
+# --require-speedup claims assume this many cores.
 SPEEDUP_REF_CPUS = 4
 
 # Parallel-overhead slack applied when the host has fewer cores than the

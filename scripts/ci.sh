@@ -5,7 +5,9 @@
 #   fmt       rustfmt in check mode
 #   clippy    cargo clippy --all-targets with warnings denied
 #   build     offline release build of the whole workspace
-#   test      full offline test suite
+#   test      full offline test suite, then cts-experiments regenerates
+#             results/full_report.txt and every results/*.csv into the
+#             workdir, which must match the committed files byte for byte
 #   smoke     daemon loopback smoke over TCP + in-process mini-suite
 #             differential + sharded (--shards 4) full-suite
 #             differential soak
@@ -140,6 +142,19 @@ stage_build() {
 stage_test() {
   echo "==> test (offline)"
   cargo test -q --offline --workspace
+
+  # The committed report and CSVs are what today's code prints: regenerate
+  # all of them into the workdir and require them byte-identical.
+  echo "==> test: results/ regenerates byte-identically"
+  local out="$workdir/experiments"
+  mkdir -p "$out"
+  cargo run -q --release --offline -p cts-analysis --bin cts-experiments -- \
+    --out "$out" all >"$out/full_report.txt" 2>/dev/null
+  diff -u results/full_report.txt "$out/full_report.txt"
+  local csv
+  for csv in "$out"/*.csv; do
+    diff -u "results/$(basename "$csv")" "$csv"
+  done
 }
 
 stage_smoke() {
@@ -162,10 +177,9 @@ stage_smoke() {
   wait "$daemon_pid"
   echo "ci.sh: daemon smoke ok (port $port)"
 
-  # In-process daemon, mini suite, differential checks included; the
-  # cts-bench/1 throughput report is scratch (the recorded numbers live in
-  # benchmark/results/), so a tier-1 run leaves the checkout clean.
-  target/release/cts-loadgen --quick --json "$workdir/loadgen-quick.json"
+  # In-process daemon, mini suite, differential checks included (the
+  # recorded throughput numbers live in benchmark/results/).
+  target/release/cts-loadgen --quick
 
   # Sharded full-suite soak: all 54 computations through a 4-shard ingest
   # path, every answer differentially checked (exit non-zero on mismatch).
@@ -453,15 +467,10 @@ stage_bench() {
   echo "==> bench: quick suite x2 vs committed baseline"
   target/release/cts-bench --quick >"$workdir/bench-1.json"
   target/release/cts-bench --quick >"$workdir/bench-2.json"
-  # The speedup claims gate the sharded ingest path: >= 1.8x at 4 shards
-  # vs 1 on the widest computations (scaled down by bench_gate.py when the
-  # host has fewer than 4 cores — see SPEEDUP_REF_CPUS).
+  # Shard-ingest scaling is benchmark/'s (shard.ingest_ns_per_ev_s1/_s2);
+  # no sharding speedup is claimed until a work/span bound is recorded.
   python3 scripts/bench_gate.py results/BENCH_baseline.json \
-    "$workdir/bench-1.json" "$workdir/bench-2.json" \
-    --require-speedup \
-    shard_ingest/blocked_stencil1d_128_s1:shard_ingest/blocked_stencil1d_128_s4:1.8 \
-    --require-speedup \
-    shard_ingest/sharded_web_288_s1:shard_ingest/sharded_web_288_s4:1.8
+    "$workdir/bench-1.json" "$workdir/bench-2.json"
 }
 
 stage_benchmark() {

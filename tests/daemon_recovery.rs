@@ -304,7 +304,7 @@ fn crash_during_autoscale_relayout_recovers_exactly() {
     // (including slots the autoscaler activated mid-stream), replay a
     // valid delivered prefix, and converge to exactness after a re-stream.
     let dir = tmpdir("autoscale-crash");
-    let trace = cts_daemon::place::hot_group_trace(6, 4, 8, 24);
+    let trace = cts_workloads::drift::hot_group_trace(6, 4, 8, 24);
     let n = trace.num_processes();
     let mut cfg = durable_config("autoscale-crash", n, &dir, None);
     cfg.shards = 2;

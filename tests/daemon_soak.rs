@@ -264,3 +264,77 @@ fn wire_shutdown_round_trips() {
     };
     assert!(refused, "daemon still serving after shutdown");
 }
+
+/// One planted scenario through the driver against an in-process daemon
+/// carrying the scenario's setting, with the load's defaults.
+fn planted_soak(scenario: &loadgen::Scenario) -> loadgen::PlantedReport {
+    let mut cfg = LoadConfig {
+        precedence_queries: 50,
+        ..LoadConfig::default()
+    };
+    if let Some(m) = scenario.max_cluster_size {
+        cfg.max_cluster_size = m;
+    }
+    let mut daemon_cfg = DaemonConfig::default();
+    (scenario.daemon)(&mut daemon_cfg, cfg.max_cluster_size);
+    let daemon = Daemon::start(daemon_cfg).expect("bind loopback");
+    cfg.addr = daemon.local_addr();
+    let report =
+        loadgen::run_planted(scenario, &scenario.fixtures(Vec::new), &cfg).expect("planted soak");
+    daemon.shutdown();
+    report
+}
+
+#[test]
+fn drift_soak_migrates_on_every_fixture_and_matches_offline_engine() {
+    let report = planted_soak(&loadgen::DRIFT);
+    assert_eq!(report.load.mismatches, 0);
+    assert_eq!(report.load.computations, 2);
+    assert!(report.undetected().is_empty(), "{:?}", report.undetected());
+    assert!(report.passed());
+    // The plant phase streams in delivery order on one connection, so the
+    // adaptive engine sees one order and the curves are exact: (delivered,
+    // cluster receives, merges, migrations) at every planted boundary.
+    let names: Vec<&str> = report.curves.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "drift/phase-stencil-32p4x6b8",
+            "drift/rebalanced-tiers-c12f6b6r600p3"
+        ]
+    );
+    let points = |i: usize| -> Vec<(u64, u64, u64, u64)> {
+        let curve = &report.curves[i].1;
+        curve
+            .iter()
+            .map(|m| (m.delivered, m.cluster_receives, m.merges, m.migrations))
+            .collect()
+    };
+    assert_eq!(
+        points(0),
+        [
+            (576, 92, 28, 8),
+            (1152, 215, 28, 19),
+            (1728, 365, 28, 30),
+            (2304, 428, 29, 34),
+        ]
+    );
+    assert_eq!(
+        points(1),
+        [(1600, 24, 18, 0), (3200, 65, 21, 3), (4800, 102, 21, 6)]
+    );
+    assert_eq!(report.migrations(), 40);
+}
+
+#[test]
+fn place_soak_autoscales_and_matches_offline_engine() {
+    let report = planted_soak(&loadgen::PLACE);
+    assert_eq!(report.load.mismatches, 0);
+    assert_eq!(report.placements.len(), 2);
+    assert!(
+        report.rescales() >= 1,
+        "no autoscale action fired: {:?}",
+        report.placements
+    );
+    assert!(report.passed());
+}
