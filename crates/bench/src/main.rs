@@ -73,6 +73,31 @@ impl Runner {
         eprintln!("{:<48} value  {:>12}", e.id(), v);
         self.bencher.record_entry(e);
     }
+
+    /// Record one timing per sample, taken by the caller (for benches whose
+    /// every iteration must differ, like appends that consume events).
+    fn samples(&mut self, group: &str, name: &str, mut ns: Vec<f64>) {
+        let id = format!("{group}/{name}");
+        if let Some(pat) = &self.filter {
+            if !id.contains(pat.as_str()) {
+                return;
+            }
+        }
+        ns.sort_by(f64::total_cmp);
+        let at = |q: usize| ns[(ns.len() * q / 100).min(ns.len() - 1)];
+        let e = cts_util::bench::BenchEntry {
+            group: group.to_string(),
+            name: name.to_string(),
+            samples: ns.len(),
+            iters_per_sample: 1,
+            min_ns: ns[0],
+            median_ns: at(50),
+            p95_ns: at(95),
+            mean_ns: ns.iter().sum::<f64>() / ns.len() as f64,
+        };
+        eprintln!("{:<48} median {:>12} ns", e.id(), e.median_ns);
+        self.bencher.record_entry(e);
+    }
 }
 
 fn bench_fm(r: &mut Runner) {
@@ -444,6 +469,99 @@ fn bench_timetravel(r: &mut Runner) {
     daemon.shutdown();
 }
 
+/// Publish cost against history length: two in-process single-worker
+/// computations over the 128-process blocked stencil (in memory, 8
+/// retained epochs, publishing only on `flush`), one holding a quarter of
+/// the history and one the full history, timed for "append 64 events +
+/// flush" — one small batch plus one forced epoch publish. The two take
+/// turns, 64 timed steps each, so host jitter lands on both alike. Steps
+/// are timed one at a time (a step consumes events, so the harness's
+/// calibrated iteration counts do not apply) and recorded as ordinary
+/// entries. `ci.sh replay` claims
+/// `append_flush_quarter / append_flush_full >= 0.5`: a publish that
+/// copied history would read about 0.25.
+fn bench_publish(r: &mut Runner) {
+    use cts_daemon::pipeline::{Computation, ComputationConfig};
+    use cts_workloads::Workload;
+    use std::time::{Duration, Instant};
+    const STEP: usize = 64;
+    let g = "publish";
+    let names = ["append_flush_quarter", "append_flush_full"];
+    if let Some(pat) = &r.filter {
+        if !names
+            .iter()
+            .any(|n| format!("{g}/{n}").contains(pat.as_str()))
+        {
+            return;
+        }
+    }
+    let trace = cts_workloads::spmd::BlockedStencil1D {
+        procs: 128,
+        iters: 130,
+        block: 8,
+    }
+    .generate(0);
+    let events = trace.events();
+    let spawn = |name: &str| {
+        Computation::spawn(ComputationConfig {
+            name: format!("bench-publish-{name}"),
+            num_processes: trace.num_processes(),
+            max_cluster_size: 8,
+            strategy: cts_daemon::shard::StampStrategy::Merge1st {
+                max_cluster_size: 8,
+            },
+            queue_capacity: 64,
+            epoch_every: u64::MAX,
+            shards: 1,
+            auto_scale: false,
+            balance: false,
+            pin_cores: false,
+            placement: None,
+            durability: None,
+            query_cache_capacity: 0,
+            retain_epochs: 8,
+            retain_bytes: 0,
+        })
+    };
+    let timeout = Duration::from_secs(120);
+    // A fixed count, --quick or not: the claim compares two minima, and
+    // thread hand-off jitter needs this many steps to wash out.
+    let (warmup, samples) = (8, 64);
+    let full = events.len() - (warmup + samples) * STEP;
+    let comps = [spawn("quarter"), spawn("full")];
+    let mut fed = [full / 4, full];
+    // Untimed: grow each history to its mark.
+    for (comp, &mark) in comps.iter().zip(&fed) {
+        for chunk in events[..mark].chunks(4096) {
+            comp.enqueue_events(chunk.to_vec())
+                .expect("bench publish enqueue");
+        }
+        comp.flush(mark as u64, timeout)
+            .expect("bench publish flush");
+    }
+    let mut ns: [Vec<f64>; 2] = Default::default();
+    for step in 0..warmup + samples {
+        for i in 0..2 {
+            let batch = events[fed[i]..fed[i] + STEP].to_vec();
+            fed[i] += STEP;
+            let start = Instant::now();
+            comps[i]
+                .enqueue_events(batch)
+                .expect("bench publish enqueue");
+            comps[i]
+                .flush(fed[i] as u64, timeout)
+                .expect("bench publish flush");
+            if step >= warmup {
+                ns[i].push(start.elapsed().as_nanos() as f64);
+            }
+        }
+    }
+    for (comp, (name, ns)) in comps.iter().zip(names.into_iter().zip(ns)) {
+        comp.shutdown();
+        r.samples(g, name, ns);
+    }
+}
+
 /// A fixed, allocation-free ALU kernel: pure single-thread CPU speed, no
 /// memory traffic, no syscalls. `bench_gate.py` uses this entry to
 /// normalize a candidate report against a baseline recorded on a
@@ -711,6 +829,7 @@ fn main() {
     bench_store_queries(&mut r);
     bench_query_path(&mut r);
     bench_timetravel(&mut r);
+    bench_publish(&mut r);
     bench_daemon(&mut r);
     bench_placement(&mut r);
     bench_wal(&mut r);

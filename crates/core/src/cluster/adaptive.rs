@@ -42,7 +42,7 @@
 //! `materialized_clock` on the result are exact — the differential oracle
 //! the daemon's test harness enforces.
 
-use super::engine::ClusterTimestamps;
+use super::engine::{ClusterTimestamps, StampLog};
 use super::membership::ClusterSets;
 use super::stamp::ClusterStamp;
 use crate::fm::FmEngine;
@@ -205,7 +205,6 @@ impl DriftDecider {
 /// Produces the standard [`ClusterTimestamps`]; the daemon's single-worker
 /// pipeline runs this exact engine, which is why an offline re-run over the
 /// same delivered prefix is bit-identical.
-#[derive(Clone)]
 pub struct AdaptiveEngine {
     fm: FmEngine,
     sets: ClusterSets,
@@ -217,8 +216,7 @@ pub struct AdaptiveEngine {
     lmc: Vec<u32>,
     /// Last delivered own index per process (for `lmc` of bystanders).
     last_index: Vec<u32>,
-    stamps: Vec<ClusterStamp>,
-    crs: Vec<Vec<(u32, u32)>>,
+    log: StampLog,
     num_merges: usize,
     num_migrations: usize,
     /// Full stamps forced by markers or the stale-source rule (not ordinary
@@ -238,8 +236,7 @@ impl AdaptiveEngine {
             pending_marker: vec![false; num_processes as usize],
             lmc: vec![0; num_processes as usize],
             last_index: vec![0; num_processes as usize],
-            stamps: Vec::new(),
-            crs: vec![Vec::new(); num_processes as usize],
+            log: StampLog::new(num_processes),
             num_merges: 0,
             num_migrations: 0,
             num_forced_full: 0,
@@ -247,8 +244,7 @@ impl AdaptiveEngine {
     }
 
     fn record_full(&mut self, p: ProcessId, index: u32, clock: crate::clock::VectorClock) {
-        self.crs[p.idx()].push((index, self.stamps.len() as u32));
-        self.stamps.push(ClusterStamp::Full { clock });
+        self.log.push(p, index, ClusterStamp::Full { clock });
     }
 
     /// Accept the next event in delivery order.
@@ -284,10 +280,15 @@ impl AdaptiveEngine {
                     let dead = if kept == my_slot { their_slot } else { my_slot };
                     self.decider.note_merge(dead);
                     self.num_merges += 1;
-                    self.stamps.push(ClusterStamp::Projected {
-                        version: vid,
-                        clock: fm_stamp.project(self.sets.members(vid)),
-                    });
+                    let clock = fm_stamp.project(self.sets.members(vid));
+                    self.log.push(
+                        p,
+                        index,
+                        ClusterStamp::Projected {
+                            version: vid,
+                            clock,
+                        },
+                    );
                     return;
                 }
                 let migrate = self.decider.on_blocked(
@@ -313,10 +314,9 @@ impl AdaptiveEngine {
                 self.record_full(p, index, fm_stamp);
             }
             _ => {
-                self.stamps.push(ClusterStamp::Projected {
-                    version: v,
-                    clock: fm_stamp.project(self.sets.members(v)),
-                });
+                let clock = fm_stamp.project(self.sets.members(v));
+                self.log
+                    .push(p, index, ClusterStamp::Projected { version: v, clock });
             }
         }
     }
@@ -357,24 +357,26 @@ impl AdaptiveEngine {
 
     /// Events accepted so far.
     pub fn num_events(&self) -> usize {
-        self.stamps.len()
+        self.log.len()
     }
 
     /// A queryable snapshot of the timestamps built so far, without
-    /// stopping the engine (the epoch-publication primitive).
+    /// stopping the engine (the epoch-publication primitive): one copy of
+    /// the cluster sets plus O(`N`) shared handles on the stamp log, with
+    /// no clone of the engine.
     pub fn snapshot(&self) -> ClusterTimestamps {
-        self.clone().finish()
+        self.log.timestamps(self.sets.clone(), self.num_merges)
     }
 
     /// Finish, yielding the standard queryable timestamp structure.
     pub fn finish(self) -> ClusterTimestamps {
-        ClusterTimestamps::from_parts(self.sets, self.stamps, self.crs, self.num_merges)
+        self.log.timestamps(self.sets, self.num_merges)
     }
 
     /// Run over a complete trace.
     pub fn run(trace: &Trace, params: AdaptiveParams) -> ClusterTimestamps {
         let mut eng = AdaptiveEngine::new(trace.num_processes(), params);
-        eng.stamps.reserve(trace.num_events());
+        eng.log.reserve(trace.num_events());
         for &ev in trace.events() {
             eng.accept(ev);
         }

@@ -6,6 +6,7 @@ use crate::clock::VectorClock;
 use crate::clustering::Clustering;
 use crate::fm::FmEngine;
 use crate::strategy::{MergePolicy, StaticClusters};
+use cts_model::append::{AppendVec, Prefix};
 use cts_model::{Event, EventId, ProcessId, Trace};
 
 /// A cluster receive recorded as a gateway: the event's sequence number
@@ -18,6 +19,76 @@ struct CrRecord {
     pos: u32,
 }
 
+/// The append-only half of a cluster-timestamp structure: the stamps in
+/// delivery order and, per process, the cluster receives among them.
+///
+/// Every online stamper (the [`ClusterEngine`], the
+/// [`AdaptiveEngine`](super::AdaptiveEngine), a sharded daemon's cut
+/// assembler) grows one of these, and [`timestamps`](Self::timestamps)
+/// turns what it holds so far into a queryable [`ClusterTimestamps`] that
+/// shares the storage — an epoch snapshot in O(`N`), whatever the length of
+/// history.
+pub struct StampLog {
+    stamps: AppendVec<ClusterStamp>,
+    /// Cluster receives per process, in increasing `index` order.
+    crs: Vec<AppendVec<CrRecord>>,
+    num_cluster_receives: usize,
+}
+
+impl StampLog {
+    /// An empty log for `num_processes` processes.
+    pub fn new(num_processes: u32) -> StampLog {
+        StampLog {
+            stamps: AppendVec::new(),
+            crs: (0..num_processes).map(|_| AppendVec::new()).collect(),
+            num_cluster_receives: 0,
+        }
+    }
+
+    /// Append the stamp of the next delivered event, event `index` of
+    /// process `p`. A `Full` stamp is recorded as one of `p`'s cluster
+    /// receives (events of one process arrive in index order, so each list
+    /// stays sorted).
+    pub fn push(&mut self, p: ProcessId, index: u32, stamp: ClusterStamp) {
+        if stamp.is_cluster_receive() {
+            self.num_cluster_receives += 1;
+            self.crs[p.idx()].push(CrRecord {
+                index,
+                pos: self.stamps.len() as u32,
+            });
+        }
+        self.stamps.push(stamp);
+    }
+
+    /// Stamps appended so far.
+    pub fn len(&self) -> usize {
+        self.stamps.len()
+    }
+
+    /// Has nothing been appended yet?
+    pub fn is_empty(&self) -> bool {
+        self.stamps.is_empty()
+    }
+
+    /// Room for `additional` more stamps without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.stamps.reserve(additional);
+    }
+
+    /// The queryable structure over every stamp appended so far. `sets`
+    /// must hold every version a `Projected` stamp names; the result shares
+    /// the stamps and cluster-receive lists with this log.
+    pub fn timestamps(&self, sets: ClusterSets, num_merges: usize) -> ClusterTimestamps {
+        ClusterTimestamps {
+            sets,
+            stamps: self.stamps.prefix(),
+            crs: self.crs.iter().map(AppendVec::prefix).collect(),
+            num_cluster_receives: self.num_cluster_receives,
+            num_merges,
+        }
+    }
+}
+
 /// Online construction of cluster timestamps (§2.3's creation algorithm).
 ///
 /// Feed events in delivery order with [`accept`](Self::accept); call
@@ -28,17 +99,12 @@ struct CrRecord {
 /// for non-mergeable cluster receives — "the algorithm deletes Fidge/Mattern
 /// timestamps that are no longer needed".
 ///
-/// `Clone` captures the complete engine state; see
-/// [`snapshot`](Self::snapshot) for the live-query use case.
-#[derive(Clone)]
+/// See [`snapshot`](Self::snapshot) for the live-query use case.
 pub struct ClusterEngine<S> {
     fm: FmEngine,
     sets: ClusterSets,
     policy: S,
-    stamps: Vec<ClusterStamp>,
-    /// Cluster receives per process, in increasing `index` order.
-    crs: Vec<Vec<CrRecord>>,
-    num_cluster_receives: usize,
+    log: StampLog,
     num_merges: usize,
 }
 
@@ -49,9 +115,7 @@ impl<S: MergePolicy> ClusterEngine<S> {
             fm: FmEngine::new(num_processes),
             sets: ClusterSets::singletons(num_processes),
             policy,
-            stamps: Vec::new(),
-            crs: vec![Vec::new(); num_processes as usize],
-            num_cluster_receives: 0,
+            log: StampLog::new(num_processes),
             num_merges: 0,
         }
     }
@@ -67,9 +131,7 @@ impl<S: MergePolicy> ClusterEngine<S> {
             fm: FmEngine::new(num_processes),
             sets: ClusterSets::from_partition(num_processes, clustering),
             policy,
-            stamps: Vec::new(),
-            crs: vec![Vec::new(); num_processes as usize],
-            num_cluster_receives: 0,
+            log: StampLog::new(num_processes),
             num_merges: 0,
         }
     }
@@ -116,18 +178,14 @@ impl<S: MergePolicy> ClusterEngine<S> {
                         clock: fm_stamp.project(self.sets.members(v)),
                     }
                 } else {
-                    // Non-mergeable cluster receive: keep the full stamp and
-                    // note it as the greatest cluster receive of `p` so far.
-                    self.num_cluster_receives += 1;
-                    self.crs[p.idx()].push(CrRecord {
-                        index: ev.index().0,
-                        pos: self.stamps.len() as u32,
-                    });
+                    // Non-mergeable cluster receive: keep the full stamp (the
+                    // log notes it as the greatest cluster receive of `p` so
+                    // far).
                     ClusterStamp::Full { clock: fm_stamp }
                 }
             }
         };
-        self.stamps.push(stamp);
+        self.log.push(p, ev.index().0, stamp);
     }
 
     /// Coarsen the current clusters to realize `target`: every group of the
@@ -175,29 +233,22 @@ impl<S: MergePolicy> ClusterEngine<S> {
     /// A queryable snapshot of the timestamps built *so far*, without
     /// stopping the engine — the epoch-publication primitive of a live
     /// monitoring entity: ingest keeps calling [`accept`](Self::accept) on
-    /// the original while query threads read the frozen copy.
-    pub fn snapshot(&self) -> ClusterTimestamps
-    where
-        S: Clone,
-    {
-        self.clone().finish()
+    /// the original while query threads read the frozen prefix. Costs one
+    /// copy of the cluster sets plus O(`N`) shared handles on the stamp
+    /// log; the engine itself is not cloned.
+    pub fn snapshot(&self) -> ClusterTimestamps {
+        self.log.timestamps(self.sets.clone(), self.num_merges)
     }
 
     /// Finish, yielding the queryable timestamp structure.
     pub fn finish(self) -> ClusterTimestamps {
-        ClusterTimestamps {
-            sets: self.sets,
-            stamps: self.stamps,
-            crs: self.crs,
-            num_cluster_receives: self.num_cluster_receives,
-            num_merges: self.num_merges,
-        }
+        self.log.timestamps(self.sets, self.num_merges)
     }
 
     /// Run over a complete trace.
     pub fn run(trace: &Trace, policy: S) -> ClusterTimestamps {
         let mut eng = ClusterEngine::new(trace.num_processes(), policy);
-        eng.stamps.reserve(trace.num_events());
+        eng.log.reserve(trace.num_events());
         for &ev in trace.events() {
             eng.accept(ev);
         }
@@ -209,7 +260,7 @@ impl<S: MergePolicy> ClusterEngine<S> {
 /// clustering (first pass: compute the clustering; second pass: this).
 pub fn run_static(trace: &Trace, clustering: &Clustering) -> ClusterTimestamps {
     let mut eng = ClusterEngine::with_partition(trace.num_processes(), clustering, StaticClusters);
-    eng.stamps.reserve(trace.num_events());
+    eng.log.reserve(trace.num_events());
     for &ev in trace.events() {
         eng.accept(ev);
     }
@@ -219,53 +270,18 @@ pub fn run_static(trace: &Trace, clustering: &Clustering) -> ClusterTimestamps {
 /// The complete cluster-timestamp structure for a trace: per-event stamps,
 /// the cluster version history, and the per-process cluster-receive chains
 /// used by precedence queries.
+///
+/// The stamps and chains are [`Prefix`] handles on a [`StampLog`], so the
+/// epochs a live engine publishes share one copy of them.
 pub struct ClusterTimestamps {
     sets: ClusterSets,
-    stamps: Vec<ClusterStamp>,
-    crs: Vec<Vec<CrRecord>>,
+    stamps: Prefix<ClusterStamp>,
+    crs: Vec<Prefix<CrRecord>>,
     num_cluster_receives: usize,
     num_merges: usize,
 }
 
 impl ClusterTimestamps {
-    /// Assemble a queryable timestamp structure from externally computed
-    /// parts — the publication primitive of a *sharded* monitoring entity,
-    /// where stamps are produced by per-process-group workers and only
-    /// merged into one delivery order at snapshot time.
-    ///
-    /// `stamps` must be in delivery order of the assembled trace; `crs[p]`
-    /// lists process `p`'s non-mergeable cluster receives as
-    /// `(event index within p, delivery position)` pairs in increasing
-    /// index order; `sets` must contain every version referenced by a
-    /// `Projected` stamp. Exactness of `precedes` over the result requires
-    /// the same invariants the online engine maintains: Fidge/Mattern
-    /// clocks exact per event, and cluster membership observed monotonically
-    /// along causal order (clusters only grow).
-    pub fn from_parts(
-        sets: ClusterSets,
-        stamps: Vec<ClusterStamp>,
-        crs: Vec<Vec<(u32, u32)>>,
-        num_merges: usize,
-    ) -> ClusterTimestamps {
-        let num_cluster_receives = crs.iter().map(Vec::len).sum();
-        let crs = crs
-            .into_iter()
-            .map(|list| {
-                debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
-                list.into_iter()
-                    .map(|(index, pos)| CrRecord { index, pos })
-                    .collect()
-            })
-            .collect();
-        ClusterTimestamps {
-            sets,
-            stamps,
-            crs,
-            num_cluster_receives,
-            num_merges,
-        }
-    }
-
     /// The stamp of the event at a delivery position.
     pub fn stamp_at(&self, pos: usize) -> &ClusterStamp {
         &self.stamps[pos]

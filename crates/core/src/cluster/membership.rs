@@ -16,6 +16,7 @@
 //! creates at most `2N − 1` versions; each migration adds two more.
 
 use crate::clustering::Clustering;
+use cts_model::append::AppendVec;
 use cts_model::ProcessId;
 
 /// Identifier of an immutable cluster snapshot.
@@ -33,8 +34,9 @@ pub struct ClusterSets {
     /// For live slots: the current version id of the slot's cluster. Garbage
     /// for retired (empty) slots.
     version_at_slot: Vec<u32>,
-    /// Sorted member lists, append-only.
-    versions: Vec<Box<[ProcessId]>>,
+    /// Sorted member lists, append-only: a clone shares them, so an
+    /// engine's snapshot copies only the two per-process maps above.
+    versions: AppendVec<Box<[ProcessId]>>,
 }
 
 impl ClusterSets {
@@ -59,7 +61,7 @@ impl ClusterSets {
         let mut sets = ClusterSets {
             slot_of: vec![0; n as usize],
             version_at_slot: vec![0; n as usize],
-            versions: Vec::with_capacity(clustering.num_clusters()),
+            versions: AppendVec::with_capacity(clustering.num_clusters()),
         };
         for members in clustering.clusters() {
             let slot = members[0].0;

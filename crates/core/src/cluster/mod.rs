@@ -17,7 +17,7 @@ pub mod space;
 pub mod stamp;
 
 pub use adaptive::{AdaptiveEngine, AdaptiveParams, DriftDecider};
-pub use engine::{ClusterEngine, ClusterTimestamps};
+pub use engine::{ClusterEngine, ClusterTimestamps, StampLog};
 pub use membership::{ClusterSets, ClusterVersionId};
 pub use migrate::{MigratingEngine, MigratingTimestamps};
 pub use space::{Encoding, SpaceReport};

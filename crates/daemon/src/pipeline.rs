@@ -14,11 +14,15 @@
 //! immutable [`Snapshot`] — a delivery-order [`Trace`] of everything
 //! delivered so far plus the engine's [`ClusterTimestamps`] for exactly that
 //! prefix — and query threads read the current `Arc<Snapshot>` without
-//! blocking ingest (the engine clone behind
-//! [`ClusterEngine::snapshot`] happens on the worker; readers only swap an
-//! `Arc`). The `Flush` barrier lets a client wait until a snapshot covering
-//! a known event count is live, which is what makes answers deterministic
-//! enough to differentially test against the offline batch engine.
+//! blocking ingest. The delivered log is a [`TraceLog`] and the engine keeps
+//! its stamps in an append-only stamp log, so a publish is a set of prefix
+//! handles on both ([`TraceLog::trace`], [`ClusterEngine::snapshot`]): O(N)
+//! on the worker, whatever the length of history, and every retained epoch
+//! shares one copy of it. The log checks delivery order as each event is
+//! appended. The `Flush` barrier lets a client wait until a snapshot
+//! covering a known event count is live, which is what makes answers
+//! deterministic enough to differentially test against the offline batch
+//! engine.
 
 use crate::checkpoint::{self, CompMeta, RecoveryReport};
 use crate::metrics::Metrics;
@@ -29,7 +33,7 @@ use crate::wal::{Barrier, WalLane};
 use cts_core::cluster::{AdaptiveEngine, ClusterTimestamps};
 use cts_core::strategy::MergeOnFirst;
 use cts_core::ClusterEngine;
-use cts_model::{Event, Trace};
+use cts_model::{Event, Trace, TraceLog};
 use cts_store::{EpochRetainer, SharedQueryCache};
 use std::io;
 use std::ops::Range;
@@ -125,6 +129,11 @@ impl ComputationConfig {
 
 /// An immutable published epoch: the delivered prefix as a valid
 /// delivery-order trace, with cluster timestamps for exactly that prefix.
+///
+/// Both halves are prefix handles on the computation's append-only logs, so
+/// consecutive epochs share their common history instead of each holding a
+/// copy; an epoch stays readable, unchanged, however far ingest has moved
+/// on.
 pub struct Snapshot {
     pub epoch: u64,
     /// Events covered (== `trace.num_events()`).
@@ -137,6 +146,8 @@ impl Snapshot {
     /// Estimated resident bytes of this snapshot — the trace's event array
     /// plus per-event stamp state. Retention accounting only (the byte cap
     /// of [`cts_store::EpochRetainer`]); not an exact heap measurement.
+    /// Retained epochs share their common history, so summing this over
+    /// them counts the shared bytes once per epoch.
     pub fn footprint(&self) -> u64 {
         let per_event = std::mem::size_of::<Event>() as u64 + 16;
         1024 + self.delivered * per_event
@@ -321,12 +332,9 @@ impl Computation {
         Snapshot {
             epoch: 0,
             delivered: 0,
-            trace: Trace::from_delivery_order(
-                config.name.clone(),
-                config.num_processes,
-                Vec::new(),
-            )
-            .expect("empty order is valid"),
+            trace: TraceLog::new(config.name.clone(), config.num_processes)
+                .trace()
+                .expect("an empty log is a complete delivery order"),
             cts: match config.strategy {
                 StampStrategy::Merge1st { max_cluster_size } => {
                     ClusterEngine::new(config.num_processes, MergeOnFirst::new(max_cluster_size))
@@ -713,13 +721,23 @@ fn worker_loop(
     let n = config.num_processes;
     let mut buf = ReorderBuffer::new(n);
     let mut engine = WorkerEngine::new(n, config.strategy);
-    let mut log: Vec<Event> = Vec::new();
+    let mut log = TraceLog::new(config.name.clone(), n);
     let mut last_published: Option<u64> = None;
+    // Every delivered event goes through here. The log's append-time check
+    // is the tripwire for a reorder-buffer bug: nothing else on this path
+    // re-checks delivery order.
+    let deliver = |engine: &mut WorkerEngine, log: &mut TraceLog, ev: Event| {
+        log.push(ev)
+            .expect("reorder buffer emits valid delivery orders");
+        engine.accept(ev);
+    };
 
     // `forced_epoch` republishes a recovered retention mark under its
     // original epoch number (recovery replay); `None` is a live publish.
+    // The snapshot shares the log's and the engine's append-only storage,
+    // so a publish costs O(N), not O(history).
     let publish = |engine: &WorkerEngine,
-                   log: &Vec<Event>,
+                   log: &TraceLog,
                    last_published: &mut Option<u64>,
                    forced_epoch: Option<u64>| {
         let delivered = log.len() as u64;
@@ -731,16 +749,14 @@ fn worker_loop(
             shared.cond.notify_all();
             return;
         }
-        // The whole-prefix validation is the tripwire for a reorder-buffer
-        // bug: nothing else on this path re-checks delivery order.
-        let trace = Trace::from_delivery_order(config.name.clone(), n, log.clone())
-            .expect("reorder buffer emits valid delivery orders");
+        let trace = log
+            .trace()
+            .expect("reorder buffer delivers sync pairs whole");
         let cts = engine.snapshot();
-        let mut g = lock(&shared.progress);
-        g.epoch = forced_epoch.map_or(g.epoch + 1, |e| e.max(g.epoch + 1));
-        g.snapshot_delivered = delivered;
-        let epoch = g.epoch;
-        drop(g);
+        let epoch = {
+            let g = lock(&shared.progress);
+            forced_epoch.map_or(g.epoch + 1, |e| e.max(g.epoch + 1))
+        };
         let snap = Arc::new(Snapshot {
             epoch,
             delivered,
@@ -751,6 +767,13 @@ fn worker_loop(
             .retainer
             .insert(epoch, delivered, snap.footprint(), Arc::clone(&snap));
         *shared.snapshot.write() = snap;
+        // Only a live head may satisfy a flush barrier: a flush that finds
+        // `snapshot_delivered` covering its target returns at once, and its
+        // client's next query reads the head.
+        let mut g = lock(&shared.progress);
+        g.epoch = epoch;
+        g.snapshot_delivered = delivered;
+        drop(g);
         shared
             .metrics
             .snapshots_published
@@ -791,8 +814,7 @@ fn worker_loop(
             match buf.offer(ev) {
                 Ok(delivered) => {
                     for d in delivered {
-                        engine.accept(d);
-                        log.push(d);
+                        deliver(&mut engine, &mut log, d);
                         while next_mark < marks.len() && marks[next_mark].1 == log.len() as u64 {
                             publish(&engine, &log, &mut last_published, Some(marks[next_mark].0));
                             next_mark += 1;
@@ -890,8 +912,7 @@ fn worker_loop(
                     match buf.offer(ev) {
                         Ok(delivered) => {
                             for d in delivered {
-                                engine.accept(d);
-                                log.push(d);
+                                deliver(&mut engine, &mut log, d);
                             }
                         }
                         Err(reason) => {
@@ -1107,6 +1128,39 @@ mod tests {
         }
         assert_eq!(comp.delivered(), t.num_events() as u64);
         comp.shutdown();
+    }
+
+    /// A flush barrier that lands while a cadence publish is under way
+    /// must not return before that publish's snapshot is the head: a
+    /// client that queries right after its flush would be refused events
+    /// the barrier promised.
+    #[test]
+    fn flush_returns_only_once_the_head_covers_it() {
+        for sharded in [false, true] {
+            let t = Stencil1D {
+                procs: 8,
+                iters: 300,
+            }
+            .generate(3);
+            let mut cfg = config("flush-head", t.num_processes());
+            cfg.epoch_every = 16;
+            if sharded {
+                cfg.shards = 2;
+            }
+            let comp = Computation::spawn(cfg);
+            let mut sent = 0u64;
+            for chunk in t.events().chunks(16) {
+                comp.enqueue_events(chunk.to_vec()).unwrap();
+                sent += chunk.len() as u64;
+                comp.flush(sent, Duration::from_secs(30)).unwrap();
+                let head = comp.snapshot().delivered;
+                assert!(
+                    head >= sent,
+                    "sharded {sharded}: flush({sent}) returned with the head at {head}"
+                );
+            }
+            comp.shutdown();
+        }
     }
 
     #[test]

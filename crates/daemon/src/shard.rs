@@ -62,11 +62,11 @@
 
 use crate::reorder::{RejectReason, ShardHooks, ShardReorderBuffer};
 use cts_core::cluster::{
-    AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, DriftDecider,
+    AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, DriftDecider, StampLog,
 };
 use cts_core::strategy::{MergeOnFirst, MergePolicy};
 use cts_core::VectorClock;
-use cts_model::{Event, EventId, EventKind, ProcessId, Trace};
+use cts_model::{Event, EventId, EventKind, ProcessId, Trace, TraceLog};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -1221,10 +1221,12 @@ impl PlacementEngine {
 /// prefixes, the assembler emits the union's maximal causally-closed valid
 /// prefix).
 ///
-/// Consecutive cuts extend earlier ones — the merged log is persistent — so
-/// published snapshots are prefix-monotone exactly like the single-worker
-/// pipeline's. A cross-shard sync with only one half assembled (the other
-/// shard has not processed its wake yet) *dangles*: its process's
+/// Consecutive cuts extend earlier ones — the merged log is an append-only
+/// [`TraceLog`] plus a [`StampLog`] — so published snapshots are
+/// prefix-monotone exactly like the single-worker pipeline's, and a cut
+/// publishes shared prefix handles on them: O(`N`) under the freeze, not a
+/// copy of history. A cross-shard sync with only one half assembled (the
+/// other shard has not processed its wake yet) *dangles*: its process's
 /// contribution is truncated just before it and resumes at the next cut.
 /// Receives cannot dangle, because a send's record always reaches the
 /// assembler no later than its receive's (publication precedes consumption).
@@ -1233,22 +1235,19 @@ pub struct CutAssembler {
     queues: Vec<VecDeque<DeliveredRec>>,
     /// Per-process count of events consumed into the merged log.
     taken: Vec<u32>,
-    log: Vec<Event>,
-    stamps: Vec<ClusterStamp>,
-    /// Per-process `(event index, delivery position)` of cluster receives.
-    crs: Vec<Vec<(u32, u32)>>,
+    log: TraceLog,
+    stamps: StampLog,
 }
 
 impl CutAssembler {
-    /// An empty assembler for `n` processes.
-    pub fn new(n: u32) -> CutAssembler {
+    /// An empty assembler for computation `name` of `n` processes.
+    pub fn new(name: &str, n: u32) -> CutAssembler {
         CutAssembler {
             n,
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             taken: vec![0; n as usize],
-            log: Vec::new(),
-            stamps: Vec::new(),
-            crs: vec![Vec::new(); n as usize],
+            log: TraceLog::new(name, n),
+            stamps: StampLog::new(n),
         }
     }
 
@@ -1310,13 +1309,12 @@ impl CutAssembler {
 
     fn consume_one(&mut self, p: usize) {
         let rec = self.queues[p].pop_front().expect("checked by caller");
-        let pos = self.log.len() as u32;
-        if rec.stamp.is_cluster_receive() {
-            self.crs[p].push((rec.ev.index().0, pos));
-        }
-        self.taken[p] = rec.ev.index().0;
-        self.log.push(rec.ev);
-        self.stamps.push(rec.stamp);
+        let index = rec.ev.index().0;
+        self.log
+            .push(rec.ev)
+            .expect("the assembler consumes events in a valid delivery order");
+        self.taken[p] = index;
+        self.stamps.push(rec.ev.process(), index, rec.stamp);
     }
 
     /// Events in the merged log so far.
@@ -1334,20 +1332,16 @@ impl CutAssembler {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    /// Materialize the assembled prefix as a published snapshot's parts.
-    /// `sets` must be a membership snapshot at least as new as every stamp
-    /// in the log (the cut takes it after draining the outboxes).
-    pub fn snapshot(
-        &self,
-        name: &str,
-        sets: ClusterSets,
-        num_merges: usize,
-    ) -> (Trace, ClusterTimestamps) {
-        let trace = Trace::from_delivery_order(name.to_string(), self.n, self.log.clone())
-            .expect("assembled cut is a valid delivery order");
-        let cts =
-            ClusterTimestamps::from_parts(sets, self.stamps.clone(), self.crs.clone(), num_merges);
-        (trace, cts)
+    /// Materialize the assembled prefix as a published snapshot's parts,
+    /// sharing the merged log's storage. `sets` must be a membership
+    /// snapshot at least as new as every stamp in the log (the cut takes it
+    /// after draining the outboxes).
+    pub fn snapshot(&self, sets: ClusterSets, num_merges: usize) -> (Trace, ClusterTimestamps) {
+        let trace = self
+            .log
+            .trace()
+            .expect("a cut consumes sync pairs whole, so it never ends inside one");
+        (trace, self.stamps.timestamps(sets, num_merges))
     }
 }
 
@@ -1406,7 +1400,6 @@ enum SimMsg {
 /// merge rebalances synchronously at the step boundary — exactly the
 /// runtime's message-boundary barrier, minus the threads.
 pub struct SimShards {
-    name: String,
     env: ShardEnv,
     routing: Vec<AtomicU32>,
     cores: Vec<ShardCore>,
@@ -1457,13 +1450,12 @@ impl SimShards {
             })
             .collect();
         SimShards {
-            name: name.to_string(),
             env,
             routing,
             cores,
             inboxes: (0..shards).map(|_| VecDeque::new()).collect(),
             active: vec![true; shards],
-            assembler: CutAssembler::new(n),
+            assembler: CutAssembler::new(name, n),
             rejected: 0,
         }
     }
@@ -1654,7 +1646,7 @@ impl SimShards {
         self.assembler.advance();
         let (world, _) = self.env.sets.snapshot();
         self.assembler
-            .snapshot(&self.name, world.sets.clone(), world.num_merges as usize)
+            .snapshot(world.sets.clone(), world.num_merges as usize)
     }
 
     /// The current membership world (for tests asserting on migrations).

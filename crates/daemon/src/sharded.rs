@@ -272,7 +272,7 @@ impl ShardedRuntime {
                 last_published: AtomicU64::new(u64::MAX),
                 last_checkpoint: AtomicU64::new(0),
                 closed: AtomicBool::new(false),
-                assembler: Mutex::new(CutAssembler::new(n)),
+                assembler: Mutex::new(CutAssembler::new(&config.name, n)),
             },
             shared,
         });
@@ -607,13 +607,10 @@ impl ShardedRuntime {
             return assembled; // nothing new since the last epoch
         }
         let (world, _) = self.env.sets.snapshot();
-        let (trace, cts) = asm.snapshot(&self.name, world.sets.clone(), world.num_merges as usize);
+        let (trace, cts) = asm.snapshot(world.sets.clone(), world.num_merges as usize);
         drop(asm);
-        let mut g = lock(&self.shared.progress);
-        g.epoch += 1;
-        g.snapshot_delivered = assembled;
-        let epoch = g.epoch;
-        drop(g);
+        // Cuts run under the freeze, so nothing else advances the epoch.
+        let epoch = lock(&self.shared.progress).epoch + 1;
         let snap = Arc::new(Snapshot {
             epoch,
             delivered: assembled,
@@ -626,6 +623,12 @@ impl ShardedRuntime {
             .retainer
             .insert(epoch, assembled, snap.footprint(), Arc::clone(&snap));
         *self.shared.snapshot.write() = snap;
+        // Only a live head may satisfy a flush barrier (see the single
+        // worker's publish).
+        let mut g = lock(&self.shared.progress);
+        g.epoch = epoch;
+        g.snapshot_delivered = assembled;
+        drop(g);
         self.shared
             .metrics
             .snapshots_published

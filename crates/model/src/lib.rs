@@ -23,7 +23,10 @@
 //! - the process [`comm::CommGraph`] / [`comm::CommMatrix`] (communication
 //!   occurrences, with synchronous communications counted twice, §3.1);
 //! - trace [`stats`], [`textio`] (a compact text serialization), and process
-//!   relabeling utilities.
+//!   relabeling utilities;
+//! - the append-only [`append::AppendVec`], whose [`append::Prefix`] handles
+//!   let every published epoch share one copy of history, and the
+//!   [`TraceLog`] a monitoring entity grows its delivered trace in.
 //!
 //! ## Synchronous events
 //!
@@ -35,6 +38,7 @@
 //! workspace and the ground-truth oracle share that convention, so they can be
 //! checked against each other exactly.
 
+pub mod append;
 pub mod builder;
 pub mod comm;
 pub mod event;
@@ -47,4 +51,4 @@ pub mod trace;
 pub use builder::{TraceBuilder, TraceError};
 pub use event::{Event, EventId, EventIndex, EventKind, ProcessId};
 pub use oracle::Oracle;
-pub use trace::Trace;
+pub use trace::{Trace, TraceLog};

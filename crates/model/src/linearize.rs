@@ -11,36 +11,76 @@ use crate::event::{Event, EventId, EventKind, ProcessId};
 use crate::trace::Trace;
 
 /// Is this event sequence a valid delivery order (per-process order, sends
-/// before receives, sync halves adjacent)?
+/// before receives, sync halves adjacent, process ids in range)?
 pub fn is_valid_delivery_order(num_processes: u32, events: &[Event]) -> bool {
-    let mut seen: Vec<u32> = vec![0; num_processes as usize];
-    let mut delivered = std::collections::HashSet::new();
-    let mut pending_sync: Option<EventId> = None;
-    for ev in events {
-        if ev.process().idx() >= seen.len() {
+    let mut check = DeliveryOrderCheck::new(num_processes);
+    events.iter().all(|ev| check.push(ev)) && check.is_complete()
+}
+
+/// The delivery-order invariants checked one event at a time, so a log that
+/// only grows can be validated as it is appended instead of re-validated
+/// whole.
+///
+/// Per-process order makes "already delivered" a matter of counts: event
+/// `(p, i)` has been delivered exactly when `1 <= i <= seen[p]`. The only
+/// other state is the half of a synchronous pair whose peer must come next.
+#[derive(Debug)]
+pub struct DeliveryOrderCheck {
+    /// Events delivered so far, per process.
+    seen: Vec<u32>,
+    /// The second half of a synchronous pair whose first half was the last
+    /// event pushed.
+    pending_sync: Option<EventId>,
+}
+
+impl DeliveryOrderCheck {
+    /// A check over `num_processes` processes with nothing delivered yet.
+    pub fn new(num_processes: u32) -> DeliveryOrderCheck {
+        DeliveryOrderCheck {
+            seen: vec![0; num_processes as usize],
+            pending_sync: None,
+        }
+    }
+
+    fn delivered(&self, id: EventId) -> bool {
+        self.seen
+            .get(id.process.idx())
+            .is_some_and(|&seen| (1..=seen).contains(&id.index.0))
+    }
+
+    /// Does the sequence pushed so far stay a valid delivery-order prefix
+    /// with `ev` appended? On `true` the event is taken; on `false` the
+    /// check is left exactly as it was.
+    pub fn push(&mut self, ev: &Event) -> bool {
+        let p = ev.process().idx();
+        if self
+            .seen
+            .get(p)
+            .is_none_or(|&seen| ev.index().0 != seen + 1)
+        {
             return false;
         }
-        if let Some(expected) = pending_sync.take() {
-            if ev.id != expected {
-                return false; // sync halves must be adjacent
-            }
-        } else if let EventKind::Sync { peer } = ev.kind {
-            if !delivered.contains(&peer) {
-                pending_sync = Some(peer);
-            }
-        }
-        if ev.index().0 != seen[ev.process().idx()] + 1 {
-            return false;
-        }
+        let pending = match (self.pending_sync, ev.kind) {
+            (Some(expected), _) if ev.id != expected => return false,
+            (Some(_), _) => None,
+            (None, EventKind::Sync { peer }) if !self.delivered(peer) => Some(peer),
+            (None, _) => None,
+        };
         if let EventKind::Receive { from } = ev.kind {
-            if !delivered.contains(&from) {
+            if !self.delivered(from) {
                 return false;
             }
         }
-        seen[ev.process().idx()] += 1;
-        delivered.insert(ev.id);
+        self.seen[p] += 1;
+        self.pending_sync = pending;
+        true
     }
-    pending_sync.is_none()
+
+    /// Is the sequence pushed so far a complete delivery order, with no
+    /// synchronous pair waiting for its second half?
+    pub fn is_complete(&self) -> bool {
+        self.pending_sync.is_none()
+    }
 }
 
 /// Produce a different valid delivery order of the same computation, chosen
@@ -184,6 +224,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn refused_event_leaves_the_check_resumable() {
+        let t = sample();
+        let events = t.events();
+        let mut check = DeliveryOrderCheck::new(t.num_processes());
+        for (i, ev) in events.iter().enumerate() {
+            // Offer the process's following event first: it skips an
+            // index, so it is refused, and must change nothing.
+            if let Some(ahead) = events.get(i + 1) {
+                if ahead.process() == ev.process() {
+                    assert!(!check.push(ahead));
+                }
+            }
+            assert!(check.push(ev), "event {i} refused after a refusal");
+            let sync_open = matches!(ev.kind, EventKind::Sync { peer }
+                if events.get(i + 1).is_some_and(|e| e.id == peer));
+            assert_eq!(check.is_complete(), !sync_open);
+        }
+        assert!(check.is_complete());
     }
 
     #[test]

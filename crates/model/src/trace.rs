@@ -1,6 +1,9 @@
-//! Immutable, validated traces in delivery order.
+//! Immutable, validated traces in delivery order, and the append-only log
+//! a monitoring entity grows them from.
 
+use crate::append::{AppendVec, Prefix};
 use crate::event::{Event, EventId, EventIndex, EventKind, ProcessId};
+use crate::linearize::DeliveryOrderCheck;
 
 /// The event sequence handed to [`Trace::from_delivery_order`] violates the
 /// delivery-order invariants (per-process order, sends before receives, sync
@@ -27,15 +30,20 @@ impl std::error::Error for InvalidDeliveryOrder {}
 ///
 /// This is exactly the order in which a central monitoring entity can consume
 /// events for *dynamic* (online) timestamping. Traces are produced by
-/// [`crate::TraceBuilder`], which enforces these invariants.
+/// [`crate::TraceBuilder`], which enforces these invariants, or grown one
+/// event at a time in a [`TraceLog`].
+///
+/// The arrays are [`Prefix`] handles, so a trace cut from a [`TraceLog`]
+/// shares its storage with the log and with every other trace cut from it,
+/// and `Clone` is a handful of reference-count increments.
 #[derive(Clone, Debug)]
 pub struct Trace {
     name: String,
     num_processes: u32,
     /// All events in delivery order.
-    events: Vec<Event>,
+    events: Prefix<Event>,
     /// `delivery_pos[p][i]` = position in `events` of event `(p, i+1)`.
-    delivery_pos: Vec<Vec<u32>>,
+    delivery_pos: Vec<Prefix<u32>>,
 }
 
 impl Trace {
@@ -51,8 +59,8 @@ impl Trace {
         Trace {
             name,
             num_processes,
-            events,
-            delivery_pos,
+            events: Prefix::from(events),
+            delivery_pos: delivery_pos.into_iter().map(Prefix::from).collect(),
         }
     }
 
@@ -219,6 +227,69 @@ impl Trace {
     }
 }
 
+/// A delivery-order trace under construction: the append-only log a
+/// monitoring entity delivers events into, validated as it grows.
+///
+/// Each [`push`](Self::push) checks the delivery-order invariants for the
+/// one new event ([`DeliveryOrderCheck`]), and [`trace`](Self::trace) cuts
+/// a [`Trace`] of everything pushed so far in O(`N`), sharing storage with
+/// the log — so publishing an epoch costs neither a copy nor a
+/// re-validation of history. Derefs to the events pushed so far, in
+/// delivery order.
+pub struct TraceLog {
+    name: String,
+    num_processes: u32,
+    events: AppendVec<Event>,
+    delivery_pos: Vec<AppendVec<u32>>,
+    check: DeliveryOrderCheck,
+}
+
+impl TraceLog {
+    /// An empty log for a computation of `num_processes` processes.
+    pub fn new(name: impl Into<String>, num_processes: u32) -> TraceLog {
+        TraceLog {
+            name: name.into(),
+            num_processes,
+            events: AppendVec::new(),
+            delivery_pos: (0..num_processes).map(|_| AppendVec::new()).collect(),
+            check: DeliveryOrderCheck::new(num_processes),
+        }
+    }
+
+    /// Append the next delivered event. An event that would break the
+    /// delivery order is refused and leaves the log unchanged.
+    pub fn push(&mut self, ev: Event) -> Result<(), InvalidDeliveryOrder> {
+        if !self.check.push(&ev) {
+            return Err(InvalidDeliveryOrder);
+        }
+        self.delivery_pos[ev.process().idx()].push(self.events.len() as u32);
+        self.events.push(ev);
+        Ok(())
+    }
+
+    /// The trace of everything pushed so far. Fails only while the last
+    /// event pushed is the first half of a synchronous pair.
+    pub fn trace(&self) -> Result<Trace, InvalidDeliveryOrder> {
+        if !self.check.is_complete() {
+            return Err(InvalidDeliveryOrder);
+        }
+        Ok(Trace {
+            name: self.name.clone(),
+            num_processes: self.num_processes,
+            events: self.events.prefix(),
+            delivery_pos: self.delivery_pos.iter().map(AppendVec::prefix).collect(),
+        })
+    }
+}
+
+impl std::ops::Deref for TraceLog {
+    type Target = [Event];
+
+    fn deref(&self) -> &[Event] {
+        &self.events
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,6 +382,44 @@ mod tests {
             Trace::from_delivery_order("bad", t.num_processes(), bad),
             Err(InvalidDeliveryOrder)
         ));
+    }
+
+    #[test]
+    fn trace_log_cuts_shared_prefix_traces() {
+        let t = small();
+        let mut log = TraceLog::new("live", t.num_processes());
+        let mut cuts = vec![log.trace().unwrap()];
+        for &ev in t.events() {
+            log.push(ev).unwrap();
+            cuts.push(log.trace().unwrap());
+        }
+        assert_eq!(&log[..], t.events());
+        for (k, cut) in cuts.iter().enumerate() {
+            assert_eq!(cut.name(), "live");
+            assert_eq!(cut.events(), &t.events()[..k]);
+            for ev in cut.events() {
+                assert_eq!(cut.delivery_pos(ev.id), t.delivery_pos(ev.id));
+                assert!(cut.contains(ev.id));
+            }
+            assert_eq!(
+                (0..2).map(|p| cut.process_len(ProcessId(p))).sum::<usize>(),
+                k
+            );
+        }
+        // A refused event changes nothing.
+        let before = log.len();
+        assert_eq!(log.push(t.events()[0]), Err(InvalidDeliveryOrder));
+        assert_eq!(log.len(), before);
+
+        // A half-delivered sync pair cannot be cut.
+        let mut b = TraceBuilder::new(2);
+        b.sync(ProcessId(0), ProcessId(1)).unwrap();
+        let s = b.finish("sync");
+        let mut log = TraceLog::new("sync", 2);
+        log.push(s.at(0)).unwrap();
+        assert!(log.trace().is_err());
+        log.push(s.at(1)).unwrap();
+        assert_eq!(log.trace().unwrap().num_events(), 2);
     }
 
     #[test]

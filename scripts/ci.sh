@@ -33,8 +33,10 @@
 #             differentially against the offline engine (0 mismatches),
 #             the newest epoch re-clustered offline under a different
 #             strategy (--replay-as), a SIGKILL crash + restart proving
-#             retained history survives recovery, and the warm as-of
-#             claim gated: as-of queries <= 2x the head-epoch path
+#             retained history survives recovery, the warm as-of
+#             claim gated: as-of queries <= 2x the head-epoch path, and
+#             the shared-history claim gated: append + publish at the full
+#             history <= 2x the same at a quarter of it
 #   place     shard autoscaling: the planted-imbalance soak through a
 #             --shards auto daemon (in-process and over the wire), gated
 #             on zero differential mismatches AND >= 1 live autoscale
@@ -372,13 +374,19 @@ stage_replay() {
 
   # The warm as-of claim: answering at a retained historical epoch costs
   # <= 2x the same queries at the head (head/asof >= 0.5 within-run).
-  # --claims-only: the filtered run lacks the calibration kernel; the
-  # absolute numbers are gated by the bench stage.
+  # The shared-history claim: appending 64 events and publishing an epoch
+  # at the full history costs <= 2x the same at a quarter of it
+  # (quarter/full >= 0.5 within-run; a publish that copied history reads
+  # about 0.25). --claims-only: the filtered runs lack the calibration
+  # kernel; the absolute numbers are gated by the bench stage.
   target/release/cts-bench --quick timetravel >"$workdir/bench-replay.json"
+  target/release/cts-bench --quick publish >"$workdir/bench-publish.json"
   python3 scripts/bench_gate.py results/BENCH_baseline.json \
-    "$workdir/bench-replay.json" --claims-only \
+    "$workdir/bench-replay.json" "$workdir/bench-publish.json" --claims-only \
     --require-ratio \
-    timetravel/precedes_head_256:timetravel/precedes_asof_256:0.5
+    timetravel/precedes_head_256:timetravel/precedes_asof_256:0.5 \
+    --require-ratio \
+    publish/append_flush_quarter:publish/append_flush_full:0.5
 }
 
 stage_adapt() {

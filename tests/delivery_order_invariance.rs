@@ -7,7 +7,7 @@
 use cluster_timestamps::prelude::*;
 use cts_core::cluster::ClusterEngine;
 use cts_daemon::{ShardSchedule, SimShards};
-use cts_model::linearize::{is_valid_delivery_order, relinearize};
+use cts_model::linearize::{is_valid_delivery_order, relinearize, DeliveryOrderCheck};
 use cts_workloads::spmd::Stencil1D;
 use cts_workloads::suite::mini_suite;
 
@@ -249,4 +249,164 @@ fn oracle_node_counts_stable_under_reordering() {
             );
         }
     }
+}
+
+/// The `HashSet`-based delivery-order check that
+/// `cts_model::linearize::DeliveryOrderCheck` replaced, kept as the
+/// reference its verdicts must match.
+fn reference_is_valid(num_processes: u32, events: &[Event]) -> bool {
+    let mut seen: Vec<u32> = vec![0; num_processes as usize];
+    let mut delivered = std::collections::HashSet::new();
+    let mut pending_sync: Option<EventId> = None;
+    for ev in events {
+        if ev.process().idx() >= seen.len() {
+            return false;
+        }
+        if let Some(expected) = pending_sync.take() {
+            if ev.id != expected {
+                return false; // sync halves must be adjacent
+            }
+        } else if let EventKind::Sync { peer } = ev.kind {
+            if !delivered.contains(&peer) {
+                pending_sync = Some(peer);
+            }
+        }
+        if ev.index().0 != seen[ev.process().idx()] + 1 {
+            return false;
+        }
+        if let EventKind::Receive { from } = ev.kind {
+            if !delivered.contains(&from) {
+                return false;
+            }
+        }
+        seen[ev.process().idx()] += 1;
+        delivered.insert(ev.id);
+    }
+    pending_sync.is_none()
+}
+
+/// Mutations of a delivery order at `positions`, one family per line:
+/// adjacent swap, dropped event, duplicated event, out-of-range process
+/// (on the event and on its source), index 0 (on the event and on its
+/// source), receive moved before its send, split sync pair, trailing half
+/// sync, plain prefix.
+fn mutations(events: &[Event], n: u32, positions: usize) -> Vec<Vec<Event>> {
+    let mut out = Vec::new();
+    let len = events.len();
+    for i in (0..len).step_by((len / positions).max(1)) {
+        let with = |f: &dyn Fn(&mut Vec<Event>)| {
+            let mut v = events.to_vec();
+            f(&mut v);
+            v
+        };
+        if i + 1 < len {
+            out.push(with(&|v| v.swap(i, i + 1)));
+        }
+        out.push(with(&|v| {
+            v.remove(i);
+        }));
+        out.push(with(&|v| v.insert(i, events[i])));
+        out.push(with(&|v| v.push(events[i])));
+        out.push(with(&|v| v[i].id.process = ProcessId(n)));
+        out.push(with(&|v| match &mut v[i].kind {
+            EventKind::Receive { from } => from.process = ProcessId(n + 3),
+            EventKind::Sync { peer } => peer.process = ProcessId(n),
+            _ => {}
+        }));
+        out.push(with(&|v| v[i].id.index = EventIndex(0)));
+        out.push(with(&|v| match &mut v[i].kind {
+            EventKind::Receive { from: id } | EventKind::Sync { peer: id } => {
+                id.index = EventIndex(0)
+            }
+            _ => {}
+        }));
+        if let EventKind::Receive { from } = events[i].kind {
+            if let Some(s) = events[..i].iter().position(|e| e.id == from) {
+                out.push(with(&|v| {
+                    let r = v.remove(i);
+                    v.insert(s, r);
+                }));
+            }
+        }
+        if let EventKind::Sync { peer } = events[i].kind {
+            if events.get(i + 1).is_some_and(|e| e.id == peer) {
+                out.push(with(&|v| {
+                    let second = v.remove(i + 1);
+                    v.push(second);
+                }));
+                out.push(events[..=i].to_vec());
+            }
+        }
+        out.push(events[..i].to_vec());
+    }
+    out
+}
+
+/// The resumable check and the `HashSet` reference agree on `order` and
+/// on its mutations at `positions` evenly spaced positions. Returns
+/// (sequences compared, sequences rejected).
+fn compare_verdicts(name: &str, n: u32, order: &[Event], positions: usize) -> (usize, usize) {
+    assert!(is_valid_delivery_order(n, order), "{name}");
+    assert!(reference_is_valid(n, order), "{name}");
+    let (mut compared, mut rejected) = (0, 0);
+    for m in mutations(order, n, positions) {
+        let want = reference_is_valid(n, &m);
+        assert_eq!(is_valid_delivery_order(n, &m), want, "{name}");
+        // The resumable form: the first refusal, if any, is where the
+        // reference's verdict on the prefix turns false.
+        let mut check = DeliveryOrderCheck::new(n);
+        let refused = m.iter().position(|ev| !check.push(ev));
+        if let Some(k) = refused {
+            assert!(
+                reference_is_valid(n, &m[..k]) || !check.is_complete(),
+                "{name}"
+            );
+        }
+        assert_eq!(refused.is_none() && check.is_complete(), want, "{name}");
+        compared += 1;
+        rejected += usize::from(!want);
+    }
+    (compared, rejected)
+}
+
+#[test]
+fn incremental_delivery_check_matches_the_hashset_reference() {
+    let (mut compared, mut rejected) = (0usize, 0usize);
+    let mut tally = |(c, r): (usize, usize)| {
+        compared += c;
+        rejected += r;
+    };
+    // Every trace of the standard suite in its recorded order...
+    for entry in cts_workloads::suite::standard_suite() {
+        let t = &entry.trace;
+        tally(compare_verdicts(
+            &entry.name,
+            t.num_processes(),
+            t.events(),
+            3,
+        ));
+    }
+    // ...and the mini suite under three more delivery orders each
+    // (`relinearize` is quadratic-ish in debug builds, so the reshuffled
+    // orders use the small traces).
+    for entry in mini_suite() {
+        let t = &entry.trace;
+        for seed in 0..4 {
+            let order = if seed == 0 {
+                t.clone()
+            } else {
+                relinearize(t, seed)
+            };
+            tally(compare_verdicts(
+                &entry.name,
+                t.num_processes(),
+                order.events(),
+                10,
+            ));
+        }
+    }
+    assert!(
+        compared > 3_000 && rejected > compared / 2,
+        "{compared} mutations compared, {rejected} rejected"
+    );
 }
