@@ -288,12 +288,17 @@ fn bench_store_queries(r: &mut Runner) {
 ///   [`CachedClusterBackend`] (the daemon's path: the §2.3 test, no memo) vs
 ///   answered by reconstructing `f`'s full Fidge/Mattern clock and reading
 ///   one component of it. `scripts/ci.sh` holds materialized/cluster ≥ 2×.
-/// - `gc_linear_*` vs `gc_binary_*` vs `gc_daemon_*`: the greatest-concurrent
-///   scan — linear oracle, the binary-searched suffix boundary on the raw
-///   [`ClusterBackend`], and the same search through [`CachedClusterBackend`]
-///   (a memo miss and an insert per query). `scripts/ci.sh` holds
-///   binary/daemon ≥ 0.5: the daemon's query costs at most 2× the bare
-///   search.
+/// - `gc_linear_*` vs `gc_binary_*` vs `gc_daemon_*`: greatest-concurrent on
+///   4 probes — the linear oracle, the generic binary search over
+///   `precedes` on the raw [`ClusterBackend`], and the daemon's query
+///   through [`CachedClusterBackend`] (a memo miss, the
+///   `ClusterTimestamps::greatest_concurrent` kernel and an insert per
+///   query). `scripts/ci.sh` holds binary/daemon ≥ 0.5: the daemon's query
+///   costs at most 2× the generic search.
+/// - `gc_binary_spread_*` vs `gc_daemon_spread_*`: the same two paths on 256
+///   distinct probes spread over the trace, so most probes miss the cache
+///   as the benchmark's do. `scripts/ci.sh` holds binary/daemon ≥ 1.5: the
+///   kernel beats the generic search on cold probes.
 /// - `rtt_single_256` vs `rtt_batch_256`: the same 256 pairs as individual
 ///   `QueryPrecedes` round trips vs one `QueryPrecedesBatch` frame against
 ///   a loopback daemon (wire + scheduling cost, not verdict cost).
@@ -345,6 +350,27 @@ fn bench_query_path(r: &mut Runner) {
                 cache: &cache,
             };
             probes
+                .iter()
+                .map(|&e| greatest_concurrent(&mut b, &trace, e).len())
+                .sum::<usize>()
+        });
+
+        let spread: Vec<EventId> = (0..256)
+            .map(|k: usize| trace.at(k * trace.num_events() / 256).id)
+            .collect();
+        r.run(g, &format!("gc_binary_spread_{label}"), || {
+            spread
+                .iter()
+                .map(|&e| greatest_concurrent(&mut ClusterBackend(&cts), &trace, e).len())
+                .sum::<usize>()
+        });
+        r.run(g, &format!("gc_daemon_spread_{label}"), || {
+            let cache = SharedQueryCache::new(256);
+            let mut b = CachedClusterBackend {
+                cts: &cts,
+                cache: &cache,
+            };
+            spread
                 .iter()
                 .map(|&e| greatest_concurrent(&mut b, &trace, e).len())
                 .sum::<usize>()

@@ -7,7 +7,7 @@ use crate::clustering::Clustering;
 use crate::fm::FmEngine;
 use crate::strategy::{MergePolicy, StaticClusters};
 use cts_model::append::{AppendVec, Prefix};
-use cts_model::{Event, EventId, ProcessId, Trace};
+use cts_model::{Event, EventId, EventIndex, ProcessId, Trace};
 
 /// A cluster receive recorded as a gateway: the event's sequence number
 /// within its process and where its full stamp lives.
@@ -412,13 +412,117 @@ impl ClusterTimestamps {
             }
         }
     }
+
+    /// The greatest-concurrent elements of `e`: slot `q` is the greatest
+    /// event of process `q` concurrent with `e`, `None` for `e`'s own
+    /// process and for lines with no such event. The answer equals the
+    /// generic binary search over [`precedes`](Self::precedes)
+    /// (`cts_store::queries::greatest_concurrent`); the probes are fewer and
+    /// each is a few integer comparisons.
+    ///
+    /// 1. *Predecessor boundary.* `a_q`, the number of `q`'s events
+    ///    preceding `e`, is component `q` of the
+    ///    [materialized clock](Self::materialized_clock).
+    /// 2. *Follower frontier.* For every process `r`, `t_r` is the index of
+    ///    `r`'s first cluster receive whose full clock covers `e`.
+    ///    Cluster-receive clocks are monotone along a process line, so the
+    ///    greatest cluster receive of `r` within `known` knows `e` exactly
+    ///    when `known ≥ t_r`. Each of `r`'s lists is searched whole: with
+    ///    synchronous pairs the receive at `a_r` itself can be `e`'s peer,
+    ///    and the peer knows `e`.
+    /// 3. *Line searches.* The first follower of `e` on `q` lies in
+    ///    `(a_q, min(len_q + 1, t_q)]`, as the receive at `t_q` follows `e`.
+    ///    A probe reads the probed stamp and nothing else: a `Full` stamp
+    ///    follows `e` when it covers `e`, a `Projected` one when some member
+    ///    `r` has `known ≥ t_r`, with `t_{p_e}` taken as `e`'s own index
+    ///    (that member's component is exact, and every other member that
+    ///    passes implies it).
+    ///
+    /// Steps 2 and 3 advance every search by one probe a round, so the
+    /// cache misses of the `N` searches overlap instead of queueing one
+    /// behind another (DESIGN D.4).
+    pub fn greatest_concurrent(&self, trace: &Trace, e: EventId) -> Vec<Option<EventId>> {
+        let (pe, need) = (e.process, e.index.0);
+        let mut frontier: Vec<(u32, u32)> = self.crs.iter().map(|l| (0, l.len() as u32)).collect();
+        frontier[pe.idx()] = (0, 0);
+        first_in_lockstep(&mut frontier, |r, i| {
+            let cr = &self.stamps[self.crs[r][i as usize].pos as usize];
+            matches!(cr, ClusterStamp::Full { clock } if clock.get(pe) >= need)
+        });
+        let mut thr: Vec<u32> = frontier
+            .iter()
+            .zip(&self.crs)
+            .map(|(&(f, _), list)| list.get(f as usize).map_or(u32::MAX, |cr| cr.index))
+            .collect();
+        thr[pe.idx()] = need;
+
+        let before = self.materialized_clock(trace, e);
+        let mut lines: Vec<(u32, u32)> = (0..trace.num_processes())
+            .map(|q| {
+                let lo = before.get(ProcessId(q)) + 1;
+                let end = trace.process_len(ProcessId(q)) as u32 + 1;
+                (lo, end.min(thr[q as usize]).max(lo))
+            })
+            .collect();
+        first_in_lockstep(&mut lines, |q, i| {
+            let f = EventId::new(ProcessId(q as u32), EventIndex(i));
+            self.follows(self.stamp(trace, f), pe, need, &thr)
+        });
+        lines
+            .iter()
+            .enumerate()
+            .map(|(q, &(b, _))| {
+                let q = ProcessId(q as u32);
+                (q != pe && b > before.get(q) + 1).then(|| EventId::new(q, EventIndex(b - 1)))
+            })
+            .collect()
+    }
+
+    /// Does the event stamped `stamp` follow event `need` of `pe`, given the
+    /// follower frontier `thr` (by process)?
+    #[inline]
+    fn follows(&self, stamp: &ClusterStamp, pe: ProcessId, need: u32, thr: &[u32]) -> bool {
+        match stamp {
+            ClusterStamp::Full { clock } => clock.get(pe) >= need,
+            ClusterStamp::Projected { version, clock } => self
+                .sets
+                .members(*version)
+                .iter()
+                .zip(clock.iter())
+                .fold(false, |any, (r, &known)| any | (known >= thr[r.idx()])),
+        }
+    }
+}
+
+/// Many lower-bound searches side by side. On return every `(lo, hi)` of
+/// `ranges` has collapsed to the first `i` in `[lo, hi)` with `pred(k, i)`,
+/// or to `hi` if there is none; `pred(k, ·)` must be monotone (false, then
+/// true) over range `k`. Each round moves every open search one probe, with
+/// the bounds updated by selects rather than branches, so the probes of a
+/// round are independent loads the core can overlap.
+fn first_in_lockstep(ranges: &mut [(u32, u32)], mut pred: impl FnMut(usize, u32) -> bool) {
+    loop {
+        let mut open = false;
+        for (k, (lo, hi)) in ranges.iter_mut().enumerate() {
+            if *lo < *hi {
+                let mid = *lo + (*hi - *lo) / 2;
+                let hit = pred(k, mid);
+                *hi = if hit { mid } else { *hi };
+                *lo = if hit { *lo } else { mid + 1 };
+                open = true;
+            }
+        }
+        if !open {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::{MergeOnFirst, MergeOnNth, NeverMerge};
-    use cts_model::{EventIndex, Oracle, TraceBuilder};
+    use cts_model::{Oracle, TraceBuilder};
 
     fn p(i: u32) -> ProcessId {
         ProcessId(i)
@@ -626,6 +730,104 @@ mod tests {
         let reference = ClusterEngine::run(&t, MergeOnFirst::new(2));
         assert_eq!(full.stamps(), reference.stamps());
         check_against_oracle(&t, &full);
+    }
+
+    /// The generic search the kernel replaces: `a_q` from the materialized
+    /// clock, then a binary search over [`ClusterTimestamps::precedes`] for
+    /// the first follower on each line.
+    fn generic_gc(t: &Trace, cts: &ClusterTimestamps, e: EventId) -> Vec<Option<EventId>> {
+        let before = cts.materialized_clock(t, e);
+        (0..t.num_processes())
+            .map(|q| {
+                let a = before.get(p(q));
+                let (mut lo, mut hi) = (a + 1, t.process_len(p(q)) as u32 + 1);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if cts.precedes(t, e, id(q, mid)) {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                (p(q) != e.process && lo > a + 1).then(|| id(q, lo - 1))
+            })
+            .collect()
+    }
+
+    /// The definition over Fidge/Mattern stamps: per line, walking down from
+    /// the top, the first event that does not follow `e`, if it does not
+    /// precede `e` either.
+    fn linear_fm_gc(t: &Trace, fm: &crate::fm::FmStore, e: EventId) -> Vec<Option<EventId>> {
+        (0..t.num_processes())
+            .map(|q| {
+                if p(q) == e.process {
+                    return None;
+                }
+                (1..=t.process_len(p(q)) as u32)
+                    .rev()
+                    .map(|i| id(q, i))
+                    .find(|&f| !fm.precedes(t, e, f))
+                    .filter(|&f| !fm.precedes(t, f, e))
+            })
+            .collect()
+    }
+
+    fn assert_gc_exact(t: &Trace, cts: &ClusterTimestamps) {
+        let fm = crate::fm::FmStore::compute(t);
+        for e in t.all_event_ids() {
+            let got = cts.greatest_concurrent(t, e);
+            assert_eq!(got, generic_gc(t, cts, e), "generic search, gc({e})");
+            assert_eq!(got, linear_fm_gc(t, &fm, e), "linear oracle, gc({e})");
+        }
+    }
+
+    #[test]
+    fn gc_kernel_matches_both_oracles() {
+        let mut traces = vec![two_pairs_bridge(), ring_with_cross_traffic()];
+        traces.extend(
+            cts_workloads::suite::mini_suite()
+                .into_iter()
+                .map(|entry| entry.trace),
+        );
+        for t in &traces {
+            let n = t.num_processes();
+            assert_gc_exact(t, &ClusterEngine::run(t, NeverMerge));
+            assert_gc_exact(t, &run_static(t, &Clustering::contiguous(n, 4)));
+            for max_cs in [1, 2, 8] {
+                assert_gc_exact(t, &ClusterEngine::run(t, MergeOnFirst::new(max_cs)));
+                assert_gc_exact(t, &ClusterEngine::run(t, MergeOnNth::new(n, max_cs, 0.6)));
+            }
+        }
+    }
+
+    /// The cluster receive at exactly `a_r` can be `e`'s synchronous peer,
+    /// and the peer knows `e`: a follower frontier searched only above
+    /// `a_r` misses it and calls P2#2 concurrent with P0#1.
+    #[test]
+    fn gc_kernel_sees_a_sync_peer_at_the_predecessor_boundary() {
+        let mut b = TraceBuilder::new(3);
+        // P1→P2 merges {P1, P2}; the sync with P0 cannot join a third
+        // process, so P1#2 is a cluster receive, and P1#3→P2#2 stays inside.
+        let s = b.send(p(1), p(2)).unwrap();
+        b.receive(p(2), s).unwrap();
+        b.sync(p(0), p(1)).unwrap();
+        let s = b.send(p(1), p(2)).unwrap();
+        b.receive(p(2), s).unwrap();
+        let t = b.finish_complete("sync-peer").unwrap();
+        let cts = ClusterEngine::run(&t, MergeOnFirst::new(2));
+        assert!(cts.stamp(&t, id(1, 2)).is_cluster_receive());
+        assert!(!cts.stamp(&t, id(2, 2)).is_cluster_receive());
+        let e = id(0, 1);
+        assert_eq!(
+            cts.materialized_clock(&t, e).get(p(1)),
+            2,
+            "a_1 is the peer"
+        );
+        assert_eq!(
+            cts.greatest_concurrent(&t, e),
+            vec![None, None, Some(id(2, 1))]
+        );
+        assert_gc_exact(&t, &cts);
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub struct ComputationConfig {
     /// write-ahead logged and checkpointed, and
     /// [`Computation::spawn_durable`] recovers state from disk.
     pub durability: Option<DurabilityConfig>,
-    /// Entry bound per layer of the shared query cache (see
+    /// Entry bound of the shared greatest-concurrent memo (see
     /// [`cts_store::SharedQueryCache`]); `0` selects the default.
     pub query_cache_capacity: usize,
     /// Retained-epoch ring capacity for time-travel queries (see

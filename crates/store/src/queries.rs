@@ -6,7 +6,8 @@
 //! the recompute-forward cache, or the paged-memory simulator — which is how
 //! the experiments compare their costs. The daemon's read path is one more
 //! backend, [`CachedClusterBackend`](crate::CachedClusterBackend): cluster
-//! timestamps whose finished [`greatest_concurrent`] answers are remembered.
+//! timestamps that answer [`greatest_concurrent`] with their own kernel and
+//! remember the finished answers.
 
 use cts_core::cluster::ClusterTimestamps;
 use cts_core::fm::FmStore;
@@ -32,18 +33,13 @@ pub trait PrecedenceBackend {
         None
     }
 
-    /// A [`greatest_concurrent`] answer for `e` over exactly this trace —
-    /// the answer grows with the trace, so a backend that keeps answers
-    /// keys them by `(e, trace.num_events())` — if the backend remembers
-    /// one. Most backends remember nothing.
-    fn recall_gc(&mut self, trace: &Trace, e: EventId) -> Option<Vec<Option<EventId>>> {
+    /// The whole [`greatest_concurrent`] answer for `e` over exactly this
+    /// trace, if the backend has a faster way to it than the generic search
+    /// — a memo (keyed by `(e, trace.num_events())`, as the answer grows
+    /// with the trace) or a dedicated kernel. Most backends have neither.
+    fn answer_gc(&mut self, trace: &Trace, e: EventId) -> Option<Vec<Option<EventId>>> {
         let _ = (trace, e);
         None
-    }
-
-    /// Offered every answer [`greatest_concurrent`] had to search for.
-    fn remember_gc(&mut self, trace: &Trace, e: EventId, slots: &[Option<EventId>]) {
-        let _ = (trace, e, slots);
     }
 }
 
@@ -100,17 +96,20 @@ impl PrecedenceBackend for crate::vm_sim::PagedTimestampStore<'_> {
 /// suffix are adjacent. Backends without a clock fall back to the linear
 /// scan, [`greatest_concurrent_linear`].
 ///
-/// The clock is the only whole vector the query builds; every probe of the
-/// search is a plain `precedes` on the backend. A backend that remembers
-/// finished answers ([`PrecedenceBackend::recall_gc`]) is asked once, first,
-/// and told the result once, last — a repeated query is one lookup however
-/// many processes there are.
+/// The clock is the only whole vector the search builds; every probe is a
+/// plain `precedes` on the backend. A backend that answers the whole query
+/// itself ([`PrecedenceBackend::answer_gc`]) is asked once, first, and
+/// its answer is returned as is: the daemon's
+/// [`CachedClusterBackend`](crate::CachedClusterBackend) answers from its
+/// memo or from [`ClusterTimestamps::greatest_concurrent`], which searches
+/// every process line at once. [`ClusterBackend`] keeps this generic search,
+/// so it stays an independent oracle for that kernel.
 pub fn greatest_concurrent<B: PrecedenceBackend>(
     backend: &mut B,
     trace: &Trace,
     e: EventId,
 ) -> Vec<Option<EventId>> {
-    if let Some(slots) = backend.recall_gc(trace, e) {
+    if let Some(slots) = backend.answer_gc(trace, e) {
         return slots;
     }
     let clock = match backend.predecessor_clock(trace, e) {
@@ -144,7 +143,6 @@ pub fn greatest_concurrent<B: PrecedenceBackend>(
             None
         });
     }
-    backend.remember_gc(trace, e, &out);
     out
 }
 

@@ -9,9 +9,11 @@
 //! largest — and the questions a tool asks rarely repeat verbatim, so
 //! verdicts and materialized clocks are **not** memoised (DESIGN D.1 has
 //! the measured break-even). What is memoised is the one result that is
-//! expensive and asked again as is: the greatest-concurrent slot vector, a
-//! binary search on every process line, as
-//! `(e, delivered) → Arc<[Option<EventId>]>`.
+//! expensive and asked again as is: the greatest-concurrent slot vector, as
+//! `(e, delivered) → Arc<[Option<EventId>]>`. A miss is answered by
+//! [`ClusterTimestamps::greatest_concurrent`], the kernel that searches
+//! every process line in lock-step against one follower frontier (DESIGN
+//! D.4).
 //!
 //! The daemon's snapshots are prefix-monotone: epoch `k + 1` extends epoch
 //! `k` by appending delivered events, never rewriting them — the same
@@ -31,7 +33,6 @@
 use crate::lru::LruCache;
 use crate::queries::PrecedenceBackend;
 use cts_core::cluster::ClusterTimestamps;
-use cts_core::VectorClock;
 use cts_model::{EventId, Trace};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -102,11 +103,11 @@ impl SharedQueryCache {
 /// The daemon's read backend: cluster timestamps plus the shared
 /// greatest-concurrent memo.
 ///
-/// Precedence is the §2.3 test on `cts` and touches no memo. A full clock is
-/// materialized only where a whole clock is the answer — once per
-/// [`greatest_concurrent`](crate::queries::greatest_concurrent) query, for
-/// the predecessor boundary — and the finished slot vector is what `cache`
-/// remembers, keyed by the delivered prefix it was computed over.
+/// Precedence is the §2.3 test on `cts` and touches no memo. A
+/// greatest-concurrent query is answered whole by
+/// [`PrecedenceBackend::answer_gc`]: a memo lookup, else the
+/// [`ClusterTimestamps::greatest_concurrent`] kernel, whose answer `cache`
+/// then remembers, keyed by the delivered prefix it was computed over.
 pub struct CachedClusterBackend<'a> {
     pub cts: &'a ClusterTimestamps,
     pub cache: &'a SharedQueryCache,
@@ -117,19 +118,15 @@ impl PrecedenceBackend for CachedClusterBackend<'_> {
         self.cts.precedes(trace, e, f)
     }
 
-    fn predecessor_clock(&mut self, trace: &Trace, e: EventId) -> Option<VectorClock> {
-        Some(self.cts.materialized_clock(trace, e))
-    }
-
-    fn recall_gc(&mut self, trace: &Trace, e: EventId) -> Option<Vec<Option<EventId>>> {
+    fn answer_gc(&mut self, trace: &Trace, e: EventId) -> Option<Vec<Option<EventId>>> {
+        let delivered = trace.num_events() as u64;
+        if let Some(slots) = self.cache.gc(e, delivered) {
+            return Some(slots.to_vec());
+        }
+        let slots = self.cts.greatest_concurrent(trace, e);
         self.cache
-            .gc(e, trace.num_events() as u64)
-            .map(|slots| slots.to_vec())
-    }
-
-    fn remember_gc(&mut self, trace: &Trace, e: EventId, slots: &[Option<EventId>]) {
-        self.cache
-            .insert_gc(e, trace.num_events() as u64, Arc::from(slots));
+            .insert_gc(e, delivered, Arc::from(slots.as_slice()));
+        Some(slots)
     }
 }
 
@@ -202,6 +199,9 @@ mod tests {
         assert_eq!(cache.stats(), counts(0, 1));
         assert_eq!(greatest_concurrent(&mut b, &t, e), first);
         assert_eq!(cache.stats(), counts(1, 1));
+        // The hook answers whole queries, a hit as much as a miss.
+        assert_eq!(b.answer_gc(&t, e), Some(first));
+        assert_eq!(cache.stats(), counts(2, 1));
     }
 
     #[test]
