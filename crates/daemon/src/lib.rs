@@ -7,9 +7,11 @@
 //! machinery in batch; this crate closes the loop and runs it as a server:
 //!
 //! - [`wire`]: a length-prefixed binary protocol over TCP (`std::net` only);
-//! - [`reorder`]: a causal-delivery buffer that repairs the arbitrary
+//! - [`reorder`]: the causal-delivery buffer that repairs the arbitrary
 //!   arrival interleaving of concurrent client streams — duplicates dropped,
-//!   gaps parked until their predecessors arrive;
+//!   gaps parked until their predecessors arrive, malformed edges parked
+//!   rather than delivered. One type for both runtimes: the single worker's
+//!   buffer owns every process, a shard core's owns its process group;
 //! - [`pipeline`]: the per-computation ingest pipeline — reorder buffer →
 //!   [`cts_core::ClusterEngine`] → the worker's delivered log — publishing
 //!   immutable epoch snapshots (the partial-order data structure every
@@ -76,6 +78,6 @@ pub mod wire;
 
 pub use client::Client;
 pub use loadgen::{LoadConfig, LoadReport};
-pub use reorder::{ReorderBuffer, ShardHooks, ShardReorderBuffer};
+pub use reorder::{DeliveryHooks, ReorderBuffer};
 pub use server::{Daemon, DaemonConfig};
 pub use shard::{ShardSchedule, SimShards};

@@ -9,11 +9,24 @@
 //! between the two: events go in however they arrive, and come out in a
 //! valid delivery order, exactly once each.
 //!
+//! There is one buffer for both ingest runtimes. It owns a subset of the
+//! processes: the single worker's buffer owns every process, and each shard
+//! core's owns its process group. Edges whose far end is not owned are
+//! resolved through [`DeliveryHooks`] (in the daemon, against the
+//! cross-shard clock exchange); a buffer that owns everything never asks.
+//!
 //! The buffer is O(1) amortized per event: an event that cannot yet be
 //! delivered is parked under the single *blocker* it is waiting for (its
 //! process predecessor, its message source, or its sync partner), and a
 //! worklist cascade re-examines exactly the parked events whose blocker just
 //! arrived or got delivered.
+//!
+//! Malformed edges never reach the engine. An event naming a process outside
+//! the computation is refused at [`offer`](ReorderBuffer::offer). A receive
+//! is deliverable only while its source is a delivered send that nothing has
+//! received yet, and a sync only together with a partner that is a sync
+//! naming it back; an edge that fails either test parks, like a receive of a
+//! send that never arrives.
 
 use cts_model::{Event, EventId, EventIndex, EventKind, ProcessId};
 use std::collections::HashMap;
@@ -41,203 +54,42 @@ impl std::fmt::Display for RejectReason {
 
 impl std::error::Error for RejectReason {}
 
-/// Reorders an arbitrary arrival interleaving into a valid delivery order.
-#[derive(Clone, Debug)]
-pub struct ReorderBuffer {
-    num_processes: u32,
-    /// Events observed but not yet deliverable, by id.
-    pending: HashMap<EventId, Event>,
-    /// Per-process count of delivered events (index of the last delivered).
-    delivered: Vec<u32>,
-    /// blocker id → events parked until that blocker arrives/delivers.
-    waiting: HashMap<EventId, Vec<EventId>>,
-    duplicates: u64,
-    delivered_total: u64,
-    peak_depth: usize,
+/// The first process `ev` names — its own, or the far end of its edge —
+/// that lies outside `0..num_processes`.
+pub(crate) fn unknown_process(ev: &Event, num_processes: u32) -> Option<ProcessId> {
+    let far = match ev.kind {
+        EventKind::Internal => None,
+        EventKind::Send { to } => Some(to),
+        EventKind::Receive { from } => Some(from.process),
+        EventKind::Sync { peer } => Some(peer.process),
+    };
+    [Some(ev.process()), far]
+        .into_iter()
+        .flatten()
+        .find(|p| p.0 >= num_processes)
 }
 
-impl ReorderBuffer {
-    /// An empty buffer for a computation with `num_processes` processes.
-    pub fn new(num_processes: u32) -> ReorderBuffer {
-        ReorderBuffer {
-            num_processes,
-            pending: HashMap::new(),
-            delivered: vec![0; num_processes as usize],
-            waiting: HashMap::new(),
-            duplicates: 0,
-            delivered_total: 0,
-            peak_depth: 0,
-        }
-    }
-
-    /// Offer one observed event. Returns the events that became deliverable,
-    /// in a valid delivery order (possibly empty; possibly several when this
-    /// arrival unblocks a parked chain).
-    pub fn offer(&mut self, ev: Event) -> Result<Vec<Event>, RejectReason> {
-        let p = ev.process();
-        if p.0 >= self.num_processes {
-            return Err(RejectReason::UnknownProcess);
-        }
-        if ev.index().0 <= self.delivered[p.idx()] {
-            // Already delivered: a duplicate (retransmit). Drop silently
-            // unless it contradicts what we delivered — we no longer keep
-            // delivered events, so only pending conflicts are detectable.
-            self.duplicates += 1;
-            return Ok(Vec::new());
-        }
-        if let Some(existing) = self.pending.get(&ev.id) {
-            if *existing != ev {
-                return Err(RejectReason::ConflictingDuplicate);
-            }
-            self.duplicates += 1;
-            return Ok(Vec::new());
-        }
-        self.pending.insert(ev.id, ev);
-        self.peak_depth = self.peak_depth.max(self.pending.len());
-
-        // Worklist: this event, plus anything parked waiting for it.
-        let mut work = vec![ev.id];
-        if let Some(parked) = self.waiting.remove(&ev.id) {
-            work.extend(parked);
-        }
-        let mut out = Vec::new();
-        while let Some(id) = work.pop() {
-            let Some(&cand) = self.pending.get(&id) else {
-                continue; // already delivered by an earlier cascade step
-            };
-            match self.blocker_of(cand) {
-                Some(blocker) => self.park(id, blocker),
-                None => self.deliver(cand, &mut out, &mut work),
-            }
-        }
-        Ok(out)
-    }
-
-    /// The single event `ev` is waiting for, or `None` if deliverable now.
-    fn blocker_of(&self, ev: Event) -> Option<EventId> {
-        let p = ev.process();
-        let next = self.delivered[p.idx()] + 1;
-        if ev.index().0 > next {
-            // A process predecessor is missing; park under the immediate
-            // predecessor — its own delivery cascades one step at a time.
-            return Some(EventId::new(p, EventIndex(ev.index().0 - 1)));
-        }
-        debug_assert_eq!(ev.index().0, next);
-        match ev.kind {
-            EventKind::Internal | EventKind::Send { .. } => None,
-            EventKind::Receive { from } => {
-                if from.process.0 >= self.num_processes {
-                    // Dangling source: undeliverable, parked forever;
-                    // sessions detect the stall via Flush timeouts.
-                    return Some(from);
-                }
-                if self.delivered[from.process.idx()] >= from.index.0 {
-                    None
-                } else {
-                    Some(from)
-                }
-            }
-            EventKind::Sync { peer } => {
-                if peer.process.0 >= self.num_processes {
-                    return Some(peer);
-                }
-                match self.pending.get(&peer) {
-                    // Partner present and also next-in-line: both go.
-                    Some(partner)
-                        if partner.index().0 == self.delivered[peer.process.idx()] + 1 =>
-                    {
-                        None
-                    }
-                    // Partner present but early in its own process: its own
-                    // predecessor chain will wake it, and delivering *it*
-                    // delivers us.
-                    Some(partner) => Some(EventId::new(
-                        peer.process,
-                        EventIndex(partner.index().0 - 1),
-                    )),
-                    // Partner not seen yet: wake on its arrival.
-                    None => Some(peer),
-                }
-            }
-        }
-    }
-
-    fn park(&mut self, id: EventId, blocker: EventId) {
-        let list = self.waiting.entry(blocker).or_default();
-        if !list.contains(&id) {
-            list.push(id);
-        }
-    }
-
-    /// Deliver `ev` (and, for a sync, its partner adjacently), appending to
-    /// `out` and waking waiters onto `work`.
-    fn deliver(&mut self, ev: Event, out: &mut Vec<Event>, work: &mut Vec<EventId>) {
-        self.deliver_one(ev, out, work);
-        if let EventKind::Sync { peer } = ev.kind {
-            let partner = self
-                .pending
-                .get(&peer)
-                .copied()
-                .expect("sync delivery requires the pending partner");
-            self.deliver_one(partner, out, work);
-        }
-    }
-
-    fn deliver_one(&mut self, ev: Event, out: &mut Vec<Event>, work: &mut Vec<EventId>) {
-        self.pending.remove(&ev.id);
-        self.delivered[ev.process().idx()] = ev.index().0;
-        self.delivered_total += 1;
-        out.push(ev);
-        if let Some(parked) = self.waiting.remove(&ev.id) {
-            work.extend(parked);
-        }
-    }
-
-    /// Number of processes this buffer was created for.
-    pub fn num_processes(&self) -> u32 {
-        self.num_processes
-    }
-
-    /// Total events delivered so far.
-    pub fn delivered_total(&self) -> u64 {
-        self.delivered_total
-    }
-
-    /// Duplicate arrivals dropped so far.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Events currently parked (observed, not yet deliverable).
-    pub fn depth(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// High-water mark of [`depth`](Self::depth).
-    pub fn peak_depth(&self) -> usize {
-        self.peak_depth
-    }
-}
-
-/// Callbacks a [`ShardReorderBuffer`] uses to resolve the dependencies it
-/// cannot see locally, and to hand over delivered events.
+/// Callbacks a [`ReorderBuffer`] uses to resolve the edges whose far end it
+/// does not own, and to hand over delivered events.
 ///
-/// A shard owns a subset of the processes. Edges whose far end lives on
-/// another shard (a receive whose send is foreign, a sync whose peer is
-/// foreign) are resolved through these hooks — in production against the
-/// cross-shard clock exchange, in the deterministic schedule harness against
-/// a single-threaded simulation.
+/// A shard core's buffer owns a subset of the processes. Edges whose far end
+/// lives on another shard (a receive whose send is foreign, a sync whose
+/// peer is foreign) are resolved through these hooks — in production against
+/// the cross-shard clock exchange, in the deterministic schedule harness
+/// against a single-threaded simulation. A buffer that owns every process
+/// (the single worker) only ever calls `deliver`.
 ///
 /// `deliver` is invoked *during* the cascade, one event at a time, so that a
 /// later readiness probe in the same cascade (notably `sync_ready`, which
 /// publishes the pre-sync frontier) observes the effects of everything
 /// delivered before it.
-pub trait ShardHooks {
-    /// Is the foreign send's clock available? A `false` return MUST register
-    /// this shard for a wake-up when it becomes available. Called only when
-    /// the receive is otherwise next-in-line; may be called repeatedly for
-    /// the same id.
-    fn send_ready(&mut self, send: EventId) -> bool;
+pub trait DeliveryHooks {
+    /// Is the clock of `id` — a send, or a sync half delivered alone, that
+    /// this buffer holds no clock for — available? A `false` return MUST
+    /// register this buffer for a wake-up when it becomes available. Called
+    /// only when the waiting event is otherwise next-in-line; may be called
+    /// repeatedly for the same id.
+    fn clock_ready(&mut self, id: EventId) -> bool;
 
     /// Is the foreign sync peer ready? Implementations publish `my_half`'s
     /// pre-sync frontier (idempotently) and probe the peer's, registering
@@ -250,15 +102,34 @@ pub trait ShardHooks {
     fn deliver(&mut self, ev: Event);
 }
 
-/// A [`ReorderBuffer`] that owns only a subset of the processes and resolves
-/// cross-shard edges through [`ShardHooks`].
+/// The hooks behind [`ReorderBuffer::offer`]: nothing is foreign, so no
+/// clock is ever available from outside, and deliveries are collected.
+struct Collect(Vec<Event>);
+
+impl DeliveryHooks for Collect {
+    fn clock_ready(&mut self, _: EventId) -> bool {
+        false
+    }
+
+    fn sync_ready(&mut self, _: EventId, _: EventId) -> bool {
+        false
+    }
+
+    fn deliver(&mut self, ev: Event) {
+        self.0.push(ev);
+    }
+}
+
+/// Reorders an arbitrary arrival interleaving of the events of its *owned*
+/// processes into a valid delivery order.
 ///
-/// Differences from the single-owner buffer:
+/// [`new`](Self::new) owns every process (the single worker);
+/// [`owning`](Self::owning) owns one shard's group, and then:
 ///
-/// - per-process watermarks are authoritative only for *owned* processes;
+/// - per-process watermarks are authoritative only for owned processes;
 ///   events are offered only for owned processes (the runtime routes);
 /// - a receive from a foreign process parks under the send id until the
-///   exchange wakes us ([`ShardReorderBuffer::wake`]);
+///   exchange wakes us ([`wake`](Self::wake));
 /// - a sync with a foreign peer delivers *only its own half* (the peer's
 ///   shard delivers the other); both halves still compute the identical
 ///   combined clock from the exchanged pre-sync frontiers;
@@ -267,26 +138,39 @@ pub trait ShardHooks {
 ///   [`adopt_process`](Self::adopt_process) /
 ///   [`reexamine_process`](Self::reexamine_process)).
 #[derive(Clone, Debug)]
-pub struct ShardReorderBuffer {
+pub struct ReorderBuffer {
     num_processes: u32,
     owned: Vec<bool>,
+    /// Events observed but not yet deliverable, by id.
     pending: HashMap<EventId, Event>,
+    /// Per-process count of delivered events (index of the last delivered).
     delivered: Vec<u32>,
+    /// Per owned process, bit `i` of the bitmap is set while event `i` is a
+    /// delivered send to an owned process that nothing has received yet —
+    /// exactly the sends whose clocks the engine holds locally.
+    unreceived: Vec<Vec<u64>>,
+    /// blocker id → events parked until that blocker arrives/delivers.
     waiting: HashMap<EventId, Vec<EventId>>,
     duplicates: u64,
     delivered_total: u64,
     peak_depth: usize,
 }
 
-impl ShardReorderBuffer {
+impl ReorderBuffer {
+    /// An empty buffer owning every one of `num_processes` processes.
+    pub fn new(num_processes: u32) -> ReorderBuffer {
+        ReorderBuffer::owning(num_processes, vec![true; num_processes as usize])
+    }
+
     /// An empty buffer owning the processes for which `owned` is true.
-    pub fn new(num_processes: u32, owned: Vec<bool>) -> ShardReorderBuffer {
+    pub fn owning(num_processes: u32, owned: Vec<bool>) -> ReorderBuffer {
         assert_eq!(owned.len(), num_processes as usize);
-        ShardReorderBuffer {
+        ReorderBuffer {
             num_processes,
             owned,
             pending: HashMap::new(),
             delivered: vec![0; num_processes as usize],
+            unreceived: vec![Vec::new(); num_processes as usize],
             waiting: HashMap::new(),
             duplicates: 0,
             delivered_total: 0,
@@ -294,20 +178,37 @@ impl ShardReorderBuffer {
         }
     }
 
-    /// Does this shard currently own process `p`?
+    /// Does this buffer currently own process `p`?
     pub fn owns(&self, p: ProcessId) -> bool {
         (p.0 as usize) < self.owned.len() && self.owned[p.idx()]
     }
 
+    /// Offer one observed event to a buffer that owns every process.
+    /// Returns the events that became deliverable, in a valid delivery
+    /// order (possibly empty; possibly several when this arrival unblocks a
+    /// parked chain).
+    pub fn offer(&mut self, ev: Event) -> Result<Vec<Event>, RejectReason> {
+        let mut out = Collect(Vec::new());
+        self.offer_with(ev, &mut out)?;
+        Ok(out.0)
+    }
+
     /// Offer one event of an owned process. Returns how many events were
     /// delivered (each passed to `hooks.deliver` during the cascade).
-    pub fn offer<H: ShardHooks>(&mut self, ev: Event, hooks: &mut H) -> Result<u64, RejectReason> {
-        let p = ev.process();
-        if p.0 >= self.num_processes {
+    pub fn offer_with<H: DeliveryHooks>(
+        &mut self,
+        ev: Event,
+        hooks: &mut H,
+    ) -> Result<u64, RejectReason> {
+        if unknown_process(&ev, self.num_processes).is_some() {
             return Err(RejectReason::UnknownProcess);
         }
+        let p = ev.process();
         assert!(self.owned[p.idx()], "event routed to a non-owning shard");
         if ev.index().0 <= self.delivered[p.idx()] {
+            // Already delivered: a duplicate (retransmit). Drop silently
+            // unless it contradicts what we delivered — we no longer keep
+            // delivered events, so only pending conflicts are detectable.
             self.duplicates += 1;
             return Ok(0);
         }
@@ -321,6 +222,7 @@ impl ShardReorderBuffer {
         self.pending.insert(ev.id, ev);
         self.peak_depth = self.peak_depth.max(self.pending.len());
 
+        // Worklist: this event, plus anything parked waiting for it.
         let mut work = vec![ev.id];
         if let Some(parked) = self.waiting.remove(&ev.id) {
             work.extend(parked);
@@ -330,81 +232,83 @@ impl ShardReorderBuffer {
 
     /// A cross-shard blocker `id` became available (the exchange published
     /// it): re-examine everything parked under it.
-    pub fn wake<H: ShardHooks>(&mut self, id: EventId, hooks: &mut H) -> u64 {
+    pub fn wake<H: DeliveryHooks>(&mut self, id: EventId, hooks: &mut H) -> u64 {
         match self.waiting.remove(&id) {
             Some(parked) => self.cascade(parked, hooks),
             None => 0,
         }
     }
 
-    fn cascade<H: ShardHooks>(&mut self, mut work: Vec<EventId>, hooks: &mut H) -> u64 {
-        let mut delivered = 0;
+    fn cascade<H: DeliveryHooks>(&mut self, mut work: Vec<EventId>, hooks: &mut H) -> u64 {
+        let before = self.delivered_total;
         while let Some(id) = work.pop() {
             let Some(&cand) = self.pending.get(&id) else {
-                continue;
+                continue; // already delivered by an earlier cascade step
             };
             match self.blocker_of(cand, hooks) {
                 Some(blocker) => self.park(id, blocker),
-                None => self.deliver(cand, &mut delivered, &mut work, hooks),
+                None => self.deliver(cand, &mut work, hooks),
             }
         }
-        delivered
+        self.delivered_total - before
     }
 
-    fn blocker_of<H: ShardHooks>(&self, ev: Event, hooks: &mut H) -> Option<EventId> {
+    /// The single event `ev` is waiting for, or `None` if deliverable now.
+    fn blocker_of<H: DeliveryHooks>(&self, ev: Event, hooks: &mut H) -> Option<EventId> {
         let p = ev.process();
         let next = self.delivered[p.idx()] + 1;
         if ev.index().0 > next {
+            // A process predecessor is missing; park under the immediate
+            // predecessor — its own delivery cascades one step at a time.
             return Some(EventId::new(p, EventIndex(ev.index().0 - 1)));
         }
         debug_assert_eq!(ev.index().0, next);
-        match ev.kind {
-            EventKind::Internal | EventKind::Send { .. } => None,
+        let (far, ready) = match ev.kind {
+            EventKind::Internal | EventKind::Send { .. } => return None,
             EventKind::Receive { from } => {
-                if from.process.0 >= self.num_processes {
-                    return Some(from); // dangling source: parked forever
-                }
-                if self.owned[from.process.idx()] {
-                    if self.delivered[from.process.idx()] >= from.index.0 {
-                        None
-                    } else {
-                        Some(from)
-                    }
-                } else if hooks.send_ready(from) {
-                    None
-                } else {
-                    Some(from)
-                }
+                // A send not yet delivered here waits. Once delivered, it is
+                // ready while this buffer holds its clock, or once the clock
+                // is on the exchange (its receiver is foreign, or one end
+                // migrated after the send was delivered).
+                let q = from.process.idx();
+                let sent = !self.owned[q] || self.delivered[q] >= from.index.0;
+                (
+                    from,
+                    sent && (self.is_unreceived(from) || hooks.clock_ready(from)),
+                )
             }
             EventKind::Sync { peer } => {
-                if peer.process.0 >= self.num_processes {
-                    return Some(peer);
-                }
-                if self.owned[peer.process.idx()] {
-                    if self.delivered[peer.process.idx()] >= peer.index.0 {
-                        // The peer half was already delivered as a cross-shard
-                        // sync before its process migrated here.
-                        return None;
-                    }
-                    match self.pending.get(&peer) {
-                        Some(partner)
-                            if partner.index().0 == self.delivered[peer.process.idx()] + 1 =>
-                        {
-                            None
+                let q = peer.process.idx();
+                let ready = if !self.owned[q] {
+                    hooks.sync_ready(ev.id, peer)
+                } else if self.delivered[q] >= peer.index.0 {
+                    // The peer half was already delivered alone as a
+                    // cross-shard sync before its process migrated here;
+                    // its pre-sync frontier is still on the exchange.
+                    hooks.clock_ready(peer)
+                } else {
+                    return match self.pending.get(&peer) {
+                        // Not a partner: refused, parked.
+                        Some(partner) if partner.kind != (EventKind::Sync { peer: ev.id }) => {
+                            Some(peer)
                         }
+                        // Partner present and also next-in-line: both go.
+                        Some(partner) if partner.index().0 == self.delivered[q] + 1 => None,
+                        // Partner present but early in its own process: its
+                        // own predecessor chain will wake it, and delivering
+                        // *it* delivers us.
                         Some(partner) => Some(EventId::new(
                             peer.process,
                             EventIndex(partner.index().0 - 1),
                         )),
+                        // Partner not seen yet: wake on its arrival.
                         None => Some(peer),
-                    }
-                } else if hooks.sync_ready(ev.id, peer) {
-                    None
-                } else {
-                    Some(peer)
-                }
+                    };
+                };
+                (peer, ready)
             }
-        }
+        };
+        (!ready).then_some(far)
     }
 
     fn park(&mut self, id: EventId, blocker: EventId) {
@@ -414,52 +318,65 @@ impl ShardReorderBuffer {
         }
     }
 
-    fn deliver<H: ShardHooks>(
-        &mut self,
-        ev: Event,
-        delivered: &mut u64,
-        work: &mut Vec<EventId>,
-        hooks: &mut H,
-    ) {
-        self.deliver_one(ev, delivered, work, hooks);
-        if let EventKind::Sync { peer } = ev.kind {
-            // Only a locally-owned, still-pending partner delivers adjacently
-            // here; a foreign partner is delivered by its own shard, and a
-            // partner absent despite local ownership was already delivered
-            // cross-shard before its process migrated onto this shard.
-            if self.owned[peer.process.idx()] {
-                if let Some(partner) = self.pending.get(&peer).copied() {
-                    self.deliver_one(partner, delivered, work, hooks);
-                }
+    /// Deliver `ev` — and, for a sync, its still-pending partner right
+    /// after it — waking waiters onto `work`. A foreign partner is delivered
+    /// by its own shard, and one absent despite local ownership was already
+    /// delivered cross-shard before its process migrated onto this shard.
+    fn deliver<H: DeliveryHooks>(&mut self, ev: Event, work: &mut Vec<EventId>, hooks: &mut H) {
+        let partner = match ev.kind {
+            EventKind::Sync { peer } => self.pending.get(&peer).copied(),
+            _ => None,
+        };
+        for ev in std::iter::once(ev).chain(partner) {
+            self.pending.remove(&ev.id);
+            self.delivered[ev.process().idx()] = ev.index().0;
+            match ev.kind {
+                EventKind::Send { to } if self.owned[to.idx()] => self.set_unreceived(ev.id, true),
+                EventKind::Receive { from } => self.set_unreceived(from, false),
+                _ => {}
+            }
+            self.delivered_total += 1;
+            hooks.deliver(ev);
+            if let Some(parked) = self.waiting.remove(&ev.id) {
+                work.extend(parked);
             }
         }
     }
 
-    fn deliver_one<H: ShardHooks>(
-        &mut self,
-        ev: Event,
-        delivered: &mut u64,
-        work: &mut Vec<EventId>,
-        hooks: &mut H,
-    ) {
-        self.pending.remove(&ev.id);
-        self.delivered[ev.process().idx()] = ev.index().0;
-        self.delivered_total += 1;
-        *delivered += 1;
-        hooks.deliver(ev);
-        if let Some(parked) = self.waiting.remove(&ev.id) {
-            work.extend(parked);
+    fn is_unreceived(&self, send: EventId) -> bool {
+        let i = send.index.0 as usize;
+        self.unreceived[send.process.idx()]
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    fn set_unreceived(&mut self, send: EventId, on: bool) {
+        let i = send.index.0 as usize;
+        let bits = &mut self.unreceived[send.process.idx()];
+        if on && bits.len() <= i / 64 {
+            bits.resize(i / 64 + 1, 0);
+        }
+        if let Some(word) = bits.get_mut(i / 64) {
+            *word = (*word & !(1 << (i % 64))) | (on as u64) << (i % 64);
         }
     }
 
     /// Release ownership of `p` for migration to another shard. Returns the
     /// delivered watermark and `p`'s still-pending events in index order.
-    /// Call [`reexamine_process`](Self::reexamine_process) afterwards (once
-    /// the new owner can serve `p`'s edges) to re-evaluate local events that
+    /// `handed_over` lists the delivered, unreceived sends whose clocks the
+    /// caller moved to the exchange because their receiver is `p`; they and
+    /// `p`'s own unreceived sends are no longer held here, so the new owner
+    /// finds them on the exchange. Call
+    /// [`reexamine_process`](Self::reexamine_process) afterwards (once the
+    /// new owner can serve `p`'s edges) to re-evaluate local events that
     /// were parked under `p`'s events.
-    pub fn release_process(&mut self, p: ProcessId) -> (u32, Vec<Event>) {
+    pub fn release_process(&mut self, p: ProcessId, handed_over: &[EventId]) -> (u32, Vec<Event>) {
         assert!(self.owned[p.idx()], "releasing a process we do not own");
         self.owned[p.idx()] = false;
+        self.unreceived[p.idx()] = Vec::new();
+        for &send in handed_over {
+            self.set_unreceived(send, false);
+        }
         let mut evs: Vec<Event> = self
             .pending
             .values()
@@ -474,7 +391,7 @@ impl ShardReorderBuffer {
     }
 
     /// Adopt ownership of `p` at the given delivered watermark. The caller
-    /// re-offers `p`'s pending events through [`offer`](Self::offer).
+    /// re-offers `p`'s pending events through [`offer_with`](Self::offer_with).
     pub fn adopt_process(&mut self, p: ProcessId, watermark: u32) {
         assert!(!self.owned[p.idx()], "adopting a process we already own");
         self.owned[p.idx()] = true;
@@ -483,7 +400,7 @@ impl ShardReorderBuffer {
 
     /// Re-evaluate every local event parked under an event of `p`, whose
     /// edges switched from local to cross-shard when `p` migrated away.
-    pub fn reexamine_process<H: ShardHooks>(&mut self, p: ProcessId, hooks: &mut H) -> u64 {
+    pub fn reexamine_process<H: DeliveryHooks>(&mut self, p: ProcessId, hooks: &mut H) -> u64 {
         let mut keys: Vec<EventId> = self
             .waiting
             .keys()
@@ -498,16 +415,6 @@ impl ShardReorderBuffer {
             }
         }
         self.cascade(work, hooks)
-    }
-
-    /// Number of processes in the computation (not just owned ones).
-    pub fn num_processes(&self) -> u32 {
-        self.num_processes
-    }
-
-    /// Delivered watermark of an owned process.
-    pub fn delivered_watermark(&self, p: ProcessId) -> u32 {
-        self.delivered[p.idx()]
     }
 
     /// Diagnostic view of the buffer: owned processes, watermarks, pending
@@ -528,7 +435,7 @@ impl ShardReorderBuffer {
         )
     }
 
-    /// Total events delivered by this shard so far.
+    /// Total events delivered so far.
     pub fn delivered_total(&self) -> u64 {
         self.delivered_total
     }
@@ -538,7 +445,7 @@ impl ShardReorderBuffer {
         self.duplicates
     }
 
-    /// Events currently parked on this shard.
+    /// Events currently parked (observed, not yet deliverable).
     pub fn depth(&self) -> usize {
         self.pending.len()
     }
@@ -657,6 +564,25 @@ mod tests {
         let mut buf = ReorderBuffer::new(2);
         let ev = Event::new(EventId::new(p(7), EventIndex(1)), EventKind::Internal);
         assert_eq!(buf.offer(ev), Err(RejectReason::UnknownProcess));
+    }
+
+    #[test]
+    fn dangling_edges_are_refused_not_parked() {
+        let mut buf = ReorderBuffer::new(2);
+        for i in 1..=1_000 {
+            let from = EventId::new(p(7), EventIndex(i));
+            let ev = Event::new(
+                EventId::new(p(1), EventIndex(i)),
+                EventKind::Receive { from },
+            );
+            assert_eq!(buf.offer(ev), Err(RejectReason::UnknownProcess));
+        }
+        let to = Event::new(
+            EventId::new(p(0), EventIndex(1)),
+            EventKind::Send { to: p(2) },
+        );
+        assert_eq!(buf.offer(to), Err(RejectReason::UnknownProcess));
+        assert_eq!(buf.depth(), 0);
     }
 
     #[test]

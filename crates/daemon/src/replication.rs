@@ -450,7 +450,7 @@ fn discover(leader: SocketAddr) -> io::Result<Vec<CompInfo>> {
     let mut stream = TcpStream::connect(leader)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let protocol = proto_handshake(&mut stream)?;
+    let protocol = blocking_handshake(&mut stream)?;
     if protocol < 2 {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -466,27 +466,6 @@ fn discover(leader: SocketAddr) -> io::Result<Vec<CompInfo>> {
         other => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unexpected reply to ListComputations: {other:?}"),
-        )),
-    }
-}
-
-/// Send [`Msg::ProtoHello`] and return the negotiated protocol level.
-fn proto_handshake(stream: &mut TcpStream) -> io::Result<u16> {
-    write_msg(
-        stream,
-        &Msg::ProtoHello {
-            protocol_max: wire::PROTOCOL,
-            wal_max: wire::WAL_FORMAT,
-        },
-    )?;
-    match read_reply(stream)? {
-        Msg::ProtoHelloAck { protocol, .. } => Ok(protocol),
-        Msg::Error { code, message } => Err(io::Error::other(format!(
-            "leader refused ProtoHello ({code}): {message}"
-        ))),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected reply to ProtoHello: {other:?}"),
         )),
     }
 }
@@ -669,9 +648,10 @@ fn read_one(shared: &DaemonShared, stream: &mut TcpStream) -> ReadOne {
     }
 }
 
-/// Handshake variant for the timeouted follower socket (uses
-/// [`read_one`]-style polling so a slow leader is not mistaken for a dead
-/// one mid-handshake). Returns the negotiated protocol level.
+/// The follower handshake, for discovery and for every subscription: send
+/// [`Msg::ProtoHello`] and read the ack, polling the socket's read timeout
+/// ([`read_one`]-style) so a slow leader is not mistaken for a dead one,
+/// for at most 5 s. Returns the negotiated protocol level.
 fn blocking_handshake(stream: &mut TcpStream) -> io::Result<u16> {
     write_msg(
         stream,

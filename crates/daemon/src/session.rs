@@ -37,6 +37,7 @@
 use crate::metrics::Metrics;
 use crate::pipeline::{Computation, FlushError, Snapshot};
 use crate::query_pool::QueryPool;
+use crate::reorder::unknown_process;
 use crate::replication::{self, Grant};
 use crate::server::{lock, DaemonShared};
 use crate::wire::{self, code, CompInfo, Msg, Scope, WireError};
@@ -295,14 +296,14 @@ fn list_computations(shared: &DaemonShared) -> Vec<CompInfo> {
 fn in_session(comp: &Computation, pool: &QueryPool, msg: Msg) -> Step {
     match msg {
         Msg::Events(events) => {
-            // Validate process ids here, where we can still answer; the
-            // ingest path is fire-and-forget.
-            if let Some(bad) = events.iter().find(|e| e.process().0 >= comp.num_processes) {
+            // Validate process ids — the event's own and its edge's far
+            // end — here, where we can still answer; the ingest path is
+            // fire-and-forget.
+            let unknown = |e: &Event| unknown_process(e, comp.num_processes).map(|p| (e.id, p));
+            if let Some((id, p)) = events.iter().find_map(unknown) {
                 return Step::Reply(malformed(format!(
-                    "event {} names process {} outside 0..{}",
-                    bad.id,
-                    bad.process().0,
-                    comp.num_processes
+                    "event {id} names process {} outside 0..{}",
+                    p.0, comp.num_processes
                 )));
             }
             Step::Ingest(events)
@@ -810,6 +811,15 @@ mod tests {
             row(
                 "Events/bad-process",
                 Msg::Events(vec![Event::new(ev(7, 1), EventKind::Internal)]),
+                write,
+                "Reply(Error 5)",
+            ),
+            row(
+                "Events/bad-source",
+                Msg::Events(vec![Event::new(
+                    ev(1, 1),
+                    EventKind::Receive { from: ev(7, 1) },
+                )]),
                 write,
                 "Reply(Error 5)",
             ),

@@ -60,7 +60,7 @@
 //! that the cut's precedence equals the offline batch engine's and that every
 //! process row of the cut holds exactly that process's events in index order.
 
-use crate::reorder::{RejectReason, ShardHooks, ShardReorderBuffer};
+use crate::reorder::{DeliveryHooks, RejectReason, ReorderBuffer};
 use cts_core::cluster::{
     AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, DriftDecider, StampLog,
 };
@@ -379,13 +379,13 @@ impl ShardFm {
     /// Release `p` for migration: its frontier row, plus every in-flight
     /// clock with either endpoint on `p` published to the exchange (the new
     /// owner — or a still-local receive under relaxed ownership — consumes
-    /// them from there).
+    /// them from there). Returns the frontier row and the published ids.
     fn release_process(
         &mut self,
         p: ProcessId,
         exchange: &Exchange,
         wakes: &mut Vec<Wake>,
-    ) -> VectorClock {
+    ) -> (VectorClock, Vec<EventId>) {
         debug_assert!(self.pending_sync.is_empty(), "migration inside a sync pair");
         self.owned[p.idx()] = false;
         let ids: Vec<EventId> = self
@@ -396,14 +396,15 @@ impl ShardFm {
             .collect();
         let mut ids = ids;
         ids.sort();
-        for id in ids {
+        for &id in &ids {
             let (_, clock) = self.in_flight.remove(&id).expect("collected above");
             exchange.publish(id, clock, wakes);
         }
-        std::mem::replace(
+        let frontier = std::mem::replace(
             &mut self.frontier[p.idx()],
             VectorClock::zero(self.n as usize),
-        )
+        );
+        (frontier, ids)
     }
 
     fn adopt_process(&mut self, p: ProcessId, frontier: VectorClock) {
@@ -677,7 +678,7 @@ impl ShardEnv {
 /// same logic.
 pub struct ShardCore {
     pub id: ShardId,
-    reorder: ShardReorderBuffer,
+    reorder: ReorderBuffer,
     fm: ShardFm,
     stamper: ShardStamper,
     /// Delivered records not yet drained into the cut assembler.
@@ -695,7 +696,7 @@ impl ShardCore {
     pub fn new(id: ShardId, n: u32, owned: Vec<bool>, env: &ShardEnv) -> ShardCore {
         ShardCore {
             id,
-            reorder: ShardReorderBuffer::new(n, owned.clone()),
+            reorder: ReorderBuffer::owning(n, owned.clone()),
             fm: ShardFm::new(n, owned),
             stamper: ShardStamper::new(env),
             outbox: Vec::new(),
@@ -717,22 +718,24 @@ impl ShardCore {
         env: &ShardEnv,
         wakes: &mut Vec<Wake>,
     ) -> Result<u64, RejectReason> {
-        let mut hooks = CoreHooks {
-            me: self.id,
-            fm: &mut self.fm,
-            stamper: &mut self.stamper,
-            outbox: &mut self.outbox,
-            log: &mut self.log,
-            env,
-            wakes,
-            rebalance_needed: &mut self.rebalance_needed,
-        };
-        self.reorder.offer(ev, &mut hooks)
+        let (reorder, mut hooks) = self.split(env, wakes);
+        reorder.offer_with(ev, &mut hooks)
     }
 
     /// A cross-shard dependency became available: re-examine waiters.
     pub fn wake(&mut self, id: EventId, env: &ShardEnv, wakes: &mut Vec<Wake>) -> u64 {
-        let mut hooks = CoreHooks {
+        let (reorder, mut hooks) = self.split(env, wakes);
+        reorder.wake(id, &mut hooks)
+    }
+
+    /// The reorder buffer beside the [`DeliveryHooks`] over everything else
+    /// the core owns, so a cascade can call back into the engine state.
+    fn split<'a>(
+        &'a mut self,
+        env: &'a ShardEnv,
+        wakes: &'a mut Vec<Wake>,
+    ) -> (&'a mut ReorderBuffer, CoreHooks<'a>) {
+        let hooks = CoreHooks {
             me: self.id,
             fm: &mut self.fm,
             stamper: &mut self.stamper,
@@ -742,7 +745,7 @@ impl ShardCore {
             wakes,
             rebalance_needed: &mut self.rebalance_needed,
         };
-        self.reorder.wake(id, &mut hooks)
+        (&mut self.reorder, hooks)
     }
 
     /// Drain the delivered records accumulated since the last drain.
@@ -790,7 +793,7 @@ impl ShardCore {
     }
 }
 
-/// The [`ShardHooks`] view over a core's non-reorder state, so readiness
+/// The [`DeliveryHooks`] view over a core's non-reorder state, so readiness
 /// probes and deliveries run *during* the reorder cascade with the effects
 /// of everything delivered earlier in the same cascade.
 struct CoreHooks<'a> {
@@ -804,13 +807,13 @@ struct CoreHooks<'a> {
     rebalance_needed: &'a mut bool,
 }
 
-impl ShardHooks for CoreHooks<'_> {
-    fn send_ready(&mut self, send: EventId) -> bool {
+impl DeliveryHooks for CoreHooks<'_> {
+    fn clock_ready(&mut self, id: EventId) -> bool {
         // A send delivered locally before its receiver migrated away leaves
         // its clock in `in_flight` until the receiver's shard is released —
         // but by then release_process has published it, so the exchange is
-        // authoritative for any send we do not own.
-        self.env.exchange.ready_or_register(send, self.me)
+        // authoritative for any clock the buffer does not hold.
+        self.env.exchange.ready_or_register(id, self.me)
     }
 
     fn sync_ready(&mut self, my_half: EventId, peer: EventId) -> bool {
@@ -849,8 +852,8 @@ pub fn migrate_between(
 ) -> u64 {
     assert_ne!(src.id, dst.id);
     let mut delivered = 0;
-    let (watermark, pending) = src.reorder.release_process(p);
-    let frontier = src.fm.release_process(p, &env.exchange, wakes);
+    let (frontier, handed_over) = src.fm.release_process(p, &env.exchange, wakes);
+    let (watermark, pending) = src.reorder.release_process(p, &handed_over);
     // `p`'s undrained delivered records follow it, so the assembler's
     // per-process queue keeps seeing `p` in index order no matter which
     // shard's outbox a cut drains first.
@@ -877,17 +880,8 @@ pub fn migrate_between(
         }
     }
     // Local events parked under `p`'s events switch to cross-shard edges.
-    let mut hooks = CoreHooks {
-        me: src.id,
-        fm: &mut src.fm,
-        stamper: &mut src.stamper,
-        outbox: &mut src.outbox,
-        log: &mut src.log,
-        env,
-        wakes,
-        rebalance_needed: &mut src.rebalance_needed,
-    };
-    delivered + src.reorder.reexamine_process(p, &mut hooks)
+    let (reorder, mut hooks) = src.split(env, wakes);
+    delivered + reorder.reexamine_process(p, &mut hooks)
 }
 
 /// [`migrate_between`] addressed through a full core slice (the full-stop
