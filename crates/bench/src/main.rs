@@ -696,11 +696,11 @@ fn bench_daemon(r: &mut Runner) {
         n
     });
 
-    // Reorder buffer: the in-order fast path (every offer delivers
-    // immediately) vs. a fully reversed arrival stream (everything parks
-    // until the stream's first events finally arrive — worst-case depth and
-    // cascade length). `relinearize` output is also a *valid* order, so it
-    // exercises the fast path under a different schedule.
+    // Reorder buffer: a valid arrival order (every offer is its process's
+    // head and delivers at once, with no parking) vs. a fully reversed
+    // arrival stream (everything parks in the per-process maps until the
+    // stream's first events finally arrive — worst-case depth and cascade
+    // length). `relinearize` output is a valid order other than the trace's.
     let relin = relinearize(&trace, 7);
     r.run(g, "reorder_in_order", || {
         let mut buf = ReorderBuffer::new(trace.num_processes());

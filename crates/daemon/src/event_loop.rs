@@ -628,8 +628,11 @@ impl Worker {
                 conn.closing = true;
             }
             Step::Close => conn.closing = true,
-            Step::Ingest(events) => {
+            Step::Ingest(events, refusal) => {
                 let _ = self.offer_ingest(conn, events);
+                if let Some(refusal) = refusal {
+                    conn.queue_msg(&refusal);
+                }
             }
             Step::Flush { expected_total } => {
                 // A flush legitimately waits (possibly seconds) for the

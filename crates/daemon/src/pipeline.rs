@@ -26,19 +26,19 @@
 
 use crate::checkpoint::{self, CompMeta, RecoveryReport};
 use crate::metrics::Metrics;
-use crate::reorder::ReorderBuffer;
+use crate::reorder::{DeliveryHooks, ReorderBuffer};
 use crate::shard::{PlacementParams, StampStrategy};
 use crate::sharded::{PlacementInfo, ShardedRuntime};
 use crate::wal::{Barrier, WalLane};
 use cts_core::cluster::{AdaptiveEngine, ClusterTimestamps};
 use cts_core::strategy::MergeOnFirst;
 use cts_core::ClusterEngine;
-use cts_model::{Event, Trace, TraceLog};
+use cts_model::{Event, ProcessId, Trace, TraceLog};
 use cts_store::{EpochRetainer, SharedQueryCache};
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -247,6 +247,10 @@ pub(crate) struct CompShared {
     pub(crate) retainer: Arc<EpochRetainer<Snapshot>>,
     /// Replication fan-out: subscriber channels + durable watermark.
     pub(crate) repl: ReplHub,
+    /// Per process, the index of its last delivered event, stored by the
+    /// single worker as it delivers (the sharded runtime keeps its own in
+    /// [`ShardEnv`](crate::shard::ShardEnv)).
+    pub(crate) watermarks: Vec<AtomicU32>,
 }
 
 /// How a computation's ingest runs: one worker thread, or the sharded
@@ -366,6 +370,9 @@ impl Computation {
                 config.retain_bytes,
             )),
             repl: ReplHub::default(),
+            watermarks: (0..config.num_processes)
+                .map(|_| AtomicU32::new(0))
+                .collect(),
         })
     }
 
@@ -428,6 +435,16 @@ impl Computation {
             }
             EngineMode::Sharded(rt) => rt.enqueue(batch).map_err(|()| Closed),
         }
+    }
+
+    /// The index of `p`'s next-in-line event as the ingest side last
+    /// published it: one past the last delivered, never ahead of it.
+    pub(crate) fn next_index(&self, p: ProcessId) -> u32 {
+        let marks = match &self.mode {
+            EngineMode::Single { .. } => &self.shared.watermarks,
+            EngineMode::Sharded(rt) => rt.watermarks(),
+        };
+        marks[p.idx()].load(Ordering::Relaxed) + 1
     }
 
     /// Non-blocking enqueue for the readiness-driven front end: a poller
@@ -709,6 +726,29 @@ impl WorkerEngine {
     }
 }
 
+/// The single worker's [`DeliveryHooks`]: every delivered event goes into
+/// the log, then the engine, then `then` (recovery republishes retention
+/// marks there), and its index is published to `watermarks`. The log's
+/// append-time check is the tripwire for a reorder-buffer bug: nothing else
+/// on this path re-checks delivery order.
+struct WorkerHooks<'a, F: FnMut(&WorkerEngine, &TraceLog)> {
+    engine: &'a mut WorkerEngine,
+    log: &'a mut TraceLog,
+    watermarks: &'a [AtomicU32],
+    then: F,
+}
+
+impl<F: FnMut(&WorkerEngine, &TraceLog)> DeliveryHooks for WorkerHooks<'_, F> {
+    fn deliver(&mut self, ev: Event) {
+        self.log
+            .push(ev)
+            .expect("reorder buffer emits valid delivery orders");
+        self.engine.accept(ev);
+        self.watermarks[ev.process().idx()].store(ev.index().0, Ordering::Relaxed);
+        (self.then)(self.engine, self.log);
+    }
+}
+
 /// The ingest worker: reorder → engine → delivered log, with the WAL lane
 /// and the replication stream following the log and epochs published from
 /// it.
@@ -723,14 +763,6 @@ fn worker_loop(
     let mut engine = WorkerEngine::new(n, config.strategy);
     let mut log = TraceLog::new(config.name.clone(), n);
     let mut last_published: Option<u64> = None;
-    // Every delivered event goes through here. The log's append-time check
-    // is the tripwire for a reorder-buffer bug: nothing else on this path
-    // re-checks delivery order.
-    let deliver = |engine: &mut WorkerEngine, log: &mut TraceLog, ev: Event| {
-        log.push(ev)
-            .expect("reorder buffer emits valid delivery orders");
-        engine.accept(ev);
-    };
 
     // `forced_epoch` republishes a recovered retention mark under its
     // original epoch number (recovery replay); `None` is a live publish.
@@ -810,23 +842,23 @@ fn worker_loop(
             .map(|d| checkpoint::load_epoch_marks(&d.dir).unwrap_or_default())
             .unwrap_or_default();
         let mut next_mark = 0;
+        let mut hooks = WorkerHooks {
+            engine: &mut engine,
+            log: &mut log,
+            watermarks: &shared.watermarks,
+            then: |engine: &WorkerEngine, log: &TraceLog| {
+                while next_mark < marks.len() && marks[next_mark].1 == log.len() as u64 {
+                    publish(engine, log, &mut last_published, Some(marks[next_mark].0));
+                    next_mark += 1;
+                }
+            },
+        };
         for ev in replay {
-            match buf.offer(ev) {
-                Ok(delivered) => {
-                    for d in delivered {
-                        deliver(&mut engine, &mut log, d);
-                        while next_mark < marks.len() && marks[next_mark].1 == log.len() as u64 {
-                            publish(&engine, &log, &mut last_published, Some(marks[next_mark].0));
-                            next_mark += 1;
-                        }
-                    }
-                }
-                Err(reason) => {
-                    eprintln!(
-                        "[cts-daemon] {}: recovered event {} refused: {reason}",
-                        config.name, ev.id
-                    );
-                }
+            if let Err(reason) = buf.offer_with(ev, &mut hooks) {
+                eprintln!(
+                    "[cts-daemon] {}: recovered event {} refused: {reason}",
+                    config.name, ev.id
+                );
             }
         }
         shared
@@ -907,20 +939,19 @@ fn worker_loop(
         match cmd {
             IngestCmd::Events(batch) => {
                 let batch_start = log.len();
+                let mut hooks = WorkerHooks {
+                    engine: &mut engine,
+                    log: &mut log,
+                    watermarks: &shared.watermarks,
+                    then: |_: &WorkerEngine, _: &TraceLog| {},
+                };
                 for ev in batch {
                     let t0 = Instant::now();
-                    match buf.offer(ev) {
-                        Ok(delivered) => {
-                            for d in delivered {
-                                deliver(&mut engine, &mut log, d);
-                            }
-                        }
-                        Err(reason) => {
-                            eprintln!(
-                                "[cts-daemon] {}: dropping event {}: {reason}",
-                                config.name, ev.id
-                            );
-                        }
+                    if let Err(reason) = buf.offer_with(ev, &mut hooks) {
+                        eprintln!(
+                            "[cts-daemon] {}: dropping event {}: {reason}",
+                            config.name, ev.id
+                        );
                     }
                     shared
                         .metrics

@@ -15,21 +15,39 @@
 //! resolved through [`DeliveryHooks`] (in the daemon, against the
 //! cross-shard clock exchange); a buffer that owns everything never asks.
 //!
-//! The buffer is O(1) amortized per event: an event that cannot yet be
-//! delivered is parked under the single *blocker* it is waiting for (its
-//! process predecessor, its message source, or its sync partner), and a
-//! worklist cascade re-examines exactly the parked events whose blocker just
-//! arrived or got delivered.
+//! Nothing in the buffer is hashed, and once its vectors have grown an
+//! offer allocates nothing. Only a process's *head* — its next-in-line
+//! event, at index watermark + 1 — is ever examined. Events further ahead
+//! wait in a per-process map ordered by index (O(log k)) until the
+//! watermark reaches them. A head whose receive source, exchange clock or
+//! foreign sync peer is not there yet registers once, in a min-heap kept
+//! per blocker process and keyed by the blocker's index: delivering index
+//! *i* on that process, or [`wake`](ReorderBuffer::wake) for it, pops every
+//! entry ≤ *i* onto the cascade, a reused stack of processes whose head to
+//! examine. Two owned sync halves need no registration: whichever becomes
+//! head second finds the other as its partner's head.
 //!
 //! Malformed edges never reach the engine. An event naming a process outside
 //! the computation is refused at [`offer`](ReorderBuffer::offer). A receive
 //! is deliverable only while its source is a delivered send that nothing has
-//! received yet, and a sync only together with a partner that is a sync
-//! naming it back; an edge that fails either test parks, like a receive of a
-//! send that never arrives.
+//! received yet, and a sync only together with a partner that is another
+//! sync naming it back; an edge that fails either test parks, like a
+//! receive of a send that never arrives.
+//!
+//! Parked events are bounded from outside: while a computation has
+//! [`MAX_PARKED`] or more of them, the session refuses with `OVERLOADED`
+//! every arriving event past its process's next-in-line index.
 
 use cts_model::{Event, EventId, EventIndex, EventKind, ProcessId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{btree_map::Entry, BTreeMap, BinaryHeap};
+
+/// The parked-event count at which the session stops admitting events that
+/// could park behind a gap (answering `OVERLOADED`); next-in-line events
+/// are still taken, so the gap can fill. Events are idempotent, so a
+/// refused client resends. Frames admitted before the gauge caught up can
+/// land past the cap.
+pub const MAX_PARKED: usize = 1 << 20;
 
 /// An event the buffer cannot accept at all (as opposed to "not yet").
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,7 +95,8 @@ pub(crate) fn unknown_process(ev: &Event, num_processes: u32) -> Option<ProcessI
 /// peer is foreign) are resolved through these hooks — in production against
 /// the cross-shard clock exchange, in the deterministic schedule harness
 /// against a single-threaded simulation. A buffer that owns every process
-/// (the single worker) only ever calls `deliver`.
+/// (the single worker) only ever calls `deliver`, so the probes default to
+/// "never available".
 ///
 /// `deliver` is invoked *during* the cascade, one event at a time, so that a
 /// later readiness probe in the same cascade (notably `sync_ready`, which
@@ -89,32 +108,28 @@ pub trait DeliveryHooks {
     /// register this buffer for a wake-up when it becomes available. Called
     /// only when the waiting event is otherwise next-in-line; may be called
     /// repeatedly for the same id.
-    fn clock_ready(&mut self, id: EventId) -> bool;
+    fn clock_ready(&mut self, _id: EventId) -> bool {
+        false
+    }
 
     /// Is the foreign sync peer ready? Implementations publish `my_half`'s
     /// pre-sync frontier (idempotently) and probe the peer's, registering
     /// for a wake-up on `peer` if it is not there yet. Called only when
     /// `my_half` is next-in-line on its own process.
-    fn sync_ready(&mut self, my_half: EventId, peer: EventId) -> bool;
+    fn sync_ready(&mut self, _my_half: EventId, _peer: EventId) -> bool {
+        false
+    }
 
     /// `ev` is delivered: apply it to the engine state (clocks, stamps,
     /// delivered log) before the cascade continues.
     fn deliver(&mut self, ev: Event);
 }
 
-/// The hooks behind [`ReorderBuffer::offer`]: nothing is foreign, so no
-/// clock is ever available from outside, and deliveries are collected.
+/// The hooks behind [`ReorderBuffer::offer`]: nothing is foreign, and
+/// deliveries are collected.
 struct Collect(Vec<Event>);
 
 impl DeliveryHooks for Collect {
-    fn clock_ready(&mut self, _: EventId) -> bool {
-        false
-    }
-
-    fn sync_ready(&mut self, _: EventId, _: EventId) -> bool {
-        false
-    }
-
     fn deliver(&mut self, ev: Event) {
         self.0.push(ev);
     }
@@ -123,12 +138,18 @@ impl DeliveryHooks for Collect {
 /// Reorders an arbitrary arrival interleaving of the events of its *owned*
 /// processes into a valid delivery order.
 ///
+/// Per owned process the buffer keeps a watermark (the last delivered
+/// index), the head (the event at watermark + 1, once observed) and an
+/// index-ordered map of the events past it. A head that waits for another
+/// process's event sits in that process's waiter heap until the event is
+/// delivered here or woken from the exchange.
+///
 /// [`new`](Self::new) owns every process (the single worker);
 /// [`owning`](Self::owning) owns one shard's group, and then:
 ///
 /// - per-process watermarks are authoritative only for owned processes;
 ///   events are offered only for owned processes (the runtime routes);
-/// - a receive from a foreign process parks under the send id until the
+/// - a receive from a foreign process waits under the send id until the
 ///   exchange wakes us ([`wake`](Self::wake));
 /// - a sync with a foreign peer delivers *only its own half* (the peer's
 ///   shard delivers the other); both halves still compute the identical
@@ -141,16 +162,22 @@ impl DeliveryHooks for Collect {
 pub struct ReorderBuffer {
     num_processes: u32,
     owned: Vec<bool>,
-    /// Events observed but not yet deliverable, by id.
-    pending: HashMap<EventId, Event>,
     /// Per-process count of delivered events (index of the last delivered).
     delivered: Vec<u32>,
+    /// Per owned process, its next-in-line event once observed.
+    head: Vec<Option<Event>>,
+    /// Per owned process, the observed events past its head, by index.
+    ahead: Vec<BTreeMap<u32, Event>>,
+    /// Per blocker process `q`, `(i, p)` while `p`'s head waits for `q`'s
+    /// event `i` to be delivered here or published on the exchange.
+    waiters: Vec<BinaryHeap<Reverse<(u32, u32)>>>,
     /// Per owned process, bit `i` of the bitmap is set while event `i` is a
     /// delivered send to an owned process that nothing has received yet —
     /// exactly the sends whose clocks the engine holds locally.
     unreceived: Vec<Vec<u64>>,
-    /// blocker id → events parked until that blocker arrives/delivers.
-    waiting: HashMap<EventId, Vec<EventId>>,
+    /// The cascade: processes whose head to examine (kept for its capacity).
+    work: Vec<u32>,
+    depth: usize,
     duplicates: u64,
     delivered_total: u64,
     peak_depth: usize,
@@ -165,13 +192,17 @@ impl ReorderBuffer {
     /// An empty buffer owning the processes for which `owned` is true.
     pub fn owning(num_processes: u32, owned: Vec<bool>) -> ReorderBuffer {
         assert_eq!(owned.len(), num_processes as usize);
+        let n = num_processes as usize;
         ReorderBuffer {
             num_processes,
             owned,
-            pending: HashMap::new(),
-            delivered: vec![0; num_processes as usize],
-            unreceived: vec![Vec::new(); num_processes as usize],
-            waiting: HashMap::new(),
+            delivered: vec![0; n],
+            head: vec![None; n],
+            ahead: vec![BTreeMap::new(); n],
+            waiters: vec![BinaryHeap::new(); n],
+            unreceived: vec![Vec::new(); n],
+            work: Vec::new(),
+            depth: 0,
             duplicates: 0,
             delivered_total: 0,
             peak_depth: 0,
@@ -203,143 +234,150 @@ impl ReorderBuffer {
         if unknown_process(&ev, self.num_processes).is_some() {
             return Err(RejectReason::UnknownProcess);
         }
-        let p = ev.process();
-        assert!(self.owned[p.idx()], "event routed to a non-owning shard");
-        if ev.index().0 <= self.delivered[p.idx()] {
+        let p = ev.process().idx();
+        assert!(self.owned[p], "event routed to a non-owning shard");
+        let (i, next) = (ev.index().0, self.delivered[p] + 1);
+        if i < next {
             // Already delivered: a duplicate (retransmit). Drop silently
             // unless it contradicts what we delivered — we no longer keep
             // delivered events, so only pending conflicts are detectable.
             self.duplicates += 1;
             return Ok(0);
         }
-        if let Some(existing) = self.pending.get(&ev.id) {
-            if *existing != ev {
-                return Err(RejectReason::ConflictingDuplicate);
+        if i == next {
+            if let Some(seen) = self.head[p] {
+                return self.pending_duplicate(seen, ev);
             }
-            self.duplicates += 1;
-            return Ok(0);
+            self.head[p] = Some(ev);
+            self.work.push(p as u32);
+        } else {
+            match self.ahead[p].entry(i) {
+                Entry::Occupied(seen) => {
+                    let seen = *seen.get();
+                    return self.pending_duplicate(seen, ev);
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(ev);
+                }
+            }
         }
-        self.pending.insert(ev.id, ev);
-        self.peak_depth = self.peak_depth.max(self.pending.len());
+        self.depth += 1;
+        let delivered = self.cascade(hooks);
+        self.peak_depth = self.peak_depth.max(self.depth);
+        Ok(delivered)
+    }
 
-        // Worklist: this event, plus anything parked waiting for it.
-        let mut work = vec![ev.id];
-        if let Some(parked) = self.waiting.remove(&ev.id) {
-            work.extend(parked);
+    fn pending_duplicate(&mut self, seen: Event, ev: Event) -> Result<u64, RejectReason> {
+        if seen != ev {
+            return Err(RejectReason::ConflictingDuplicate);
         }
-        Ok(self.cascade(work, hooks))
+        self.duplicates += 1;
+        Ok(0)
     }
 
     /// A cross-shard blocker `id` became available (the exchange published
-    /// it): re-examine everything parked under it.
+    /// it): re-examine every head waiting on its process up to its index.
     pub fn wake<H: DeliveryHooks>(&mut self, id: EventId, hooks: &mut H) -> u64 {
-        match self.waiting.remove(&id) {
-            Some(parked) => self.cascade(parked, hooks),
-            None => 0,
-        }
+        self.release_waiters(id.process.idx(), id.index.0);
+        self.cascade(hooks)
     }
 
-    fn cascade<H: DeliveryHooks>(&mut self, mut work: Vec<EventId>, hooks: &mut H) -> u64 {
+    fn cascade<H: DeliveryHooks>(&mut self, hooks: &mut H) -> u64 {
         let before = self.delivered_total;
-        while let Some(id) = work.pop() {
-            let Some(&cand) = self.pending.get(&id) else {
-                continue; // already delivered by an earlier cascade step
-            };
-            match self.blocker_of(cand, hooks) {
-                Some(blocker) => self.park(id, blocker),
-                None => self.deliver(cand, &mut work, hooks),
-            }
+        while let Some(p) = self.work.pop() {
+            self.examine(p as usize, hooks);
         }
         self.delivered_total - before
     }
 
-    /// The single event `ev` is waiting for, or `None` if deliverable now.
-    fn blocker_of<H: DeliveryHooks>(&self, ev: Event, hooks: &mut H) -> Option<EventId> {
-        let p = ev.process();
-        let next = self.delivered[p.idx()] + 1;
-        if ev.index().0 > next {
-            // A process predecessor is missing; park under the immediate
-            // predecessor — its own delivery cascades one step at a time.
-            return Some(EventId::new(p, EventIndex(ev.index().0 - 1)));
-        }
-        debug_assert_eq!(ev.index().0, next);
-        let (far, ready) = match ev.kind {
-            EventKind::Internal | EventKind::Send { .. } => return None,
+    /// Deliver `p`'s head if it can go now. Otherwise it waits: registered
+    /// under the blocker whose delivery or wake-up re-examines it, or — an
+    /// owned sync whose partner is not head yet — until the partner becomes
+    /// head and finds it, or for good on a malformed edge.
+    fn examine<H: DeliveryHooks>(&mut self, p: usize, hooks: &mut H) {
+        let Some(ev) = self.head[p] else {
+            return; // delivered or released since it was queued
+        };
+        let blocker = match ev.kind {
+            EventKind::Internal | EventKind::Send { .. } => None,
             EventKind::Receive { from } => {
                 // A send not yet delivered here waits. Once delivered, it is
                 // ready while this buffer holds its clock, or once the clock
                 // is on the exchange (its receiver is foreign, or one end
                 // migrated after the send was delivered).
                 let q = from.process.idx();
-                let sent = !self.owned[q] || self.delivered[q] >= from.index.0;
-                (
-                    from,
-                    sent && (self.is_unreceived(from) || hooks.clock_ready(from)),
-                )
+                if self.owned[q] && self.delivered[q] < from.index.0 {
+                    Some(from)
+                } else if self.is_unreceived(from) || hooks.clock_ready(from) {
+                    None
+                } else if self.owned[q] {
+                    return; // a delivered non-send, or a send received already
+                } else {
+                    Some(from)
+                }
             }
+            EventKind::Sync { peer } if peer == ev.id => return, // names itself
             EventKind::Sync { peer } => {
                 let q = peer.process.idx();
-                let ready = if !self.owned[q] {
-                    hooks.sync_ready(ev.id, peer)
+                if !self.owned[q] {
+                    (!hooks.sync_ready(ev.id, peer)).then_some(peer)
                 } else if self.delivered[q] >= peer.index.0 {
                     // The peer half was already delivered alone as a
                     // cross-shard sync before its process migrated here;
                     // its pre-sync frontier is still on the exchange.
-                    hooks.clock_ready(peer)
+                    if !hooks.clock_ready(peer) {
+                        return;
+                    }
+                    None
                 } else {
-                    return match self.pending.get(&peer) {
-                        // Not a partner: refused, parked.
-                        Some(partner) if partner.kind != (EventKind::Sync { peer: ev.id }) => {
-                            Some(peer)
+                    // Both halves go together once both are heads and name
+                    // each other; until then the later one finds this one.
+                    if let Some(partner) = self.head[q] {
+                        if partner.id == peer && partner.kind == (EventKind::Sync { peer: ev.id }) {
+                            self.deliver(ev, hooks);
+                            self.deliver(partner, hooks);
                         }
-                        // Partner present and also next-in-line: both go.
-                        Some(partner) if partner.index().0 == self.delivered[q] + 1 => None,
-                        // Partner present but early in its own process: its
-                        // own predecessor chain will wake it, and delivering
-                        // *it* delivers us.
-                        Some(partner) => Some(EventId::new(
-                            peer.process,
-                            EventIndex(partner.index().0 - 1),
-                        )),
-                        // Partner not seen yet: wake on its arrival.
-                        None => Some(peer),
-                    };
-                };
-                (peer, ready)
+                    }
+                    return;
+                }
             }
         };
-        (!ready).then_some(far)
-    }
-
-    fn park(&mut self, id: EventId, blocker: EventId) {
-        let list = self.waiting.entry(blocker).or_default();
-        if !list.contains(&id) {
-            list.push(id);
+        match blocker {
+            None => self.deliver(ev, hooks),
+            Some(b) => self.waiters[b.process.idx()].push(Reverse((b.index.0, p as u32))),
         }
     }
 
-    /// Deliver `ev` — and, for a sync, its still-pending partner right
-    /// after it — waking waiters onto `work`. A foreign partner is delivered
-    /// by its own shard, and one absent despite local ownership was already
-    /// delivered cross-shard before its process migrated onto this shard.
-    fn deliver<H: DeliveryHooks>(&mut self, ev: Event, work: &mut Vec<EventId>, hooks: &mut H) {
-        let partner = match ev.kind {
-            EventKind::Sync { peer } => self.pending.get(&peer).copied(),
-            _ => None,
-        };
-        for ev in std::iter::once(ev).chain(partner) {
-            self.pending.remove(&ev.id);
-            self.delivered[ev.process().idx()] = ev.index().0;
-            match ev.kind {
-                EventKind::Send { to } if self.owned[to.idx()] => self.set_unreceived(ev.id, true),
-                EventKind::Receive { from } => self.set_unreceived(from, false),
-                _ => {}
+    /// Deliver the head `ev`: advance its watermark, promote the next head
+    /// and queue every head that waited for it.
+    fn deliver<H: DeliveryHooks>(&mut self, ev: Event, hooks: &mut H) {
+        let (p, i) = (ev.process().idx(), ev.index().0);
+        self.delivered[p] = i;
+        self.head[p] = None;
+        self.depth -= 1;
+        match ev.kind {
+            EventKind::Send { to } if self.owned[to.idx()] => self.set_unreceived(ev.id, true),
+            EventKind::Receive { from } => self.set_unreceived(from, false),
+            _ => {}
+        }
+        self.delivered_total += 1;
+        hooks.deliver(ev);
+        if let Some(next) = self.ahead[p].first_entry().filter(|e| *e.key() == i + 1) {
+            self.head[p] = Some(next.remove());
+            self.work.push(p as u32);
+        }
+        self.release_waiters(p, i);
+    }
+
+    /// Queue every head waiting on process `q` at an index ≤ `upto`.
+    fn release_waiters(&mut self, q: usize, upto: u32) {
+        let heap = &mut self.waiters[q];
+        while let Some(&Reverse((i, p))) = heap.peek() {
+            if i > upto {
+                break;
             }
-            self.delivered_total += 1;
-            hooks.deliver(ev);
-            if let Some(parked) = self.waiting.remove(&ev.id) {
-                work.extend(parked);
-            }
+            heap.pop();
+            self.work.push(p);
         }
     }
 
@@ -368,8 +406,8 @@ impl ReorderBuffer {
     /// `p`'s own unreceived sends are no longer held here, so the new owner
     /// finds them on the exchange. Call
     /// [`reexamine_process`](Self::reexamine_process) afterwards (once the
-    /// new owner can serve `p`'s edges) to re-evaluate local events that
-    /// were parked under `p`'s events.
+    /// new owner can serve `p`'s edges) to re-evaluate local heads whose
+    /// edges lead to `p`.
     pub fn release_process(&mut self, p: ProcessId, handed_over: &[EventId]) -> (u32, Vec<Event>) {
         assert!(self.owned[p.idx()], "releasing a process we do not own");
         self.owned[p.idx()] = false;
@@ -377,16 +415,13 @@ impl ReorderBuffer {
         for &send in handed_over {
             self.set_unreceived(send, false);
         }
-        let mut evs: Vec<Event> = self
-            .pending
-            .values()
-            .filter(|ev| ev.process() == p)
-            .copied()
+        let ahead = std::mem::take(&mut self.ahead[p.idx()]);
+        let evs: Vec<Event> = self.head[p.idx()]
+            .take()
+            .into_iter()
+            .chain(ahead.into_values())
             .collect();
-        for ev in &evs {
-            self.pending.remove(&ev.id);
-        }
-        evs.sort_by_key(|ev| ev.index().0);
+        self.depth -= evs.len();
         (self.delivered[p.idx()], evs)
     }
 
@@ -398,36 +433,44 @@ impl ReorderBuffer {
         self.delivered[p.idx()] = watermark;
     }
 
-    /// Re-evaluate every local event parked under an event of `p`, whose
-    /// edges switched from local to cross-shard when `p` migrated away.
+    /// Re-evaluate every local head whose edge leads to `p` — the ones
+    /// registered under `p`'s events and the syncs waiting for a partner on
+    /// `p` — since those edges switched from local to cross-shard when `p`
+    /// migrated away.
     pub fn reexamine_process<H: DeliveryHooks>(&mut self, p: ProcessId, hooks: &mut H) -> u64 {
-        let mut keys: Vec<EventId> = self
-            .waiting
-            .keys()
-            .filter(|id| id.process == p)
-            .copied()
-            .collect();
-        keys.sort(); // HashMap order is not deterministic; schedules must be
-        let mut work = Vec::new();
-        for key in keys {
-            if let Some(parked) = self.waiting.remove(&key) {
-                work.extend(parked);
+        self.waiters[p.idx()].clear();
+        for (r, head) in self.head.iter().enumerate().rev() {
+            let far = match head.map(|ev| ev.kind) {
+                Some(EventKind::Receive { from }) => from.process,
+                Some(EventKind::Sync { peer }) => peer.process,
+                _ => continue,
+            };
+            if far == p {
+                self.work.push(r as u32);
             }
         }
-        self.cascade(work, hooks)
+        self.cascade(hooks)
     }
 
     /// Diagnostic view of the buffer: owned processes, watermarks, pending
-    /// ids, and the waiting map (blocker → parked ids).
+    /// ids, and the waiting heads (blocker → waiting process).
     #[doc(hidden)]
     pub fn debug_state(&self) -> String {
         let owned: Vec<u32> = (0..self.num_processes)
             .filter(|&p| self.owned[p as usize])
             .collect();
-        let mut pending: Vec<EventId> = self.pending.keys().copied().collect();
-        pending.sort();
-        let mut waiting: Vec<(EventId, Vec<EventId>)> =
-            self.waiting.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let pending: Vec<EventId> = self
+            .head
+            .iter()
+            .zip(&self.ahead)
+            .flat_map(|(head, ahead)| head.iter().chain(ahead.values()))
+            .map(|ev| ev.id)
+            .collect();
+        let mut waiting: Vec<(EventId, u32)> = Vec::new();
+        for (q, heap) in self.waiters.iter().enumerate() {
+            let blocker = |i| EventId::new(ProcessId(q as u32), EventIndex(i));
+            waiting.extend(heap.iter().map(|&Reverse((i, p))| (blocker(i), p)));
+        }
         waiting.sort();
         format!(
             "owned={owned:?} watermarks={:?} pending={pending:?} waiting={waiting:?}",
@@ -447,10 +490,11 @@ impl ReorderBuffer {
 
     /// Events currently parked (observed, not yet deliverable).
     pub fn depth(&self) -> usize {
-        self.pending.len()
+        self.depth
     }
 
-    /// High-water mark of [`depth`](Self::depth).
+    /// High-water mark of [`depth`](Self::depth): an arrival that is
+    /// delivered at once never counts.
     pub fn peak_depth(&self) -> usize {
         self.peak_depth
     }
@@ -485,6 +529,21 @@ mod tests {
         assert!(is_valid_delivery_order(t.num_processes(), &out));
         assert_eq!(buf.depth(), 0);
         assert_eq!(buf.duplicates(), 0);
+    }
+
+    #[test]
+    fn in_order_stream_never_parks() {
+        let t = Stencil1D { procs: 6, iters: 4 }.generate(3);
+        let mut buf = ReorderBuffer::new(t.num_processes());
+        for &ev in t.events() {
+            assert_eq!(buf.offer(ev).unwrap(), vec![ev]);
+        }
+        assert_eq!(buf.peak_depth(), 0);
+        // One event behind a gap is the first that parks.
+        let mut buf = ReorderBuffer::new(t.num_processes());
+        let gap = t.events().iter().position(|ev| ev.index().0 == 2).unwrap();
+        buf.offer(t.events()[gap]).unwrap();
+        assert_eq!((buf.depth(), buf.peak_depth()), (1, 1));
     }
 
     #[test]
@@ -583,6 +642,15 @@ mod tests {
         );
         assert_eq!(buf.offer(to), Err(RejectReason::UnknownProcess));
         assert_eq!(buf.depth(), 0);
+    }
+
+    #[test]
+    fn sync_naming_itself_parks() {
+        let mut buf = ReorderBuffer::new(1);
+        let id = EventId::new(p(0), EventIndex(1));
+        let ev = Event::new(id, EventKind::Sync { peer: id });
+        assert_eq!(buf.offer(ev).unwrap(), Vec::new());
+        assert_eq!(buf.depth(), 1);
     }
 
     #[test]

@@ -643,11 +643,14 @@ fn serve_connection_inner(mut stream: TcpStream, shared: &DaemonShared) -> io::R
                 return Ok(());
             }
             Step::Close => return Ok(()),
-            Step::Ingest(events) => {
+            Step::Ingest(events, refusal) => {
                 // Blocks while the ingest queue is full: backpressure
                 // reaches the peer through this connection's TCP window.
                 if session.computation().enqueue_events(events).is_err() {
                     write_msg(&mut stream, &computation_closed())?;
+                }
+                if let Some(refusal) = refusal {
+                    write_msg(&mut stream, &refusal)?;
                 }
             }
             Step::Flush { expected_total } => {

@@ -37,7 +37,7 @@
 use crate::metrics::Metrics;
 use crate::pipeline::{Computation, FlushError, Snapshot};
 use crate::query_pool::QueryPool;
-use crate::reorder::unknown_process;
+use crate::reorder::{unknown_process, MAX_PARKED};
 use crate::replication::{self, Grant};
 use crate::server::{lock, DaemonShared};
 use crate::wire::{self, code, CompInfo, Msg, Scope, WireError};
@@ -66,8 +66,9 @@ pub(crate) enum Step {
     Close,
     /// Enqueue a validated batch on [`Session::computation`]'s ingest queue,
     /// which may be full. Silent on success; [`computation_closed`] if the
-    /// computation is gone.
-    Ingest(Vec<Event>),
+    /// computation is gone. Then send the refusal, if any, of the frame's
+    /// events the reorder cap did not admit.
+    Ingest(Vec<Event>, Option<Msg>),
     /// Run the flush barrier on [`Session::computation`] (it waits for the
     /// pipeline) and send [`flush_reply`] of its outcome.
     Flush { expected_total: u64 },
@@ -306,7 +307,34 @@ fn in_session(comp: &Computation, pool: &QueryPool, msg: Msg) -> Step {
                     p.0, comp.num_processes
                 )));
             }
-            Step::Ingest(events)
+            // Both runtimes publish the parked count after every batch. Over
+            // the cap, only events that cannot park behind a gap are taken:
+            // each is a duplicate or its process's next-in-line, so the
+            // parked set grows by at most one head per process, and the
+            // event that fills the gap is never shut out. The rest is
+            // refused; events are idempotent, so the client resends.
+            let parked = comp.metrics().reorder_depth.load(Ordering::Relaxed);
+            if parked < MAX_PARKED as u64 {
+                return Step::Ingest(events, None);
+            }
+            let (fills, rest): (Vec<Event>, Vec<Event>) = events
+                .into_iter()
+                .partition(|e| e.index().0 <= comp.next_index(e.process()));
+            if rest.is_empty() {
+                return Step::Ingest(fills, None);
+            }
+            let refusal = Msg::Error {
+                code: code::OVERLOADED,
+                message: format!(
+                    "{} events refused, {parked} parked awaiting their causal predecessors; resend",
+                    rest.len()
+                ),
+            };
+            if fills.is_empty() {
+                Step::Reply(refusal)
+            } else {
+                Step::Ingest(fills, Some(refusal))
+            }
         }
         Msg::Flush { expected_total } => Step::Flush { expected_total },
         Msg::QueryClusterMap => Step::Reply(cluster_map(comp)),
@@ -726,6 +754,8 @@ mod tests {
         gates: Option<Gates>,
         /// The step class once every gate has passed.
         ok: &'static str,
+        /// Sent while "m" holds [`MAX_PARKED`] parked events.
+        overloaded: bool,
     }
 
     fn row(name: &'static str, msg: Msg, gates: Gates, ok: &'static str) -> Row {
@@ -734,6 +764,7 @@ mod tests {
             payload: msg.encode(),
             gates: Some(gates),
             ok,
+            overloaded: false,
         }
     }
 
@@ -776,6 +807,7 @@ mod tests {
             payload: payload.to_vec(),
             gates: None,
             ok,
+            overloaded: false,
         };
         vec![
             row("Hello", hello(2), BASE, "Reply(HelloAck)"),
@@ -823,6 +855,20 @@ mod tests {
                 write,
                 "Reply(Error 5)",
             ),
+            // Over the reorder cap: "m" has delivered P0#1..2, so P0#3 is
+            // next-in-line and P0#9 would park behind a gap.
+            Row {
+                overloaded: true,
+                ..row(
+                    "Events/overloaded",
+                    Msg::Events(vec![
+                        Event::new(ev(0, 3), EventKind::Internal),
+                        Event::new(ev(0, 9), EventKind::Internal),
+                    ]),
+                    write,
+                    "Ingest, Reply(Error 9)",
+                )
+            },
             row("Flush", Msg::Flush { expected_total: 3 }, write, "Flush"),
             row(
                 "QueryPrecedes",
@@ -1007,7 +1053,8 @@ mod tests {
             Step::Reply(m) => format!("Reply({})", msg_class(m)),
             Step::ReplyThenClose(m) => format!("ReplyThenClose({})", msg_class(m)),
             Step::Close => "Close".into(),
-            Step::Ingest(_) => "Ingest".into(),
+            Step::Ingest(_, None) => "Ingest".into(),
+            Step::Ingest(_, Some(m)) => format!("Ingest, Reply({})", msg_class(m)),
             Step::Flush { .. } => "Flush".into(),
             Step::Subscribe(_) => "Subscribe".into(),
         }
@@ -1111,14 +1158,18 @@ mod tests {
                 ..DaemonConfig::default()
             });
             let epoch = populate(&shared);
+            let m = Arc::clone(&lock(&shared.computations)["m"]);
             for level in 0..=wire::PROTOCOL {
                 for row in rows(level, epoch) {
                     let mut session = connect(&shared, level, state != State::NoSession);
                     shared
                         .recovering
                         .store(state == State::Recovering, Ordering::Release);
+                    let parked = &m.metrics().reorder_depth;
+                    parked.store(row.overloaded as u64 * MAX_PARKED as u64, Ordering::Relaxed);
                     let got = class(&session.on_frame(&shared, &row.payload));
                     shared.recovering.store(false, Ordering::Release);
+                    parked.store(0, Ordering::Relaxed);
                     assert_eq!(
                         got,
                         expected(&row, state, level),

@@ -655,6 +655,9 @@ pub struct ShardEnv {
     pub forced_full: AtomicU64,
     /// The stamping strategy every shard of this computation runs.
     pub strategy: StampStrategy,
+    /// Per process, the index of its last delivered event, stored by
+    /// whichever shard delivers it.
+    pub watermarks: Vec<AtomicU32>,
 }
 
 impl ShardEnv {
@@ -666,6 +669,7 @@ impl ShardEnv {
             drift: Mutex::new(DriftDecider::new(n)),
             forced_full: AtomicU64::new(0),
             strategy,
+            watermarks: (0..n).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 }
@@ -830,6 +834,7 @@ impl DeliveryHooks for CoreHooks<'_> {
         }
         self.outbox.push(DeliveredRec { ev, stamp });
         self.log.push(ev);
+        self.env.watermarks[ev.process().idx()].store(ev.index().0, Ordering::Relaxed);
     }
 }
 
@@ -879,7 +884,7 @@ pub fn migrate_between(
             ),
         }
     }
-    // Local events parked under `p`'s events switch to cross-shard edges.
+    // Local heads whose edge leads to `p` switch to cross-shard edges.
     let (reorder, mut hooks) = src.split(env, wakes);
     delivered + reorder.reexamine_process(p, &mut hooks)
 }

@@ -300,6 +300,11 @@ impl ShardedRuntime {
         rt
     }
 
+    /// Per process, the index of its last delivered event.
+    pub(crate) fn watermarks(&self) -> &[AtomicU32] {
+        &self.env.watermarks
+    }
+
     /// Shards currently receiving routed traffic.
     pub(crate) fn active_shards(&self) -> usize {
         self.active.load(Ordering::Acquire)

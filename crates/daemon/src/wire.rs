@@ -86,8 +86,10 @@ pub mod code {
     /// The daemon is replaying its write-ahead log after a restart; ingest
     /// and queries are refused until recovery completes.
     pub const RECOVERING: u16 = 8;
-    /// The daemon is out of connection capacity (thread/fd exhaustion);
-    /// the connection is refused but the daemon keeps serving others.
+    /// The daemon is out of connection capacity (thread/fd exhaustion):
+    /// the connection is refused but the daemon keeps serving others. Also
+    /// the answer to an `Events` frame while the computation holds
+    /// `reorder::MAX_PARKED` parked events; the connection stays open.
     pub const OVERLOADED: u16 = 9;
     /// This daemon is a replication follower: writes (`Events`, `Flush`)
     /// are refused — send them to the leader.
