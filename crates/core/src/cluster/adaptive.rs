@@ -490,14 +490,17 @@ mod tests {
         for max_cs in [1, 2, 3, 5] {
             for merge_threshold in [0.0, 1.0] {
                 for migrate_after in [1, 2, 100] {
-                    for drift_threshold_q16 in [1, (Q16_ONE / 4) as u32] {
+                    // (0, 0) is the gate off, as the migration ablation runs it.
+                    for (drift_threshold_q16, cooldown) in
+                        [(1, 2), ((Q16_ONE / 4) as u32, 2), (0, 0)]
+                    {
                         let params = AdaptiveParams {
                             max_cluster_size: max_cs,
                             merge_threshold,
                             migrate_after,
                             drift_threshold_q16,
                             ewma_shift: 3,
-                            cooldown: 2,
+                            cooldown,
                         };
                         check_exact(&t, &AdaptiveEngine::run(&t, params));
                     }

@@ -76,16 +76,7 @@ pub struct SpaceReport {
 impl SpaceReport {
     /// Measure a timestamp structure under an encoding policy.
     pub fn measure(cts: &ClusterTimestamps, enc: Encoding) -> SpaceReport {
-        Self::measure_from_stamps(cts.stamps(), cts.num_cluster_receives(), enc)
-    }
-
-    /// Measure from a raw stamp sequence (shared by the base and the
-    /// migrating engines).
-    pub fn measure_from_stamps(
-        stamps: &[ClusterStamp],
-        num_cluster_receives: usize,
-        enc: Encoding,
-    ) -> SpaceReport {
+        let stamps = cts.stamps();
         let mut cluster_elements = 0u64;
         for stamp in stamps {
             cluster_elements += enc.cluster_elements(stamp);
@@ -94,7 +85,7 @@ impl SpaceReport {
         let fm_elements = enc.fm_elements() * num_events as u64;
         SpaceReport {
             num_events,
-            num_cluster_receives,
+            num_cluster_receives: cts.num_cluster_receives(),
             cluster_elements,
             fm_elements,
             avg_cluster_elements: if num_events == 0 {

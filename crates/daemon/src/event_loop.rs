@@ -53,9 +53,9 @@ use crate::netpoll::{
     EpollEvent, EventFd, Poller, TimerFd, EPOLLERR, EPOLLET, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
-use crate::pipeline::TryEnqueue;
+use crate::pipeline::{lock, TryEnqueue};
 use crate::replication;
-use crate::server::{lock, refuse_overloaded, DaemonShared};
+use crate::server::{refuse_overloaded, DaemonShared};
 use crate::session::{computation_closed, flush_reply, Session, Step};
 use crate::wire::{code, write_msg, FrameBuffer, Msg};
 use std::collections::HashMap;

@@ -25,6 +25,7 @@
 //! [`run`] over the same computations.
 
 use crate::client::{Client, ClusterMap, Placement};
+use crate::pipeline::lock;
 use crate::server::{Daemon, DaemonConfig};
 use cts_core::cluster::AdaptiveParams;
 use cts_core::strategy::MergeOnFirst;
@@ -269,10 +270,6 @@ fn set_error(slot: &Mutex<Option<io::Error>>, e: io::Error) {
     if g.is_none() {
         *g = Some(e);
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The ingest phase: all (computation, slice) streams over the pool. With

@@ -5,8 +5,12 @@
 //! cts-daemon [--host 127.0.0.1] [--port 4650] [--port-file PATH]
 //!            [--pollers N] [--max-conns N]
 //!            [--queue-capacity 64] [--epoch-every 4096]
+//!            [--flush-timeout-secs 60]
 //!            [--data-dir PATH] [--sync-window-ms 5] [--checkpoint-every N]
-//!            [--retain-epochs 8] [--retain-bytes B]
+//!            [--query-workers N] [--follow HOST:PORT]
+//!            [--retain-epochs N] [--retain-bytes B]
+//!            [--adaptive maxCS[@tau][/m]]
+//!            [--shards N|auto] [--balance] [--pin-cores] [--help]
 //! ```
 //!
 //! The network transport is chosen by platform: the epoll poller pool on
@@ -20,6 +24,11 @@
 //! port as decimal text once listening (how scripts/check.sh finds the
 //! daemon it just launched). Status goes to stderr; stdout carries only the
 //! `listening on ...` line for interactive use.
+//!
+//! `--flush-timeout-secs` bounds how long a `Flush` barrier waits before
+//! reporting a stall. `--query-workers N` sizes the batched-query pool
+//! (0 = host-sized, 1 = inline). `--follow HOST:PORT` makes the daemon a
+//! read-only follower that replicates that leader's computations.
 //!
 //! `--data-dir` turns on durability: delivered events are write-ahead
 //! logged and checkpointed under PATH, and a restarted daemon recovers its
@@ -46,18 +55,19 @@ use cts_core::strategy::StrategySpec;
 use cts_daemon::server::{Daemon, DaemonConfig};
 use std::time::Duration;
 
+const USAGE: &str = "usage: cts-daemon [--host HOST] [--port PORT] [--port-file PATH]
+                  [--pollers N] [--max-conns N]
+                  [--queue-capacity N] [--epoch-every N]
+                  [--flush-timeout-secs N]
+                  [--data-dir PATH] [--sync-window-ms N]
+                  [--checkpoint-every N] [--query-workers N]
+                  [--follow HOST:PORT]
+                  [--retain-epochs N] [--retain-bytes B]
+                  [--adaptive maxCS[@tau][/m]]
+                  [--shards N|auto] [--balance] [--pin-cores] [--help]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: cts-daemon [--host HOST] [--port PORT] [--port-file PATH]\n\
-         \x20                 [--pollers N] [--max-conns N]\n\
-         \x20                 [--queue-capacity N] [--epoch-every N]\n\
-         \x20                 [--data-dir PATH] [--sync-window-ms N]\n\
-         \x20                 [--checkpoint-every N] [--query-workers N]\n\
-         \x20                 [--follow HOST:PORT]\n\
-         \x20                 [--retain-epochs N] [--retain-bytes B]\n\
-         \x20                 [--adaptive maxCS[@tau][/m]]\n\
-         \x20                 [--shards N|auto] [--balance] [--pin-cores]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -175,4 +185,29 @@ fn main() {
     eprintln!("[cts-daemon] shutdown requested; draining");
     daemon.shutdown();
     eprintln!("[cts-daemon] bye");
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every flag `main` matches on appears in `USAGE` and in the module
+    /// doc's synopsis.
+    #[test]
+    fn usage_and_synopsis_list_every_parsed_flag() {
+        let source = include_str!("main.rs");
+        let synopsis = source.split("```").nth(1).expect("module doc synopsis");
+        let parsed: Vec<&str> = source
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix('"'))
+            .filter_map(|l| l.split('"').next())
+            .filter(|flag| flag.starts_with("--"))
+            .collect();
+        assert!(parsed.len() >= 20, "parsed flags: {parsed:?}");
+        for flag in parsed {
+            let listed = |text: &str| {
+                text.contains(&format!("[{flag} ")) || text.contains(&format!("[{flag}]"))
+            };
+            assert!(listed(super::USAGE), "{flag} missing from USAGE");
+            assert!(listed(synopsis), "{flag} missing from the synopsis");
+        }
+    }
 }

@@ -12,6 +12,7 @@
 //! Small batches run inline: the scatter/join overhead (~µs) dwarfs the
 //! work of a handful of precedence tests (a few hundred ns each).
 
+use crate::pipeline::lock;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -153,10 +154,6 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
         };
         job();
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

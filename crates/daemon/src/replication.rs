@@ -63,8 +63,8 @@
 //! leader-acked commit points.
 
 use crate::checkpoint;
-use crate::pipeline::{Computation, ReplBatch, REPL_SUBSCRIBER_QUEUE};
-use crate::server::{lock, DaemonShared};
+use crate::pipeline::{lock, Computation, ReplBatch, REPL_SUBSCRIBER_QUEUE};
+use crate::server::DaemonShared;
 use crate::session::hello;
 use crate::wal;
 use crate::wire::{self, code, read_msg, recv_frame, write_msg, CompInfo, Msg, Recv};

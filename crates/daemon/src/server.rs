@@ -26,7 +26,7 @@
 //! exits).
 
 use crate::checkpoint;
-use crate::pipeline::{Computation, ComputationConfig, DurabilityConfig};
+use crate::pipeline::{lock, Computation, ComputationConfig, DurabilityConfig};
 use crate::query_pool::QueryPool;
 use crate::replication;
 use crate::session::{computation_closed, flush_reply, Session, Step};
@@ -828,8 +828,4 @@ impl DaemonShared {
         comps.insert(name, Arc::clone(&comp));
         Ok((comp, false))
     }
-}
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -35,11 +35,11 @@
 //!    range-checked before anything is allocated or enqueued.
 
 use crate::metrics::Metrics;
-use crate::pipeline::{Computation, FlushError, Snapshot};
+use crate::pipeline::{lock, Computation, FlushError, Snapshot};
 use crate::query_pool::QueryPool;
 use crate::reorder::{unknown_process, MAX_PARKED};
 use crate::replication::{self, Grant};
-use crate::server::{lock, DaemonShared};
+use crate::server::DaemonShared;
 use crate::wire::{self, code, CompInfo, Msg, Scope, WireError};
 use cts_model::{Event, EventId, EventIndex, ProcessId};
 use cts_store::queries::{greatest_concurrent, PrecedenceBackend};

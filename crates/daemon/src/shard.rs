@@ -60,6 +60,7 @@
 //! that the cut's precedence equals the offline batch engine's and that every
 //! process row of the cut holds exactly that process's events in index order.
 
+use crate::pipeline::lock;
 use crate::reorder::{DeliveryHooks, RejectReason, ReorderBuffer};
 use cts_core::cluster::{
     AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, DriftDecider, StampLog,
@@ -77,11 +78,6 @@ pub type ShardId = usize;
 /// A pending cross-shard wake-up: shard `.0` has work parked under event
 /// `.1`, whose clock just became available on the exchange.
 pub type Wake = (ShardId, EventId);
-
-/// Poison-tolerant lock (mirrors [`crate::pipeline`]'s discipline).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 // ---------------------------------------------------------------------------
 // Exchange: cross-shard clock hand-off

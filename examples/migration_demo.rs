@@ -1,19 +1,22 @@
 //! The paper's future work, demonstrated: processes whose communication
 //! affinity *drifts* defeat merge-based clustering (clusters can only grow
 //! and never reconsider), while the migration-capable engine follows the
-//! processes to their new partners (§5, second variant).
+//! processes to their new partners (§5, second variant). Each migration
+//! costs full-width marker stamps, so re-homing does not win at every drift
+//! level; the closing lines name the levels where it does.
 //!
 //! ```text
 //! cargo run --release --example migration_demo
 //! ```
 
 use cluster_timestamps::prelude::*;
-use cts_core::cluster::MigratingEngine;
+use cts_core::cluster::{AdaptiveEngine, AdaptiveParams};
 use cts_workloads::synthetic::DriftingAffinity;
 
 fn main() {
     println!("drift   merge-1st  merge-Nth(5)  migrating   (migrations)");
     println!("-----   ---------  ------------  ---------   ------------");
+    let (mut wins, mut losses) = (Vec::new(), Vec::new());
     for drift in [0.0, 0.25, 0.5, 0.75] {
         let trace = DriftingAffinity {
             procs: 60,
@@ -31,16 +34,34 @@ fn main() {
             &ClusterEngine::run(&trace, MergeOnNth::new(n, max_cs, 5.0)),
             enc,
         );
-        let mig = MigratingEngine::run(&trace, max_cs, 5.0, 4);
-        let mig_report = mig.space(enc);
+        // Migration layered on merge-on-1st (threshold 0) with the drift
+        // gate off, so the only difference from merge-1st is re-homing.
+        let mut engine = AdaptiveEngine::new(
+            n,
+            AdaptiveParams {
+                merge_threshold: 0.0,
+                migrate_after: 6,
+                drift_threshold_q16: 0,
+                cooldown: 0,
+                ..AdaptiveParams::new(max_cs)
+            },
+        );
+        for &ev in trace.events() {
+            engine.accept(ev);
+        }
+        let migrations = engine.num_migrations();
+        let mig = engine.finish();
+        let mig_report = SpaceReport::measure(&mig, enc);
 
         println!(
-            "{drift:>5.2}   {:>9.3}  {:>12.3}  {:>9.3}   ({})",
-            m1.ratio,
-            mn.ratio,
-            mig_report.ratio,
-            mig.num_migrations()
+            "{drift:>5.2}   {:>9.3}  {:>12.3}  {:>9.3}   ({migrations})",
+            m1.ratio, mn.ratio, mig_report.ratio
         );
+        if mig_report.ratio < m1.ratio {
+            wins.push(drift);
+        } else {
+            losses.push(drift);
+        }
 
         // All engines stay exact regardless of drift — verify on a sample.
         let oracle = Oracle::compute(&trace);
@@ -54,7 +75,8 @@ fn main() {
             }
         }
     }
-    println!("\nhigher drift → merge-based clusters freeze on phase-1 structure; the");
-    println!("migrating engine re-homes drifted processes (at the cost of full-width");
-    println!("marker stamps), keeping the ratio down.");
+    println!("\nmerge-based clusters freeze on phase-1 structure; the migrating engine");
+    println!("re-homes drifted processes at the cost of full-width marker stamps.");
+    println!("Against merge-1st that lowers the ratio at drift {wins:?} and does not");
+    println!("at drift {losses:?}.");
 }

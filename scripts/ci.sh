@@ -5,7 +5,8 @@
 #   fmt       rustfmt in check mode
 #   clippy    cargo clippy --all-targets with warnings denied
 #   build     offline release build of the whole workspace
-#   test      full offline test suite, then cts-experiments regenerates
+#   test      full offline test suite, the migration_demo example run
+#             (its exactness assertion), then cts-experiments regenerates
 #             results/full_report.txt and every results/*.csv into the
 #             workdir, which must match the committed files byte for byte
 #   smoke     daemon loopback smoke over TCP + in-process mini-suite
@@ -145,6 +146,11 @@ stage_build() {
 stage_test() {
   echo "==> test (offline)"
   cargo test -q --offline --workspace
+
+  # cargo test builds examples/ but never runs them; the demo asserts its
+  # engine's exactness against the oracle.
+  echo "==> test: migration_demo runs"
+  cargo run -q --release --offline --example migration_demo >/dev/null
 
   # The committed report and CSVs are what today's code prints: regenerate
   # all of them into the workdir and require them byte-identical.

@@ -247,20 +247,32 @@ fn merge_nth_zero_threshold_equals_merge_first() {
 #[test]
 fn migrating_engine_equals_oracle() {
     run_cases("migrating_engine_equals_oracle", CASES, 0x0a, |rng| {
-        use cts_core::cluster::MigratingEngine;
+        use cts_core::cluster::{AdaptiveEngine, AdaptiveParams};
         let t = random_trace(rng);
         let max_cs = rng.gen_range(1usize..6);
-        let threshold = rng.gen_f64() * 2.0;
+        let merge_threshold = rng.gen_f64() * 2.0;
         let migrate_after = rng.gen_range(1u32..4);
-        let mts = MigratingEngine::run(&t, max_cs, threshold, migrate_after);
+        // Every case runs with the drift gate off (what the migration
+        // ablation runs) and with it on at a random level and cooldown.
+        let gate_on = (rng.gen_range(1u32..1 << 15), rng.gen_range(1u32..4));
         let oracle = Oracle::compute(&t);
-        for e in t.all_event_ids() {
-            for f in t.all_event_ids() {
-                assert_eq!(
-                    mts.precedes(&t, e, f),
-                    oracle.happened_before(&t, e, f),
-                    "{e} -> {f}"
-                );
+        for (drift_threshold_q16, cooldown) in [(0, 0), gate_on] {
+            let params = AdaptiveParams {
+                merge_threshold,
+                migrate_after,
+                drift_threshold_q16,
+                cooldown,
+                ..AdaptiveParams::new(max_cs)
+            };
+            let cts = AdaptiveEngine::run(&t, params);
+            for e in t.all_event_ids() {
+                for f in t.all_event_ids() {
+                    assert_eq!(
+                        cts.precedes(&t, e, f),
+                        oracle.happened_before(&t, e, f),
+                        "{e} -> {f} under {params:?}"
+                    );
+                }
             }
         }
     });
