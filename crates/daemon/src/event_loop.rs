@@ -30,7 +30,10 @@
 //! A connection is always in exactly one of these states, enforced by the
 //! order of checks in [`Worker::pump`]:
 //!
-//! 1. **draining**: queued reply bytes flush until `EAGAIN`; a partial
+//! 1. **draining**: replies are written when the input runs out, or before
+//!    the connection stops (closing, parked, blocked on a flush, or at the
+//!    write buffer's cap), so the k pipelined frames of one readiness turn
+//!    cost one `write()`. Queued bytes flush until `EAGAIN`; a partial
 //!    write arms `EPOLLOUT` (write backpressure) and the next writable
 //!    edge resumes. Reply production stops while the write buffer is over
 //!    its cap, so a client that stops reading cannot balloon the daemon.
@@ -57,7 +60,7 @@ use crate::pipeline::{lock, TryEnqueue};
 use crate::replication;
 use crate::server::{refuse_overloaded, DaemonShared};
 use crate::session::{computation_closed, flush_reply, Session, Step};
-use crate::wire::{code, write_msg, FrameBuffer, Msg};
+use crate::wire::{code, frame_msg, FrameBuffer, Msg};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -148,10 +151,10 @@ impl Conn {
     }
 
     fn queue_msg(&mut self, msg: &Msg) {
-        // Writing into a Vec fails only for a message over the frame
-        // limit, which leaves nothing written. The peer cannot be answered;
-        // hang up, as a failed socket write does on the thread transport.
-        if write_msg(&mut self.wbuf, msg).is_err() {
+        // Framing fails only for a message over the frame limit, which
+        // leaves nothing queued. The peer cannot be answered; hang up, as a
+        // failed socket write does on the thread transport.
+        if frame_msg(&mut self.wbuf, msg).is_err() {
             self.closing = true;
         }
     }
@@ -381,11 +384,15 @@ impl Worker {
     /// whether to keep it, close it, or hand it to a replication streamer.
     fn pump(&mut self, id: u64, conn: &mut Conn) -> Pump {
         loop {
-            // 1. Drain queued replies first — freeing reply buffer is what
-            //    un-gates everything else.
-            match self.flush_writes(id, conn) {
-                Ok(()) => {}
-                Err(_) => return Pump::Close,
+            // 1. Write queued replies once the input runs out, or before the
+            //    connection stops producing them: the k frames of one
+            //    readiness turn cost one write(), not k.
+            let stops = conn.closing
+                || conn.blocked_on_flush
+                || conn.pending.is_some()
+                || conn.unsent() >= WBUF_CAP;
+            if (stops || !conn.rbuf.has_frame()) && self.flush_writes(id, conn).is_err() {
+                return Pump::Close;
             }
             if conn.closing {
                 // Keep only to finish draining; EPOLLOUT re-enters here.
@@ -413,21 +420,14 @@ impl Worker {
                 return Pump::Keep;
             }
             // 5. Next frame, or more bytes.
-            match conn.rbuf.next_frame() {
-                Ok(Some(payload)) => {
-                    self.handle_frame(id, conn, &payload);
-                    if conn.subscribe.is_some() {
-                        // Granted Subscribe: the connection leaves the
-                        // readiness loop (the streamer writes the queued
-                        // SubscribeAck and everything after it).
-                        return Pump::Handoff;
-                    }
-                }
+            let step = match conn.rbuf.next_frame() {
+                Ok(Some(payload)) => conn.session.on_frame(&self.shared, payload),
                 Ok(None) => {
                     if conn.read_ready {
                         if self.fill_rbuf(conn).is_err() {
                             return Pump::Close;
                         }
+                        continue;
                     } else if conn.eof {
                         // All complete frames processed; a dangling partial
                         // frame is a mid-frame hangup either way.
@@ -442,6 +442,13 @@ impl Worker {
                     }
                 }
                 Err(_) => return Pump::Close, // oversized frame: hang up
+            };
+            self.handle_step(id, conn, step);
+            if conn.subscribe.is_some() {
+                // Granted Subscribe: the connection leaves the readiness
+                // loop (the streamer writes the queued SubscribeAck and
+                // everything after it).
+                return Pump::Handoff;
             }
         }
     }
@@ -619,9 +626,9 @@ impl Worker {
         }
     }
 
-    /// One frame through the session, then whatever waiting its step needs.
-    fn handle_frame(&mut self, id: u64, conn: &mut Conn, payload: &[u8]) {
-        match conn.session.on_frame(&self.shared, payload) {
+    /// Whatever waiting one frame's step needs.
+    fn handle_step(&mut self, id: u64, conn: &mut Conn, step: Step) {
+        match step {
             Step::Reply(reply) => conn.queue_msg(&reply),
             Step::ReplyThenClose(reply) => {
                 conn.queue_msg(&reply);

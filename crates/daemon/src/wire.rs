@@ -808,23 +808,34 @@ messages! {
     0x7F Error [1, Reply] { code: u16, message: String }
 }
 
-/// Write one message as a frame. A message that encodes past [`MAX_FRAME`]
-/// is an error and nothing is written: the peer would reject the frame and
-/// lose the stream's framing with it.
-pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
-    let payload = msg.encode();
-    if payload.len() > MAX_FRAME as usize {
+/// Append one message to `out` as a frame: a length placeholder, the
+/// payload encoded in place, then the length patched in. A message that
+/// encodes past [`MAX_FRAME`] is an error and `out` is truncated back to
+/// where it was: the peer would reject the frame and lose the stream's
+/// framing with it.
+pub(crate) fn frame_msg(out: &mut Vec<u8>, msg: &Msg) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    msg.put(out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME as usize {
+        out.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "message encodes to {} bytes, over the frame limit {MAX_FRAME}",
-                payload.len()
-            ),
+            format!("message encodes to {len} bytes, over the frame limit {MAX_FRAME}"),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(())
+}
+
+/// Write one message as a frame with a single `write_all`, so an
+/// unbuffered socket sees one write per message. An oversized message
+/// writes nothing (see [`frame_msg`]).
+pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(64);
+    frame_msg(&mut frame, msg)?;
+    w.write_all(&frame)
 }
 
 /// Outcome of one [`recv_frame`] attempt on a possibly-timeouted socket.
@@ -942,10 +953,19 @@ impl FrameBuffer {
         self.buf.len() - self.pos
     }
 
-    /// Pop the next complete frame payload, if one has fully arrived.
-    /// `Ok(None)` means "need more bytes"; an oversized length prefix is a
-    /// protocol error that must end the connection.
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+    /// Whether a complete frame is buffered, so [`FrameBuffer::next_frame`]
+    /// will yield it without more bytes.
+    pub(crate) fn has_frame(&self) -> bool {
+        let avail = &self.buf[self.pos..];
+        avail.len() >= 4
+            && avail.len() - 4 >= u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize
+    }
+
+    /// Pop the next complete frame payload, if one has fully arrived,
+    /// borrowed from the buffer. `Ok(None)` means "need more bytes"; an
+    /// oversized length prefix is a protocol error that must end the
+    /// connection.
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
             self.compact();
@@ -963,9 +983,9 @@ impl FrameBuffer {
             self.compact();
             return Ok(None);
         }
-        let payload = avail[4..total].to_vec();
+        let start = self.pos + 4;
         self.pos += total;
-        Ok(Some(payload))
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     /// Drop the consumed prefix and release oversized capacity once the
@@ -1511,7 +1531,7 @@ mod tests {
         for b in &wire {
             fb.extend(std::slice::from_ref(b));
             while let Some(payload) = fb.next_frame().unwrap() {
-                out.push(Msg::decode(&payload).unwrap());
+                out.push(Msg::decode(payload).unwrap());
             }
         }
         assert_eq!(out, vec![msg]);
@@ -1531,7 +1551,7 @@ mod tests {
         fb.extend(&wire);
         let mut out = Vec::new();
         while let Some(payload) = fb.next_frame().unwrap() {
-            out.push(Msg::decode(&payload).unwrap());
+            out.push(Msg::decode(payload).unwrap());
         }
         assert_eq!(out, msgs);
         assert_eq!(fb.pending(), 2);

@@ -48,10 +48,11 @@
 #   bench     two cts-bench --quick runs gated against the committed
 #             baseline by scripts/bench_gate.py
 #   benchmark the pinned end-to-end benchmark (benchmark/, its own package
-#             outside the workspace, the command BENCHMARK.json declares)
-#             built and run at 1/20 length: all four workloads must come
-#             back correct with no failed operation, so a daemon API or
-#             flag change cannot break the instrument unnoticed
+#             outside the workspace, the command BENCHMARK.json declares):
+#             its own unit tests, then built and run at 1/20 length: all
+#             four workloads must come back correct with no failed
+#             operation, so a daemon API or flag change cannot break the
+#             instrument unnoticed
 #
 # Usage: ci.sh [stage ...]     (no arguments = all stages)
 #        ci.sh --list          (print the stage names, one per line)
@@ -495,7 +496,11 @@ stage_bench() {
 }
 
 stage_benchmark() {
-  echo "==> benchmark: build and smoke-run the end-to-end benchmark"
+  echo "==> benchmark: unit-test, build and smoke-run the end-to-end benchmark"
+  # The harness's own unit tests (host, oracle, spans, stats, workload); one
+  # target directory with run.sh, so no stray benchmark/target is left.
+  CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+    cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
   # run.sh builds cts-daemon and the generator, prints one result line per
   # workload, and exits non-zero unless every one is correct.
   bash benchmark/run.sh --smoke

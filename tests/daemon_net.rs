@@ -15,14 +15,21 @@
 //!   synced by the clock, without any `Flush` barrier on the wire;
 //! - two bounds on what a peer can make the daemon allocate or emit, on
 //!   both transports: a `Hello` for an absurd process count is refused, and
-//!   no reply is ever written past the frame limit.
+//!   no reply is ever written past the frame limit;
+//! - reply coalescing on the epoll backend: 64 pipelined queries that
+//!   arrive together are answered in at most a few TCP data segments
+//!   (counted by the client's `TCP_INFO`), not one per reply;
+//! - reply order across a pipeline that mixes queries, an `Events` frame,
+//!   a `Flush` and a `ProtoHello`, on both transports, and a lone query
+//!   answered with no further input (no reply stranded in a write buffer).
 //!
 //! The thread backend also re-runs the differential soak (mini suite), so
 //! both front ends stay pinned to the offline engine.
 
+use cts_core::FmStore;
 use cts_daemon::loadgen::{self, LoadConfig};
 use cts_daemon::server::{Daemon, DaemonConfig, NetBackend};
-use cts_daemon::wire::{code, read_msg, write_msg, Msg};
+use cts_daemon::wire::{code, read_msg, recv_frame, write_msg, Msg, Recv, PROTOCOL, WAL_FORMAT};
 use cts_daemon::Client;
 use cts_workloads::suite::mini_suite;
 use cts_workloads::{spmd::Stencil1D, Workload};
@@ -606,4 +613,215 @@ fn gc_batch_larger_than_one_frame_thread_backend() {
 #[test]
 fn gc_batch_larger_than_one_frame_epoll_backend() {
     gc_batch_larger_than_one_frame(NetBackend::Epoll);
+}
+
+// ---------------------------------------------------------------------------
+// Reply coalescing: one readiness turn, one write.
+// ---------------------------------------------------------------------------
+
+/// The client's `tcpi_data_segs_in`: data-carrying segments received on `s`.
+#[cfg(target_os = "linux")]
+fn data_segs_in(s: &TcpStream) -> u32 {
+    use std::os::unix::io::AsRawFd;
+    extern "C" {
+        fn getsockopt(fd: i32, level: i32, name: i32, val: *mut u8, len: *mut u32) -> i32;
+    }
+    let (mut info, mut len) = ([0u8; 256], 256u32);
+    // SAFETY: `info` is writable for `len` bytes and `s` is an open socket.
+    // Level 6 is SOL_TCP, option 11 is TCP_INFO.
+    let rc = unsafe { getsockopt(s.as_raw_fd(), 6, 11, info.as_mut_ptr(), &mut len) };
+    assert_eq!(rc, 0, "getsockopt(SOL_TCP, TCP_INFO) failed");
+    assert!(len >= 156, "tcp_info too short: {len} bytes");
+    // `tcpi_data_segs_in` is the u32 at byte offset 152.
+    u32::from_ne_bytes(info[152..156].try_into().unwrap())
+}
+
+/// One reply; a failure, not a hang, when none arrives within the socket's
+/// read timeout.
+fn read_within(s: &mut TcpStream, what: &str) -> Msg {
+    match recv_frame(s).expect("read") {
+        Recv::Frame(payload) => Msg::decode(&payload).expect("decode reply"),
+        Recv::Idle => panic!("{what}: no reply within the read timeout"),
+        Recv::Eof => panic!("{what}: connection closed"),
+    }
+}
+
+/// 64 `QueryPrecedes` frames that reach the daemon in one segment are one
+/// readiness turn: their replies must leave in one `write()`, so the client
+/// sees a handful of data segments per round rather than one per reply.
+#[cfg(target_os = "linux")]
+#[test]
+fn epoll_coalesces_pipelined_replies() {
+    let daemon = Daemon::start(DaemonConfig::default()).expect("bind");
+    let t = Stencil1D { procs: 4, iters: 4 }.generate(41);
+    let fm = FmStore::compute(&t);
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    client
+        .hello("coalesce", t.num_processes(), 4)
+        .expect("hello");
+    client.stream_events(t.events(), 512).expect("stream");
+    client.flush(t.num_events() as u64).expect("flush");
+
+    let mut s = TcpStream::connect(daemon.local_addr()).expect("connect");
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        raw_hello(&mut s, "coalesce", t.num_processes()),
+        Msg::HelloAck { existing: true, .. }
+    ));
+    let ids: Vec<_> = t.all_event_ids().collect();
+    for round in 0..5 {
+        let pairs: Vec<_> = (0..64)
+            .map(|i| {
+                (
+                    ids[(round * 7 + i) % ids.len()],
+                    ids[(i * 5 + 3) % ids.len()],
+                )
+            })
+            .collect();
+        let mut frames = Vec::new();
+        for &(e, f) in &pairs {
+            write_msg(&mut frames, &Msg::QueryPrecedes { e, f }).unwrap();
+        }
+        let before = data_segs_in(&s);
+        s.write_all(&frames).expect("write round");
+        for (i, &(e, f)) in pairs.iter().enumerate() {
+            match read_within(&mut s, &format!("round {round} reply {i}")) {
+                Msg::PrecedesResult { precedes, .. } => {
+                    assert_eq!(precedes, fm.precedes(&t, e, f), "round {round} reply {i}")
+                }
+                other => panic!("round {round} reply {i}: {other:?}"),
+            }
+        }
+        let segs = data_segs_in(&s) - before;
+        assert!(
+            segs <= 4,
+            "round {round}: 64 pipelined replies arrived in {segs} data segments"
+        );
+    }
+    write_msg(&mut s, &Msg::Goodbye).unwrap();
+    daemon.shutdown();
+}
+
+/// One `write_all` carrying queries, an `Events` frame, a `Flush` (a helper
+/// thread on the epoll transport), more queries and a `ProtoHello`: every
+/// reply comes back in request order with the right content. Then a lone
+/// query must be answered with no further input — a reply left queued
+/// under edge-triggered epoll would never be written.
+fn pipelined_mix_keeps_order(net: NetBackend) {
+    let daemon = Daemon::start(DaemonConfig {
+        net,
+        ..DaemonConfig::default()
+    })
+    .expect("bind");
+    let t = Stencil1D { procs: 4, iters: 6 }.generate(43);
+    let fm = FmStore::compute(&t);
+    let half = t.num_events() / 2;
+    let mut s = TcpStream::connect(daemon.local_addr()).expect("connect");
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        raw_hello(&mut s, "mix", t.num_processes()),
+        Msg::HelloAck { .. }
+    ));
+    write_msg(&mut s, &Msg::Events(t.events()[..half].to_vec())).unwrap();
+    write_msg(
+        &mut s,
+        &Msg::Flush {
+            expected_total: half as u64,
+        },
+    )
+    .unwrap();
+    match read_within(&mut s, "first flush") {
+        Msg::FlushAck { delivered, .. } => assert_eq!(delivered, half as u64),
+        other => panic!("expected FlushAck, got {other:?}"),
+    }
+
+    // Queries over the delivered prefix, then the rest of the trace, the
+    // barrier, and queries that need the rest.
+    let early: Vec<_> = t.events()[..half].iter().map(|e| e.id).collect();
+    let all: Vec<_> = t.all_event_ids().collect();
+    let pairs = |ids: &[cts_model::EventId], k: usize| -> Vec<_> {
+        (0..16)
+            .map(|i| (ids[(i * 7 + k) % ids.len()], ids[(i * 3 + 1) % ids.len()]))
+            .collect()
+    };
+    let (before, after) = (pairs(&early, 0), pairs(&all, 5));
+    // Both verdicts occur, so a reordered reply shows.
+    let verdicts: Vec<bool> = before
+        .iter()
+        .chain(&after)
+        .map(|&(e, f)| fm.precedes(&t, e, f))
+        .collect();
+    assert!(verdicts.contains(&true) && verdicts.contains(&false));
+    let mut frames = Vec::new();
+    for &(e, f) in &before {
+        write_msg(&mut frames, &Msg::QueryPrecedes { e, f }).unwrap();
+    }
+    write_msg(&mut frames, &Msg::Events(t.events()[half..].to_vec())).unwrap();
+    let total = t.num_events() as u64;
+    write_msg(
+        &mut frames,
+        &Msg::Flush {
+            expected_total: total,
+        },
+    )
+    .unwrap();
+    for &(e, f) in &after {
+        write_msg(&mut frames, &Msg::QueryPrecedes { e, f }).unwrap();
+    }
+    let hello = Msg::ProtoHello {
+        protocol_max: PROTOCOL,
+        wal_max: WAL_FORMAT,
+    };
+    write_msg(&mut frames, &hello).unwrap();
+    s.write_all(&frames).expect("write pipeline");
+
+    let expect_precedes = |s: &mut TcpStream, (e, f): (_, _), what: &str| match read_within(s, what)
+    {
+        Msg::PrecedesResult { precedes, .. } => {
+            assert_eq!(precedes, fm.precedes(&t, e, f), "{what}: {e:?} -> {f:?}")
+        }
+        other => panic!("{what}: expected PrecedesResult, got {other:?}"),
+    };
+    for (i, &p) in before.iter().enumerate() {
+        expect_precedes(&mut s, p, &format!("query {i} before the barrier"));
+    }
+    match read_within(&mut s, "pipelined flush") {
+        Msg::FlushAck { delivered, .. } => assert_eq!(delivered, total),
+        other => panic!("expected FlushAck, got {other:?}"),
+    }
+    for (i, &p) in after.iter().enumerate() {
+        expect_precedes(&mut s, p, &format!("query {i} after the barrier"));
+    }
+    assert!(matches!(
+        read_within(&mut s, "ProtoHello"),
+        Msg::ProtoHelloAck { .. }
+    ));
+
+    // A lone frame is the whole turn: its reply must not wait for more.
+    s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let lone = (all[all.len() - 1], all[0]);
+    write_msg(
+        &mut s,
+        &Msg::QueryPrecedes {
+            e: lone.0,
+            f: lone.1,
+        },
+    )
+    .unwrap();
+    expect_precedes(&mut s, lone, "lone query");
+    write_msg(&mut s, &Msg::Goodbye).unwrap();
+    daemon.shutdown();
+}
+
+#[test]
+fn pipelined_mix_keeps_order_thread_backend() {
+    pipelined_mix_keeps_order(NetBackend::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn pipelined_mix_keeps_order_epoll_backend() {
+    pipelined_mix_keeps_order(NetBackend::Epoll);
 }
