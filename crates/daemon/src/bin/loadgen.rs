@@ -6,7 +6,7 @@
 //! cts-loadgen [--addr HOST:PORT] [--connections 8] [--seed 1]
 //!             [--max-cluster-size 8] [--quick | --smoke | --drift | --place]
 //!             [--batch N] [--window-page N] [--shards N]
-//!             [--net-threads] [--pollers N] [--c10k N] [--c10k-bench]
+//!             [--pollers N] [--c10k N] [--c10k-bench]
 //!             [--json PATH] [--shutdown]
 //!             [--data-dir PATH] [--checkpoint-every N]
 //!             [--kill-after N [--restart]]
@@ -66,19 +66,19 @@
 //! The flags that configure the in-process daemon — `--data-dir`,
 //! `--checkpoint-every`, `--epoch-every` (publish cadence: small values
 //! retain many epochs), `--shards N` (ingest shard workers per
-//! computation), `--net-threads` (the thread-per-connection transport),
-//! `--pollers N`, `--followers`, `--kill-after` and `--c10k-bench` — are
-//! refused with `--addr`.
+//! computation), `--pollers N`, `--followers`, `--kill-after` and
+//! `--c10k-bench` — are refused with `--addr`.
 //!
 //! `--window-page N` sets the page size of the window-scroll checks (0 =
 //! the server's default cap). `--c10k-bench` runs no scenario: it measures
-//! the idle CPU and per-connection memory of both network backends.
+//! the idle CPU and per-connection memory of the epoll transport holding
+//! 5 000 idle connections.
 //! `--json PATH` writes what a run measures as `cts-bench/1` entries — the
 //! fleet's or `--c10k-bench`'s — for `scripts/bench_gate.py`.
 
 use cts_core::StrategySpec;
 use cts_daemon::loadgen::{self, Fixtures, LoadConfig, PlantedReport, Scenario};
-use cts_daemon::server::{Daemon, DaemonConfig, NetBackend};
+use cts_daemon::server::{Daemon, DaemonConfig};
 use cts_daemon::Client;
 use cts_util::bench::{BenchEntry, Bencher};
 use cts_workloads::suite::{mini_suite, standard_suite};
@@ -92,7 +92,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cts-loadgen [--addr HOST:PORT] [--connections N] [--seed N]\n\
          \x20                  [--max-cluster-size N]\n\
-         \x20                  [--net-threads] [--pollers N]\n\
+         \x20                  [--pollers N]\n\
          \x20                  [--c10k N] [--c10k-bench]\n\
          \x20                  [--quick | --smoke | --drift | --place]\n\
          \x20                  [--window-page N] [--json PATH] [--shutdown]\n\
@@ -200,8 +200,8 @@ fn parse_args() -> Args {
             "--wait-ready" => a.wait_ready = Some(parsed(flag, value(&mut i))),
             "--replay-as" => a.replay_as = Some(parsed(flag, value(&mut i))),
             "--help" | "-h" => usage(),
-            "--data-dir" | "--checkpoint-every" | "--epoch-every" | "--shards"
-            | "--net-threads" | "--pollers" | "--followers" | "--kill-after" | "--c10k-bench" => {
+            "--data-dir" | "--checkpoint-every" | "--epoch-every" | "--shards" | "--pollers"
+            | "--followers" | "--kill-after" | "--c10k-bench" => {
                 a.in_process.push(flag.to_string());
                 let d = &mut a.daemon;
                 match flag {
@@ -209,7 +209,6 @@ fn parse_args() -> Args {
                     "--checkpoint-every" => d.checkpoint_every = parsed(flag, value(&mut i)),
                     "--epoch-every" => d.epoch_every = parsed(flag, value(&mut i)),
                     "--shards" => d.shards = parsed::<NonZeroU32>(flag, value(&mut i)).get(),
-                    "--net-threads" => d.net = NetBackend::Threads,
                     "--pollers" => d.pollers = parsed(flag, value(&mut i)),
                     "--followers" => a.followers = parsed(flag, value(&mut i)),
                     "--kill-after" => a.kill_after = Some(parsed(flag, value(&mut i))),
@@ -484,7 +483,7 @@ fn write_json(path: Option<&str>, entries: Vec<BenchEntry>) -> Result<(), String
 fn main() {
     let a = parse_args();
     let outcome = if a.c10k_bench {
-        loadgen::c10k_bench_entries(5000, 500, Duration::from_secs(2))
+        loadgen::c10k_bench_entries(5000, Duration::from_secs(2))
             .map_err(|e| format!("c10k bench failed: {e}"))
             .and_then(|entries| write_json(a.json.as_deref(), entries))
             .map(|()| None)

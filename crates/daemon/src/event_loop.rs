@@ -20,10 +20,9 @@
 //! Connection sockets are edge-triggered (`EPOLLIN | EPOLLRDHUP | EPOLLET`):
 //! each readiness edge drains the socket to `EAGAIN` into a
 //! [`FrameBuffer`], and every complete frame goes through the connection's
-//! `Session` — the one protocol implementation, shared with the thread
-//! transport in [`crate::server`]. This module is a transport: it decides
-//! nothing about the protocol, only how to wait for what a `Step` needs
-//! without ever blocking the poller.
+//! `Session` — the one protocol implementation. This module is the
+//! daemon's transport: it decides nothing about the protocol, only how to
+//! wait for what a `Step` needs without ever blocking the poller.
 //!
 //! ## The per-connection transport state
 //!
@@ -152,8 +151,7 @@ impl Conn {
 
     fn queue_msg(&mut self, msg: &Msg) {
         // Framing fails only for a message over the frame limit, which
-        // leaves nothing queued. The peer cannot be answered; hang up, as a
-        // failed socket write does on the thread transport.
+        // leaves nothing queued. The peer cannot be answered; hang up.
         if frame_msg(&mut self.wbuf, msg).is_err() {
             self.closing = true;
         }
@@ -332,8 +330,8 @@ impl Worker {
                 return;
             }
             if self.shared.spawns_failing() {
-                // The injected-exhaustion hook applies to both backends so
-                // the OVERLOADED regression runs parameterized.
+                // The injected-exhaustion hook: the OVERLOADED refusal
+                // path, without actually exhausting the host.
                 refuse_overloaded(stream, &self.shared, "cannot take new connections");
                 continue;
             }

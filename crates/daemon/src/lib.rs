@@ -16,11 +16,11 @@
 //!   [`cts_core::ClusterEngine`] → the worker's delivered log — publishing
 //!   immutable epoch snapshots (the partial-order data structure every
 //!   query reads) that query threads read without blocking ingest;
-//! - [`server`]: the TCP daemon — start-up, the computation registry,
-//!   graceful shutdown, and the thread-per-connection transport;
+//! - [`server`]: the TCP daemon — start-up, the computation registry and
+//!   graceful shutdown; Linux-only, since its transport is the epoll
+//!   poller pool in `event_loop`;
 //! - `session`: the protocol itself — one step function from a received
-//!   frame to a reply or a wait, which both transports (the connection
-//!   threads in [`server`], the epoll pollers in `event_loop`) drive;
+//!   frame to a reply or a wait, which the epoll pollers drive;
 //! - [`client`]: a blocking typed client used by tests and the load
 //!   generator;
 //! - [`metrics`]: lock-free counters and latency histograms behind the
@@ -46,9 +46,8 @@
 //!   normal pipeline and answer queries bit-identically to the leader at
 //!   commit-point epochs, fenced by leader leases;
 //! - [`topology`]: CPU/cache/NUMA discovery from sysfs and the placement
-//!   plan that pins shard workers, pollers, and the WAL clock to distinct
-//!   cores (`--pin-cores`), feeding the live shard autoscaler
-//!   (`--shards auto`).
+//!   plan that pins shard workers and pollers to distinct cores
+//!   (`--pin-cores`), feeding the live shard autoscaler (`--shards auto`).
 //!
 //! Correctness rests on the delivery-order-invariance property established
 //! by the core crates: any valid delivery order yields exact precedence, so

@@ -1398,76 +1398,52 @@ pub fn proc_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Idle-cost comparison of the two network backends, as `cts-bench/1`
-/// entries:
+/// Idle cost of the network transport, as `cts-bench/1` entries:
 ///
-/// - `daemon_ingest/c10k_idle_cpu_{epoll,threads}`: process CPU
-///   milliseconds (reported in the ns field) burned over a fixed window
-///   while `conns` connections sit idle. The thread backend's
-///   read-timeout polling wakes every connection thread 20×/s; the epoll
-///   backend's pollers sleep in `epoll_wait`.
-/// - `daemon_ingest/c10k_rss_per_conn_{epoll,threads}`: resident bytes
-///   per held connection (thread stacks vs. one `Conn` struct) — the
-///   equal-RSS capacity ratio between the backends.
+/// - `daemon_ingest/c10k_idle_cpu_epoll`: process CPU milliseconds
+///   (reported in the ns field) burned over `window` while `conns`
+///   connections sit idle — the pollers sleep in `epoll_wait`.
+/// - `daemon_ingest/c10k_rss_per_conn_epoll`: resident bytes per held
+///   connection (one `Conn` struct and its socket buffers).
 ///
-/// Both measurements are floored (1 ms / 1 byte) so ratio gates never
-/// divide by an unmeasurably-good zero. The daemon runs in-process; the
-/// client side is raw fds (see [`hold_idle_conns`]), identical for both
-/// backends, so it cancels out of the ratio.
-pub fn c10k_bench_entries(
-    epoll_conns: usize,
-    thread_conns: usize,
-    window: Duration,
-) -> io::Result<Vec<BenchEntry>> {
-    use crate::server::NetBackend;
+/// Both are floored (1 ms / 1 byte) so a ceiling gate never reads an
+/// unmeasurably good zero. The daemon runs in-process; the client side is
+/// raw fds (see [`hold_idle_conns`]).
+pub fn c10k_bench_entries(conns: usize, window: Duration) -> io::Result<Vec<BenchEntry>> {
     // Both ends of every held connection live in this process.
     #[cfg(target_os = "linux")]
     let _ = crate::netpoll::raise_nofile_to_hard();
-    let mut out = Vec::new();
-    for (label, net, conns) in [
-        ("epoll", NetBackend::Epoll, epoll_conns),
-        ("threads", NetBackend::Threads, thread_conns),
-    ] {
-        let daemon_cfg = DaemonConfig {
-            net,
-            max_conn_threads: conns + 64,
-            ..DaemonConfig::default()
-        };
-        let daemon = Daemon::start(daemon_cfg)?;
-        let rss0 = proc_rss_bytes();
-        let held = hold_idle_conns(daemon.local_addr(), conns)?;
-        // Let accept bursts, thread spawns, and allocator churn settle
-        // before sampling.
-        std::thread::sleep(Duration::from_millis(300));
-        let rss1 = proc_rss_bytes();
-        let cpu0 = proc_cpu_ms();
-        std::thread::sleep(window);
-        let cpu_ms = (proc_cpu_ms() - cpu0).max(1);
-        let rss_per_conn = (rss1.saturating_sub(rss0) / conns.max(1) as u64).max(1);
-        eprintln!(
-            "[cts-loadgen] c10k {label}: {conns} idle conns, {cpu_ms} ms CPU / \
-             {:.1} s window, {rss_per_conn} B resident per conn",
-            window.as_secs_f64()
-        );
-        drop(held);
-        daemon.shutdown();
-        let scalar = |name: String, v: f64| BenchEntry {
-            group: "daemon_ingest".into(),
-            name,
-            samples: 1,
-            iters_per_sample: conns as u64,
-            min_ns: v,
-            median_ns: v,
-            p95_ns: v,
-            mean_ns: v,
-        };
-        out.push(scalar(format!("c10k_idle_cpu_{label}"), cpu_ms as f64));
-        out.push(scalar(
-            format!("c10k_rss_per_conn_{label}"),
-            rss_per_conn as f64,
-        ));
-    }
-    Ok(out)
+    let daemon = Daemon::start(DaemonConfig::default())?;
+    let rss0 = proc_rss_bytes();
+    let held = hold_idle_conns(daemon.local_addr(), conns)?;
+    // Let accept bursts and allocator churn settle before sampling.
+    std::thread::sleep(Duration::from_millis(300));
+    let rss1 = proc_rss_bytes();
+    let cpu0 = proc_cpu_ms();
+    std::thread::sleep(window);
+    let cpu_ms = (proc_cpu_ms() - cpu0).max(1);
+    let rss_per_conn = (rss1.saturating_sub(rss0) / conns.max(1) as u64).max(1);
+    eprintln!(
+        "[cts-loadgen] c10k epoll: {conns} idle conns, {cpu_ms} ms CPU / \
+         {:.1} s window, {rss_per_conn} B resident per conn",
+        window.as_secs_f64()
+    );
+    drop(held);
+    daemon.shutdown();
+    let scalar = |name: &str, v: f64| BenchEntry {
+        group: "daemon_ingest".into(),
+        name: name.into(),
+        samples: 1,
+        iters_per_sample: conns as u64,
+        min_ns: v,
+        median_ns: v,
+        p95_ns: v,
+        mean_ns: v,
+    };
+    Ok(vec![
+        scalar("c10k_idle_cpu_epoll", cpu_ms as f64),
+        scalar("c10k_rss_per_conn_epoll", rss_per_conn as f64),
+    ])
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cts-daemon [--host 127.0.0.1] [--port 4650] [--port-file PATH]
-//!            [--pollers N] [--max-conns N]
+//!            [--pollers N]
 //!            [--queue-capacity 64] [--epoch-every 4096]
 //!            [--flush-timeout-secs 60]
 //!            [--data-dir PATH] [--sync-window-ms 5] [--checkpoint-every N]
@@ -13,12 +13,9 @@
 //!            [--shards N|auto] [--balance] [--pin-cores] [--help]
 //! ```
 //!
-//! The network transport is chosen by platform: the epoll poller pool on
-//! Linux, thread-per-connection elsewhere — and, automatically, on Linux
-//! too if epoll set-up fails. `--pollers N` sizes the pool (0 = one per
-//! core, capped at 4), and `--max-conns N` bounds the thread transport's
-//! connection threads (excess connections are refused with `OVERLOADED`
-//! rather than aborting on spawn failure).
+//! Connections are served by an epoll poller pool, so the daemon serves on
+//! Linux only: elsewhere, or if epoll set-up fails, it exits 1 with the
+//! reason. `--pollers N` sizes the pool (0 = one per core, capped at 4).
 //!
 //! `--port 0` binds an ephemeral port; `--port-file` writes the resolved
 //! port as decimal text once listening (how scripts/check.sh finds the
@@ -46,17 +43,17 @@
 //! autoscaling — start at 2 and let the placement engine split hot shards
 //! and retire cold ones from per-shard occupancy EWMAs, with no
 //! stop-the-world freeze. `--balance` steals clusters between shards at a
-//! fixed count (implied by `auto`), and `--pin-cores` pins shard workers,
-//! network pollers, and the WAL group-commit clock to topology-chosen CPUs
-//! (distinct cores, shards grouped by LLC/NUMA node; Linux sysfs only —
-//! silently unpinned elsewhere).
+//! fixed count (implied by `auto`), and `--pin-cores` pins shard workers
+//! and network pollers to topology-chosen CPUs (distinct cores, shards
+//! grouped by LLC/NUMA node; silently unpinned when sysfs discovery
+//! fails).
 
 use cts_core::strategy::StrategySpec;
 use cts_daemon::server::{Daemon, DaemonConfig};
 use std::time::Duration;
 
 const USAGE: &str = "usage: cts-daemon [--host HOST] [--port PORT] [--port-file PATH]
-                  [--pollers N] [--max-conns N]
+                  [--pollers N]
                   [--queue-capacity N] [--epoch-every N]
                   [--flush-timeout-secs N]
                   [--data-dir PATH] [--sync-window-ms N]
@@ -89,9 +86,6 @@ fn main() {
             "--port" => port = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--port-file" => port_file = Some(value(&mut i)),
             "--pollers" => config.pollers = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--max-conns" => {
-                config.max_conn_threads = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--queue-capacity" => {
                 config.queue_capacity = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
@@ -167,7 +161,7 @@ fn main() {
     let daemon = match Daemon::start(config) {
         Ok(d) => d,
         Err(e) => {
-            eprintln!("cts-daemon: bind failed: {e}");
+            eprintln!("cts-daemon: cannot serve: {e}");
             std::process::exit(1);
         }
     };
@@ -201,7 +195,7 @@ mod tests {
             .filter_map(|l| l.split('"').next())
             .filter(|flag| flag.starts_with("--"))
             .collect();
-        assert!(parsed.len() >= 20, "parsed flags: {parsed:?}");
+        assert!(parsed.len() >= 19, "parsed flags: {parsed:?}");
         for flag in parsed {
             let listed = |text: &str| {
                 text.contains(&format!("[{flag} ")) || text.contains(&format!("[{flag}]"))

@@ -1,5 +1,5 @@
 //! Lock-free per-computation metrics: monotone counters updated by the
-//! ingest worker and connection threads, latency histograms
+//! ingest worker and the network pollers, latency histograms
 //! ([`cts_util::hist::AtomicHistogram`]), and a consistent-enough snapshot
 //! for the `Stats` wire message.
 

@@ -4,8 +4,8 @@
 //! external crates, and std already links libc, so these symbols resolve
 //! without adding a dependency.
 //!
-//! Everything here is Linux-only (gated at the module declaration); the
-//! thread-per-connection backend remains the portable fallback.
+//! Everything here is Linux-only (gated at the module declaration), and so
+//! is serving: off Linux `Daemon::start` reports `Unsupported`.
 //!
 //! Ownership is RAII throughout: [`Poller`], [`EventFd`] and [`TimerFd`]
 //! close their descriptor on drop. Registration does *not* own the

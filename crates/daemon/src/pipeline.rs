@@ -7,8 +7,8 @@
 //! stream are cursors into that log (`wal::WalLane`); the partial-order data
 //! structure queries read is the published [`Snapshot`] built from it.
 //! Sessions enqueue event batches onto a *bounded* channel (backpressure: a
-//! full queue blocks the connection thread, which in turn stops reading its
-//! socket, which pushes back on the client through TCP flow control).
+//! full queue parks the batch on its connection, which then stops reading
+//! its socket, which pushes back on the client through TCP flow control).
 //!
 //! Queries never touch the engine. The worker periodically *publishes* an
 //! immutable [`Snapshot`] — a delivery-order [`Trace`] of everything

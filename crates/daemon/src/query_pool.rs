@@ -1,13 +1,13 @@
 //! A small fixed worker pool for batched query evaluation.
 //!
 //! Batched wire queries (`QueryPrecedesBatch`, `QueryGcBatch`) can carry
-//! hundreds of items; evaluating them on the connection thread serializes
-//! every other request on that connection behind one slow
-//! greatest-concurrent. The pool scatters a batch across a few workers and
-//! joins the results in order. Jobs only ever *read* — an `Arc<Snapshot>`
-//! plus the shared greatest-concurrent memo — so there is no job-to-job
-//! ordering to preserve and no way for a job to deadlock the pool (jobs
-//! never submit jobs).
+//! hundreds of items; evaluating them on the poller thread stalls every
+//! connection that poller owns behind one slow greatest-concurrent. The
+//! pool scatters a batch across a few workers and joins the results in
+//! order. Jobs only ever *read* — an `Arc<Snapshot>` plus the shared
+//! greatest-concurrent memo — so there is no job-to-job ordering to
+//! preserve and no way for a job to deadlock the pool (jobs never submit
+//! jobs).
 //!
 //! Small batches run inline: the scatter/join overhead (~µs) dwarfs the
 //! work of a handful of precedence tests (a few hundred ns each).

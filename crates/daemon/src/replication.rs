@@ -293,9 +293,8 @@ fn send_chunks<W: Write>(
 
 /// Stream a granted subscription until the peer goes away, the daemon shuts
 /// down, or the subscriber falls too far behind. The [`Msg::SubscribeAck`]
-/// must already be on the wire. Runs on the connection thread (thread
-/// backend) or a dedicated streamer thread the poller handed the socket to
-/// (epoll backend).
+/// must already be on the wire. Runs on a dedicated streamer thread the
+/// poller handed the socket to.
 pub(crate) fn serve_subscription(
     stream: TcpStream,
     shared: &DaemonShared,

@@ -1,37 +1,28 @@
-//! The TCP daemon: start-up and shutdown, the computation registry, and the
-//! thread-per-connection transport.
+//! The TCP daemon: start-up and shutdown, and the computation registry.
 //!
 //! The protocol lives in `crate::session`: a connection hands each frame
-//! to `Session::on_frame` and acts on the `Step` it returns. What is
-//! left to a transport is owning sockets and deciding how to wait. There are
-//! two, chosen by platform ([`NetBackend::default`]):
+//! to `Session::on_frame` and acts on the `Step` it returns. The transport
+//! that owns the sockets is the epoll poller pool in [`crate::event_loop`]:
+//! a few poller threads own *all* connections through edge-triggered
+//! readiness, so the connection count is bounded by fds, not threads. It
+//! is Linux-only; elsewhere [`Daemon::start`] fails with
+//! [`io::ErrorKind::Unsupported`], as it fails with the set-up error when
+//! epoll cannot start.
 //!
-//! - [`NetBackend::Epoll`] (Linux): a small pool of poller threads (see
-//!   [`crate::event_loop`]) owns *all* sockets via edge-triggered readiness.
-//!   Connection count is bounded by fds, not threads. If epoll set-up fails
-//!   the daemon falls back, loudly, to the thread transport.
-//! - [`NetBackend::Threads`] (everywhere else, the fallback, and the
-//!   reference side of the differential tests): one *accept* thread owns
-//!   the listener and spawns one *connection* thread per client, which
-//!   blocks inline on the ingest queue and the flush barrier. Sockets carry
-//!   a short read timeout so idle connections poll the shutdown flag.
-//!
-//! Either way, one *ingest worker* thread (or shard pool) per computation
-//! does the actual clustering work (see [`crate::pipeline::Computation`]).
+//! One *ingest worker* thread (or shard pool) per computation does the
+//! actual clustering work (see [`crate::pipeline::Computation`]).
 //!
 //! Shutdown is cooperative: [`Daemon::shutdown`] raises the flag, wakes the
-//! pollers (eventfd) or the accept loop (loopback connect), joins the
-//! network threads, then shuts every computation down (drop the master
-//! sender → the worker drains its queue, publishes a final snapshot, and
-//! exits).
+//! pollers (eventfd), joins the network threads, then shuts every
+//! computation down (drop the master sender → the worker drains its queue,
+//! publishes a final snapshot, and exits).
 
 use crate::checkpoint;
 use crate::pipeline::{lock, Computation, ComputationConfig, DurabilityConfig};
 use crate::query_pool::QueryPool;
 use crate::replication;
-use crate::session::{computation_closed, flush_reply, Session, Step};
 use crate::shard::{PlacementParams, StampStrategy};
-use crate::wire::{code, recv_frame, write_msg, Msg, Recv};
+use crate::wire::{code, write_msg, Msg};
 use cts_core::cluster::AdaptiveParams;
 use std::collections::HashMap;
 use std::io;
@@ -41,48 +32,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Which network front end serves connections.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NetBackend {
-    /// Readiness-driven poller pool over epoll (Linux only; selecting it
-    /// elsewhere falls back to [`NetBackend::Threads`] loudly).
-    Epoll,
-    /// Thread-per-connection with a polling read timeout.
-    Threads,
-}
-
-impl Default for NetBackend {
-    fn default() -> NetBackend {
-        if cfg!(target_os = "linux") {
-            NetBackend::Epoll
-        } else {
-            NetBackend::Threads
-        }
-    }
-}
-
 /// Daemon-wide tunables.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
     /// Address to bind; use port 0 for an ephemeral port.
     pub addr: SocketAddr,
-    /// Network front end (default: epoll on Linux, threads elsewhere).
-    pub net: NetBackend,
-    /// Poller threads for the epoll backend; `0` = one per core, capped
-    /// at 4 (pollers do little CPU work per event — more just shards the
-    /// fd space).
+    /// Poller threads; `0` = one per core, capped at 4 (pollers do little
+    /// CPU work per event — more just shards the fd space).
     pub pollers: usize,
-    /// Connection-thread ceiling for the thread backend: connections past
-    /// it are refused with `code::OVERLOADED` instead of spawning a thread
-    /// that may abort the process.
-    pub max_conn_threads: usize,
     /// Ingest queue bound per computation, in batches.
     pub queue_capacity: usize,
     /// Snapshot publication cadence, in delivered events.
     pub epoch_every: u64,
-    /// Socket read timeout: how often idle connections poll the shutdown
-    /// flag.
-    pub poll_interval: Duration,
     /// How long a `Flush` barrier may wait before reporting a stall.
     pub flush_timeout: Duration,
     /// Root data directory for durable computations (one subdirectory
@@ -106,9 +67,8 @@ pub struct DaemonConfig {
     pub auto_scale: bool,
     /// `--balance`: cluster stealing at a fixed shard count.
     pub balance: bool,
-    /// `--pin-cores`: pin shard workers, pollers, and the WAL clock to
-    /// topology-chosen CPUs (Linux; silently unpinned elsewhere or when
-    /// sysfs discovery fails).
+    /// `--pin-cores`: pin shard workers and pollers to topology-chosen CPUs
+    /// (silently unpinned when sysfs discovery fails).
     pub pin_cores: bool,
     /// Placement-engine tuning (EWMA shift, cooldown, hot/cold thresholds,
     /// shard-count bounds). `None` = [`PlacementParams::default`]. A finite
@@ -142,12 +102,9 @@ impl Default for DaemonConfig {
     fn default() -> DaemonConfig {
         DaemonConfig {
             addr: "127.0.0.1:0".parse().expect("static addr"),
-            net: NetBackend::default(),
             pollers: 0,
-            max_conn_threads: 4096,
             queue_capacity: 64,
             epoch_every: 4096,
-            poll_interval: Duration::from_millis(50),
             flush_timeout: Duration::from_secs(60),
             data_dir: None,
             sync_window: Duration::from_millis(5),
@@ -175,23 +132,19 @@ pub(crate) struct DaemonShared {
     shutdown_signal: Mutex<bool>,
     shutdown_cond: Condvar,
     pub(crate) computations: Mutex<HashMap<String, Arc<Computation>>>,
-    /// Thread backend only: join handles of live connection threads.
-    /// Finished handles are reaped on every accept, so the registry is
-    /// bounded by *concurrent* connections, not total served.
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
     pub(crate) next_session: AtomicU64,
     /// True while startup recovery replays on-disk state; every request
     /// except `Shutdown`/`Goodbye` is refused with `RECOVERING` until then.
     pub(crate) recovering: AtomicBool,
     /// Shared worker pool for batched query evaluation.
     pub(crate) query_pool: QueryPool,
-    /// Connections currently being served (either backend).
+    /// Connections currently being served.
     pub(crate) live_conns: AtomicU64,
     /// Connections accepted / refused-with-OVERLOADED since start.
     pub(crate) conns_accepted: AtomicU64,
     pub(crate) conns_refused: AtomicU64,
-    /// Test hook: force the connection-spawn path to fail as if the OS
-    /// were out of threads, exercising the OVERLOADED degradation.
+    /// Test hook: refuse every new connection as if the daemon were out of
+    /// capacity, exercising the OVERLOADED degradation.
     fail_spawns: AtomicBool,
     /// This leader's incarnation number (persisted in `data_dir/
     /// leader.epoch`, incremented every start); the high half of every
@@ -200,8 +153,8 @@ pub(crate) struct DaemonShared {
     pub(crate) leader_epoch: u64,
     /// Low-half counter for minting replication leases.
     pub(crate) lease_counter: AtomicU64,
-    /// Epoll backend: one wake eventfd per poller, so shutdown (and flush
-    /// completions) can interrupt `epoll_wait`.
+    /// One wake eventfd per poller, so shutdown (and flush completions) can
+    /// interrupt `epoll_wait`.
     #[cfg(target_os = "linux")]
     pub(crate) net_wakes: Mutex<Vec<Arc<crate::netpoll::EventFd>>>,
 }
@@ -211,13 +164,8 @@ pub(crate) struct DaemonShared {
 /// always shut down explicitly.
 pub struct Daemon {
     shared: Arc<DaemonShared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     recovery_thread: Option<std::thread::JoinHandle<()>>,
-    /// Epoll backend: the poller pool.
     poller_threads: Vec<std::thread::JoinHandle<()>>,
-    /// Thread backend with durability: the group-commit clock (the epoll
-    /// backend drives the same windows from a timerfd instead).
-    wal_clock: Option<std::thread::JoinHandle<()>>,
     /// `--follow` mode: the replication runtime (discovery + per-computation
     /// stream workers).
     follower_thread: Option<std::thread::JoinHandle<()>>,
@@ -227,6 +175,7 @@ impl Daemon {
     /// Bind and start serving. With a [`DaemonConfig::data_dir`], on-disk
     /// computations are recovered in the background; queries answer
     /// `RECOVERING` until [`is_recovering`](Self::is_recovering) is false.
+    /// Fails when the poller pool cannot start, before recovery begins.
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
@@ -245,6 +194,24 @@ impl Daemon {
         }
 
         let shared = Arc::new(DaemonShared::new(config, addr, !recover_dirs.is_empty()));
+        // The pollers come up before recovery spawns anything, so a failed
+        // start leaves no computation behind with a writer on its WAL.
+        #[cfg(target_os = "linux")]
+        let started = crate::event_loop::start(listener, Arc::clone(&shared));
+        #[cfg(not(target_os = "linux"))]
+        let started = Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the daemon serves over epoll, which is Linux-only",
+        ));
+        let poller_threads = match started {
+            Ok(handles) => handles,
+            Err(e) => {
+                // Pollers started before the failure exit on the wake.
+                shared.request_shutdown();
+                shared.query_pool.shutdown();
+                return Err(e);
+            }
+        };
         let recovery_thread = if recover_dirs.is_empty() {
             None
         } else {
@@ -256,68 +223,6 @@ impl Daemon {
                     .expect("spawn recovery thread"),
             )
         };
-
-        // Bring up the requested network front end; an epoll backend that
-        // cannot initialize degrades (loudly) to the thread backend rather
-        // than refusing to serve.
-        let mut poller_threads = Vec::new();
-        let mut accept_thread = None;
-        let mut wal_clock = None;
-        let mut use_threads = shared.config.net == NetBackend::Threads;
-        #[cfg(target_os = "linux")]
-        if !use_threads {
-            match crate::event_loop::start(listener.try_clone()?, Arc::clone(&shared)) {
-                Ok(handles) => poller_threads = handles,
-                Err(e) => {
-                    eprintln!(
-                        "[cts-daemon] epoll front end failed to start, \
-                         falling back to thread-per-connection: {e}"
-                    );
-                    use_threads = true;
-                }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        if !use_threads {
-            eprintln!("[cts-daemon] epoll front end is Linux-only; using threads");
-            use_threads = true;
-        }
-        if use_threads {
-            let accept_shared = Arc::clone(&shared);
-            accept_thread = Some(
-                std::thread::Builder::new()
-                    .name("cts-daemon-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared))
-                    .expect("spawn accept thread"),
-            );
-            // Group-commit clock: ticks every sync window and nudges each
-            // computation's WAL (the epoll backend registers a timerfd for
-            // this instead). Zero-window configs sync inline on append and
-            // need no clock.
-            if shared.config.data_dir.is_some() && !shared.config.sync_window.is_zero() {
-                let clock_shared = Arc::clone(&shared);
-                #[cfg(target_os = "linux")]
-                let clock_cpu = if shared.config.pin_cores {
-                    crate::topology::CpuTopology::discover()
-                        .ok()
-                        .and_then(|t| t.plan(0, 0).wal_clock_cpu)
-                } else {
-                    None
-                };
-                wal_clock = Some(
-                    std::thread::Builder::new()
-                        .name("cts-daemon-walclock".into())
-                        .spawn(move || {
-                            #[cfg(target_os = "linux")]
-                            if let Some(cpu) = clock_cpu {
-                                let _ = crate::netpoll::pin_current_thread(cpu);
-                            }
-                            wal_clock_loop(&clock_shared)
-                        })
-                        .expect("spawn wal clock thread"),
-                );
-            }
-        }
         // Follower mode: replicate the leader's computations in the
         // background (the runtime waits out our own recovery first).
         let follower_thread = shared.config.follow.map(|leader| {
@@ -329,10 +234,8 @@ impl Daemon {
         });
         Ok(Daemon {
             shared,
-            accept_thread,
             recovery_thread,
             poller_threads,
-            wal_clock,
             follower_thread,
         })
     }
@@ -394,13 +297,7 @@ impl Daemon {
     }
 
     fn join_net_threads(&mut self) {
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         if let Some(h) = self.recovery_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.wal_clock.take() {
             let _ = h.join();
         }
         if let Some(h) = self.follower_thread.take() {
@@ -409,13 +306,9 @@ impl Daemon {
         for h in self.poller_threads.drain(..) {
             let _ = h.join();
         }
-        let conns: Vec<_> = lock(&self.shared.conns).drain(..).collect();
-        for h in conns {
-            let _ = h.join();
-        }
     }
 
-    /// Connections currently being served (either backend).
+    /// Connections currently being served.
     pub fn live_connections(&self) -> u64 {
         self.shared.live_conns.load(Ordering::Acquire)
     }
@@ -430,15 +323,8 @@ impl Daemon {
         self.shared.conns_refused.load(Ordering::Acquire)
     }
 
-    /// Thread backend: current size of the connection-handle registry.
-    /// Bounded by concurrent connections (finished handles are reaped on
-    /// accept) — the regression surface for the old unbounded push.
-    pub fn conn_registry_len(&self) -> usize {
-        lock(&self.shared.conns).len()
-    }
-
-    /// Test hook: make connection-thread spawning fail as if the OS were
-    /// out of threads, so tests can exercise the OVERLOADED path without
+    /// Test hook: refuse new connections as if the daemon were out of
+    /// capacity, so tests can exercise the OVERLOADED path without
     /// actually exhausting the host.
     #[doc(hidden)]
     pub fn inject_spawn_failure(&self, fail: bool) {
@@ -479,7 +365,6 @@ impl DaemonShared {
             shutdown_signal: Mutex::new(false),
             shutdown_cond: Condvar::new(),
             computations: Mutex::new(HashMap::new()),
-            conns: Mutex::new(Vec::new()),
             next_session: AtomicU64::new(1),
             recovering: AtomicBool::new(recovering),
             query_pool,
@@ -498,13 +383,11 @@ impl DaemonShared {
         self.shutdown.store(true, Ordering::Release);
         *lock(&self.shutdown_signal) = true;
         self.shutdown_cond.notify_all();
-        // Wake the epoll pollers out of epoll_wait.
+        // Wake the pollers out of epoll_wait.
         #[cfg(target_os = "linux")]
         for wake in lock(&self.net_wakes).iter() {
             wake.wake();
         }
-        // Nudge a thread-backend accept loop out of its blocking accept().
-        let _ = TcpStream::connect(self.addr);
     }
 
     pub(crate) fn shutting_down(&self) -> bool {
@@ -527,145 +410,6 @@ pub(crate) fn refuse_overloaded(mut stream: TcpStream, shared: &DaemonShared, wh
             message: format!("daemon out of connection capacity: {why}"),
         },
     );
-}
-
-/// Group-commit clock for the thread backend: every sync window, nudge
-/// each computation's worker(s) to fsync a dirty WAL. Replaces the old
-/// per-append window check in the ingest worker.
-fn wal_clock_loop(shared: &DaemonShared) {
-    let window = shared.config.sync_window;
-    loop {
-        let g = lock(&shared.shutdown_signal);
-        if *g {
-            return;
-        }
-        let (g, _) = shared
-            .shutdown_cond
-            .wait_timeout(g, window)
-            .unwrap_or_else(|e| e.into_inner());
-        if *g {
-            return;
-        }
-        drop(g);
-        let comps: Vec<_> = lock(&shared.computations).values().cloned().collect();
-        for comp in comps {
-            comp.nudge_wal_sync();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
-    for stream in listener.incoming() {
-        if shared.shutting_down() {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        // Reap finished connection threads first: the registry must be
-        // bounded by *concurrent* connections, not total ever served.
-        let mut conns = lock(&shared.conns);
-        conns.retain(|h| !h.is_finished());
-        if conns.len() >= shared.config.max_conn_threads {
-            drop(conns);
-            refuse_overloaded(stream, &shared, "connection-thread limit reached");
-            continue;
-        }
-        drop(conns);
-        if shared.spawns_failing() {
-            refuse_overloaded(stream, &shared, "cannot spawn connection thread");
-            continue;
-        }
-        // Hand the stream to the thread through a slot: if spawn fails
-        // (thread/fd exhaustion) the closure is consumed by Builder::spawn,
-        // but the slot lets us take the stream back and refuse it with
-        // OVERLOADED instead of panicking the accept loop.
-        let slot = Arc::new(Mutex::new(Some(stream)));
-        let thread_slot = Arc::clone(&slot);
-        let conn_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name("cts-daemon-conn".into())
-            .spawn(move || {
-                if let Some(stream) = lock(&thread_slot).take() {
-                    let _ = serve_connection(stream, &conn_shared);
-                }
-            });
-        match spawned {
-            Ok(handle) => {
-                shared.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                lock(&shared.conns).push(handle);
-            }
-            Err(e) => {
-                eprintln!("[cts-daemon] connection thread spawn failed: {e}");
-                if let Some(stream) = lock(&slot).take() {
-                    refuse_overloaded(stream, &shared, "cannot spawn connection thread");
-                }
-            }
-        }
-    }
-}
-
-/// One connection on the thread transport: read a frame, step the session,
-/// wait inline for whatever the step needs.
-fn serve_connection(stream: TcpStream, shared: &DaemonShared) -> io::Result<()> {
-    shared.live_conns.fetch_add(1, Ordering::AcqRel);
-    let r = serve_connection_inner(stream, shared);
-    shared.live_conns.fetch_sub(1, Ordering::AcqRel);
-    r
-}
-
-fn serve_connection_inner(mut stream: TcpStream, shared: &DaemonShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.config.poll_interval))?;
-    stream.set_nodelay(true)?;
-    let mut session = Session::new();
-
-    loop {
-        if shared.shutting_down() {
-            let _ = write_msg(
-                &mut stream,
-                &Msg::Error {
-                    code: code::SHUTTING_DOWN,
-                    message: "daemon is shutting down".into(),
-                },
-            );
-            return Ok(());
-        }
-        let payload = match recv_frame(&mut stream)? {
-            Recv::Idle => continue,
-            Recv::Eof => return Ok(()),
-            Recv::Frame(p) => p,
-        };
-        match session.on_frame(shared, &payload) {
-            Step::Reply(reply) => write_msg(&mut stream, &reply)?,
-            Step::ReplyThenClose(reply) => {
-                write_msg(&mut stream, &reply)?;
-                return Ok(());
-            }
-            Step::Close => return Ok(()),
-            Step::Ingest(events, refusal) => {
-                // Blocks while the ingest queue is full: backpressure
-                // reaches the peer through this connection's TCP window.
-                if session.computation().enqueue_events(events).is_err() {
-                    write_msg(&mut stream, &computation_closed())?;
-                }
-                if let Some(refusal) = refusal {
-                    write_msg(&mut stream, &refusal)?;
-                }
-            }
-            Step::Flush { expected_total } => {
-                let outcome = session
-                    .computation()
-                    .flush(expected_total, shared.config.flush_timeout);
-                write_msg(&mut stream, &flush_reply(expected_total, outcome))?;
-            }
-            Step::Subscribe(grant) => {
-                write_msg(&mut stream, &grant.ack(shared))?;
-                // The connection turns into a push stream from here on.
-                return replication::serve_subscription(stream, shared, &grant);
-            }
-        }
-    }
 }
 
 /// Directory name for a computation: every byte outside `[a-zA-Z0-9_-]` is

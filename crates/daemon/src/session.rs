@@ -2,11 +2,10 @@
 //! what the connection does next.
 //!
 //! The daemon speaks one protocol to every peer, so the protocol is written
-//! once, here. A transport ([`crate::server`]'s connection threads, the
-//! [`crate::event_loop`] pollers) owns the socket and the waiting; it hands
-//! each complete frame payload to [`Session::on_frame`] and acts on the
-//! [`Step`] that comes back. Nothing outside this module matches on client
-//! verbs.
+//! once, here. The transport (the [`crate::event_loop`] pollers) owns the
+//! socket and the waiting; it hands each complete frame payload to
+//! [`Session::on_frame`] and acts on the [`Step`] that comes back. Nothing
+//! outside this module matches on client verbs.
 //!
 //! What a verb needs before it is served — its protocol level, and whether
 //! it needs a bound session — is declared in its row of the wire table

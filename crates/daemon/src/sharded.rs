@@ -4,8 +4,9 @@
 //! correct under the deterministic schedule harness; this module runs the
 //! *same* cores on real threads. One worker thread per shard owns a
 //! [`ShardCore`] behind a mutex and drains a bounded message channel;
-//! connection threads partition incoming batches by the process-routing
-//! table and block on the target shard's channel for backpressure.
+//! the threads that enqueue (pollers, replication) partition incoming
+//! batches by the process-routing table, and a full target channel is the
+//! backpressure.
 //!
 //! ## Messaging discipline
 //!

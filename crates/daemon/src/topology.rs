@@ -1,15 +1,15 @@
 //! CPU/cache/NUMA topology discovery from sysfs, and worker placement.
 //!
-//! The daemon's threads — shard workers, epoll pollers, the WAL group-commit
-//! clock — land wherever the OS scheduler drops them by default. On
-//! multi-socket or SMT hosts that means shard workers bouncing between cache
-//! domains and the exchange hand-off crossing NUMA links. This module reads
-//! the kernel's own description of the machine from
-//! `/sys/devices/system/{cpu,node}` (stdlib only, no libc topology calls)
-//! and derives a [`PlacementPlan`]: one CPU per shard slot with SMT siblings
-//! avoided and adjacent shards sharing a last-level cache / NUMA node (the
-//! exchange peers they talk to most), pollers and the WAL clock pushed to
-//! the far end of the machine so they never preempt a shard core.
+//! The daemon's threads — shard workers and epoll pollers — land wherever
+//! the OS scheduler drops them by default. On multi-socket or SMT hosts
+//! that means shard workers bouncing between cache domains and the
+//! exchange hand-off crossing NUMA links. This module reads the kernel's
+//! own description of the machine from `/sys/devices/system/{cpu,node}`
+//! (stdlib only, no libc topology calls) and derives a [`PlacementPlan`]:
+//! one CPU per shard slot with SMT siblings avoided and adjacent shards
+//! sharing a last-level cache / NUMA node (the exchange peers they talk to
+//! most), pollers pushed to the far end of the machine so they never
+//! preempt a shard core.
 //!
 //! Everything parses from a plain directory tree, so the unit tests run
 //! against committed fixture `/sys` snapshots (single-socket, dual-NUMA,
@@ -212,13 +212,13 @@ impl CpuTopology {
             .collect()
     }
 
-    /// Assign CPUs to `shards` shard workers, `pollers` network pollers,
-    /// and the WAL-clock thread. Shards take the front of the candidate
-    /// order (so they pack one cache/NUMA domain and sit next to their
-    /// exchange peers); pollers and the clock take the back, keeping off
-    /// the shard cores whenever the machine is big enough. On an
-    /// oversubscribed machine assignments wrap — pinning then still keeps
-    /// each worker from migrating, it just shares its core.
+    /// Assign CPUs to `shards` shard workers and `pollers` network pollers.
+    /// Shards take the front of the candidate order (so they pack one
+    /// cache/NUMA domain and sit next to their exchange peers); pollers
+    /// take the back, keeping off the shard cores whenever the machine is
+    /// big enough. On an oversubscribed machine assignments wrap — pinning
+    /// then still keeps each worker from migrating, it just shares its
+    /// core.
     pub fn plan(&self, shards: usize, pollers: usize) -> PlacementPlan {
         let cand = self.candidates();
         debug_assert!(!cand.is_empty());
@@ -238,11 +238,9 @@ impl CpuTopology {
             }
         };
         let poller_cpus: Vec<usize> = (0..pollers).map(pick).collect();
-        let wal_clock_cpu = Some(pick(pollers));
         PlacementPlan {
             shard_cpus,
             poller_cpus,
-            wal_clock_cpu,
         }
     }
 }
@@ -254,8 +252,6 @@ pub struct PlacementPlan {
     pub shard_cpus: Vec<usize>,
     /// CPU for each network poller.
     pub poller_cpus: Vec<usize>,
-    /// CPU for the WAL group-commit clock thread.
-    pub wal_clock_cpu: Option<usize>,
 }
 
 /// The `shared_cpu_list` of the deepest (highest-level) data-carrying cache
@@ -342,8 +338,8 @@ mod tests {
         assert!(t.cpus().iter().all(|c| c.llc == t.cpus()[0].llc));
         let plan = t.plan(2, 1);
         assert_eq!(plan.shard_cpus, vec![0, 1]);
-        // Pollers and the WAL clock stay off the shard cores.
-        for c in plan.poller_cpus.iter().chain(&plan.wal_clock_cpu) {
+        // Pollers stay off the shard cores.
+        for c in &plan.poller_cpus {
             assert!(!plan.shard_cpus.contains(c), "worker shares a shard core");
         }
     }
@@ -364,8 +360,8 @@ mod tests {
         // Four shards pack node 0 entirely before touching node 1.
         let plan = t.plan(4, 2);
         assert_eq!(plan.shard_cpus, vec![0, 1, 2, 3]);
-        for c in plan.poller_cpus.iter().chain(&plan.wal_clock_cpu) {
-            assert!(*c >= 4, "poller/clock cpu{c} landed on the shard node");
+        for c in &plan.poller_cpus {
+            assert!(*c >= 4, "poller cpu{c} landed on the shard node");
         }
     }
 

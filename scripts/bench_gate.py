@@ -10,6 +10,7 @@ Usage:
                   [--tolerance 0.35] [--subset]
                   [--require-speedup SLOW_ID:FAST_ID:RATIO ...]
                   [--require-ratio SLOW_ID:FAST_ID:RATIO ...]
+                  [--require-max ID:VALUE ...]
 
 Design notes:
 - gates on *min_ns*, not median: for deterministic CPU-bound benches the
@@ -40,6 +41,11 @@ Design notes:
   claims (cluster-timestamp test vs reconstructed vector, binary vs
   linear search) that must
   hold on any host, including a 1-cpu CI container.
+- `--require-max ID:VALUE` asserts a ceiling on one candidate bench's
+  min_ns field: ID <= VALUE, in the entry's own unit (the idle-cost
+  entries carry milliseconds and bytes there). For costs with no second
+  implementation left to compare against; the ceiling is recorded from
+  the one that used to be measured beside it.
 - `--subset` tolerates baseline benches missing from the candidate —
   for gating a *filtered* run (`cts-bench query_path`) against the full
   committed baseline. Regressions in the benches that are present still
@@ -138,6 +144,13 @@ def main():
         "scaling (single-thread algorithmic/caching claims)",
     )
     ap.add_argument(
+        "--require-max",
+        action="append",
+        default=[],
+        metavar="ID:VALUE",
+        help="require min_ns(ID) <= VALUE within the merged candidates",
+    )
+    ap.add_argument(
         "--subset",
         action="store_true",
         help="candidate is a filtered run; baseline benches it lacks are "
@@ -147,7 +160,7 @@ def main():
         "--claims-only",
         action="store_true",
         help="skip the per-bench baseline comparison; evaluate only the "
-        "--require-speedup / --require-ratio claims",
+        "--require-speedup / --require-ratio / --require-max claims",
     )
     args = ap.parse_args()
 
@@ -249,6 +262,20 @@ def main():
               f"(required {want:.2f}x) {'ok' if ok else 'FAIL'}")
         if not ok:
             speedup_failures.append((claim, got, want))
+    ceiling_failures = []
+    for claim in args.require_max:
+        try:
+            bench_id, ceiling_s = claim.rsplit(":", 1)
+            ceiling = float(ceiling_s)
+        except ValueError:
+            sys.exit(f"bench_gate: bad --require-max {claim!r} (want ID:VALUE)")
+        if bench_id not in cand:
+            sys.exit(f"bench_gate: --require-max: {bench_id} not in candidate reports")
+        ok = cand[bench_id] <= ceiling
+        print(f"max:     {bench_id} = {cand[bench_id]:.0f} "
+              f"(ceiling {ceiling:.0f}) {'ok' if ok else 'FAIL'}")
+        if not ok:
+            ceiling_failures.append((claim, cand[bench_id]))
 
     print()
     if improvements:
@@ -269,6 +296,11 @@ def main():
         print(f"bench_gate: FAIL — {len(speedup_failures)} speedup claim(s):")
         for claim, got, required in speedup_failures:
             print(f"  {claim}: {got:.2f}x (required {required:.2f}x)")
+        return 1
+    if ceiling_failures:
+        print(f"bench_gate: FAIL — {len(ceiling_failures)} ceiling(s) exceeded:")
+        for claim, got in ceiling_failures:
+            print(f"  {claim}: measured {got:.0f}")
         return 1
     print(f"bench_gate: PASS — {len(shared)} benches within tolerance")
     return 0

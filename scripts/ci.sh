@@ -21,9 +21,10 @@
 #             256 cold probes spread over the trace, batched wire round
 #             trips >= 5x single RTTs (host-independent ratios)
 #   net       C10K soak against an external daemon process: 10,000 idle
-#             connections held while the differential smoke suite runs
-#             clean; thread-backend differential; idle-cost ratio gates
-#             (epoll <= 1/10 the thread backend's idle CPU and RSS/conn)
+#             connections held while the differential full suite runs
+#             clean; idle-cost ceilings on 5,000 idle connections (idle
+#             CPU <= 12 ms per 2 s, <= 1,429 resident bytes/conn: a tenth
+#             of what the deleted thread-per-connection transport cost)
 #   repl      replication fleet: one durable leader + two --follow daemon
 #             processes, the full 54-computation suite soaked with the
 #             differential checks fanned across the fleet (0 mismatches),
@@ -246,12 +247,11 @@ stage_query() {
 }
 
 stage_net() {
-  echo "==> net: C10K soak + backend idle-cost ratio gates"
-  # A real daemon process (epoll front end by default), a real loadgen
-  # process: 10,000 idle connections held open — two processes, so the
-  # per-process fd budget covers one end each — while the differential
-  # full 54-computation suite runs through the same listener with zero
-  # mismatches.
+  echo "==> net: C10K soak + idle-cost ceilings"
+  # A real daemon process, a real loadgen process: 10,000 idle
+  # connections held open — two processes, so the per-process fd budget
+  # covers one end each — while the differential full 54-computation
+  # suite runs through the same listener with zero mismatches.
   local port_file="$workdir/net-daemon.port"
   target/release/cts-daemon --port 0 --port-file "$port_file" &
   local daemon_pid=$!
@@ -271,22 +271,17 @@ stage_net() {
   wait "$daemon_pid"
   echo "ci.sh: c10k soak ok (port $port)"
 
-  # The thread-per-connection backend stays differentially correct (it is
-  # the oracle the epoll front end is checked against).
-  target/release/cts-loadgen --quick --net-threads
-
-  # Idle-cost claims, host-independent within-run ratios: the epoll
-  # backend must burn <= 1/10 the CPU of the thread backend's polling
-  # wakeups while idle, and hold a connection in <= 1/10 the resident
-  # memory of a parked connection thread. --claims-only: these entries
-  # have no committed baseline (absolute idle cost is host-dependent).
+  # Idle-cost claims: 5,000 idle connections must burn <= 12 ms of CPU
+  # over a 2 s window and hold <= 1,429 resident bytes each. The ceilings
+  # are a tenth of the thread-per-connection transport's figures on the
+  # same bench (120-170 ms, 14,295 B/conn at 500 connections), so they
+  # keep the ">= 10x cheaper" claim that transport used to be measured
+  # against. --claims-only: no committed baseline gates these entries.
   target/release/cts-loadgen --c10k-bench --json "$workdir/bench-net.json"
   python3 scripts/bench_gate.py results/BENCH_baseline.json \
     "$workdir/bench-net.json" --claims-only \
-    --require-ratio \
-    daemon_ingest/c10k_idle_cpu_threads:daemon_ingest/c10k_idle_cpu_epoll:10.0 \
-    --require-ratio \
-    daemon_ingest/c10k_rss_per_conn_threads:daemon_ingest/c10k_rss_per_conn_epoll:10.0
+    --require-max daemon_ingest/c10k_idle_cpu_epoll:12 \
+    --require-max daemon_ingest/c10k_rss_per_conn_epoll:1429
 }
 
 stage_repl() {

@@ -1,34 +1,31 @@
-//! Network front-end regression suite: the epoll poller pool and the
-//! thread-per-connection backend, exercised through real loopback sockets.
+//! Network front-end regression suite: the epoll poller pool, exercised
+//! through real loopback sockets.
 //!
 //! What is pinned down here:
 //!
 //! - the C10K claim in-process: thousands of idle connections held open on
 //!   the epoll backend while the differential mini-suite runs clean;
-//! - the connection-lifecycle bugfixes of the thread backend — the handle
-//!   registry stays bounded under churn, and spawn exhaustion refuses with
-//!   a wire `OVERLOADED` error instead of aborting the daemon;
+//! - connection lifecycle — 10 000 short-lived connections all get served
+//!   and leave no live connection behind, and exhaustion refuses with a
+//!   wire `OVERLOADED` error instead of aborting the daemon;
 //! - the event loop's wire state machine: frames arriving one byte at a
 //!   time are reassembled, and a flood of pipelined batch queries whose
 //!   replies exceed the write buffer comes back complete and in order;
 //! - timerfd-driven group commit: with a nonzero sync window the WAL is
 //!   synced by the clock, without any `Flush` barrier on the wire;
-//! - two bounds on what a peer can make the daemon allocate or emit, on
-//!   both transports: a `Hello` for an absurd process count is refused, and
-//!   no reply is ever written past the frame limit;
+//! - two bounds on what a peer can make the daemon allocate or emit: a
+//!   `Hello` for an absurd process count is refused, and no reply is ever
+//!   written past the frame limit;
 //! - reply coalescing on the epoll backend: 64 pipelined queries that
 //!   arrive together are answered in at most a few TCP data segments
 //!   (counted by the client's `TCP_INFO`), not one per reply;
 //! - reply order across a pipeline that mixes queries, an `Events` frame,
-//!   a `Flush` and a `ProtoHello`, on both transports, and a lone query
-//!   answered with no further input (no reply stranded in a write buffer).
-//!
-//! The thread backend also re-runs the differential soak (mini suite), so
-//! both front ends stay pinned to the offline engine.
+//!   a `Flush` and a `ProtoHello`, and a lone query answered with no
+//!   further input (no reply stranded in a write buffer).
 
 use cts_core::FmStore;
 use cts_daemon::loadgen::{self, LoadConfig};
-use cts_daemon::server::{Daemon, DaemonConfig, NetBackend};
+use cts_daemon::server::{Daemon, DaemonConfig};
 use cts_daemon::wire::{code, read_msg, recv_frame, write_msg, Msg, Recv, PROTOCOL, WAL_FORMAT};
 use cts_daemon::Client;
 use cts_workloads::suite::mini_suite;
@@ -113,87 +110,54 @@ fn c10k_idle_connections_with_clean_differential() {
 }
 
 // ---------------------------------------------------------------------------
-// Thread backend stays differentially correct.
+// Connection churn leaves nothing behind.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn thread_backend_differential_mini_suite() {
-    let daemon = Daemon::start(DaemonConfig {
-        net: NetBackend::Threads,
-        ..DaemonConfig::default()
-    })
-    .expect("bind");
-    let report = loadgen::run(
-        &mini_suite(),
-        &LoadConfig {
-            addr: daemon.local_addr(),
-            connections: 8,
-            seed: 611,
-            ..LoadConfig::default()
-        },
-    )
-    .expect("differential run");
-    assert_eq!(report.mismatches, 0);
-    daemon.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Lifecycle bugfix 1: the handle registry is bounded under churn.
-// ---------------------------------------------------------------------------
-
-/// Regression for the unbounded `shared.conns` push: 10k short-lived
-/// connections used to leave 10k dead `JoinHandle`s in the registry (and,
-/// before that, 10k unjoined threads' worth of stacks). Finished handles
-/// are now reaped on every accept, so after the churn the registry must be
-/// bounded by *concurrent* connections — effectively a handful.
+/// 10 000 sequential short-lived connections, each closed by the server
+/// after a `Goodbye`. Every one must have been served, and once the churn
+/// is over no connection may still count as live: a poller that forgot a
+/// closed connection would keep its fd and state for the daemon's lifetime.
+#[cfg(target_os = "linux")]
 #[test]
 fn churn_keeps_connection_registry_bounded() {
-    let daemon = Daemon::start(DaemonConfig {
-        net: NetBackend::Threads,
-        ..DaemonConfig::default()
-    })
-    .expect("bind");
+    let daemon = Daemon::start(DaemonConfig::default()).expect("bind");
     let addr = daemon.local_addr();
 
     const CHURN: usize = 10_000;
     for _ in 0..CHURN {
         let mut s = TcpStream::connect(addr).expect("connect");
         write_msg(&mut s, &Msg::Goodbye).expect("goodbye");
-        // Wait for the server to close first: the connection thread is done
-        // (not merely spawned) before the next connect, so the churn is
-        // sequential and the registry bound is meaningful.
+        // Wait for the server to close first, so the churn is sequential.
         let mut buf = [0u8; 16];
         while s.read(&mut buf).map(|k| k > 0).unwrap_or(false) {}
     }
 
-    // Every connect was either accepted or (on an oversubscribed host where
-    // thread exit lags the socket close and the registry transiently fills)
-    // refused with OVERLOADED — both paths are closed-by-server, so the
-    // churn really happened either way.
+    // Every connect was either accepted or refused with OVERLOADED — both
+    // paths are closed-by-server, so the churn really happened either way.
     let served = daemon.connections_accepted() + daemon.connections_refused();
     assert!(served >= CHURN as u64, "served only {served} of {CHURN}");
-    let len = daemon.conn_registry_len();
-    assert!(
-        len < 100,
-        "handle registry leaked: {len} entries after {CHURN} short-lived connections"
-    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while daemon.live_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} connections still live after {CHURN} short-lived ones",
+            daemon.live_connections()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     daemon.shutdown();
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle bugfix 2: spawn exhaustion degrades to OVERLOADED.
+// Exhaustion degrades to OVERLOADED.
 // ---------------------------------------------------------------------------
 
 /// With the spawn failpoint set, a new connection is answered with a wire
 /// `OVERLOADED` error and closed — the accept loop keeps going instead of
 /// panicking the daemon. Clearing the failpoint restores service on the
 /// same listener.
-fn overload_refusal(net: NetBackend) {
-    let daemon = Daemon::start(DaemonConfig {
-        net,
-        ..DaemonConfig::default()
-    })
-    .expect("bind");
+fn overload_refusal() {
+    let daemon = Daemon::start(DaemonConfig::default()).expect("bind");
     let addr = daemon.local_addr();
 
     // Healthy first: the backend serves a session.
@@ -225,15 +189,10 @@ fn overload_refusal(net: NetBackend) {
     daemon.shutdown();
 }
 
-#[test]
-fn overload_refusal_thread_backend() {
-    overload_refusal(NetBackend::Threads);
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn overload_refusal_epoll_backend() {
-    overload_refusal(NetBackend::Epoll);
+    overload_refusal();
 }
 
 // ---------------------------------------------------------------------------
@@ -407,12 +366,10 @@ fn epoll_write_backpressure_preserves_reply_order() {
 
 /// Stream a durable computation *without ever flushing* and watch the
 /// daemon's sync counter: with a nonzero window the WAL barrier must be
-/// driven by the clock (timerfd in the epoll set; the wal-clock thread on
-/// the thread backend). Once ingest quiesces and the tail is synced, the
+/// driven by the clock (poller 0's timerfd). Once ingest quiesces and the tail is synced, the
 /// counter must hold still — clean windows don't issue barriers.
-fn group_commit_without_flush(net: NetBackend, dir: &str) {
+fn group_commit_without_flush(dir: &str) {
     let daemon = Daemon::start(DaemonConfig {
-        net,
         data_dir: Some(tmpdir(dir)),
         sync_window: Duration::from_millis(25),
         checkpoint_every: 0,
@@ -487,12 +444,7 @@ fn group_commit_without_flush(net: NetBackend, dir: &str) {
 #[cfg(target_os = "linux")]
 #[test]
 fn timerfd_group_commit_epoll_backend() {
-    group_commit_without_flush(NetBackend::Epoll, "gc-epoll");
-}
-
-#[test]
-fn group_commit_thread_backend() {
-    group_commit_without_flush(NetBackend::Threads, "gc-threads");
+    group_commit_without_flush("gc-epoll");
 }
 
 // ---------------------------------------------------------------------------
@@ -502,12 +454,8 @@ fn group_commit_thread_backend() {
 /// A `Hello` naming 50 million processes used to reach the allocator (a
 /// 200 MB per-process table) and abort the whole daemon. It must be refused
 /// up front, and the daemon must go on serving the next connection.
-fn oversized_hello_is_refused(net: NetBackend) {
-    let daemon = Daemon::start(DaemonConfig {
-        net,
-        ..DaemonConfig::default()
-    })
-    .expect("bind");
+fn oversized_hello_is_refused() {
+    let daemon = Daemon::start(DaemonConfig::default()).expect("bind");
     let mut s = TcpStream::connect(daemon.local_addr()).expect("connect");
     match raw_hello(&mut s, "huge", 50_000_000) {
         Msg::Error { code: c, message } => {
@@ -530,15 +478,10 @@ fn oversized_hello_is_refused(net: NetBackend) {
     daemon.shutdown();
 }
 
-#[test]
-fn oversized_hello_is_refused_thread_backend() {
-    oversized_hello_is_refused(NetBackend::Threads);
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn oversized_hello_is_refused_epoll_backend() {
-    oversized_hello_is_refused(NetBackend::Epoll);
+    oversized_hello_is_refused();
 }
 
 /// On a 296-process computation one greatest-concurrent answer is up to
@@ -546,12 +489,8 @@ fn oversized_hello_is_refused_epoll_backend() {
 /// must still return all 2 048, each equal to the single-query answer, and
 /// a raw batch past the per-frame limit must be refused by name rather than
 /// answered with a frame the peer has to reject.
-fn gc_batch_larger_than_one_frame(net: NetBackend) {
-    let daemon = Daemon::start(DaemonConfig {
-        net,
-        ..DaemonConfig::default()
-    })
-    .expect("bind");
+fn gc_batch_larger_than_one_frame() {
+    let daemon = Daemon::start(DaemonConfig::default()).expect("bind");
     let t = Stencil1D {
         procs: 296,
         iters: 3,
@@ -604,15 +543,10 @@ fn gc_batch_larger_than_one_frame(net: NetBackend) {
     daemon.shutdown();
 }
 
-#[test]
-fn gc_batch_larger_than_one_frame_thread_backend() {
-    gc_batch_larger_than_one_frame(NetBackend::Threads);
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn gc_batch_larger_than_one_frame_epoll_backend() {
-    gc_batch_larger_than_one_frame(NetBackend::Epoll);
+    gc_batch_larger_than_one_frame();
 }
 
 // ---------------------------------------------------------------------------
@@ -704,16 +638,12 @@ fn epoll_coalesces_pipelined_replies() {
 }
 
 /// One `write_all` carrying queries, an `Events` frame, a `Flush` (a helper
-/// thread on the epoll transport), more queries and a `ProtoHello`: every
+/// thread runs it), more queries and a `ProtoHello`: every
 /// reply comes back in request order with the right content. Then a lone
 /// query must be answered with no further input — a reply left queued
 /// under edge-triggered epoll would never be written.
-fn pipelined_mix_keeps_order(net: NetBackend) {
-    let daemon = Daemon::start(DaemonConfig {
-        net,
-        ..DaemonConfig::default()
-    })
-    .expect("bind");
+fn pipelined_mix_keeps_order() {
+    let daemon = Daemon::start(DaemonConfig::default()).expect("bind");
     let t = Stencil1D { procs: 4, iters: 6 }.generate(43);
     let fm = FmStore::compute(&t);
     let half = t.num_events() / 2;
@@ -815,13 +745,8 @@ fn pipelined_mix_keeps_order(net: NetBackend) {
     daemon.shutdown();
 }
 
-#[test]
-fn pipelined_mix_keeps_order_thread_backend() {
-    pipelined_mix_keeps_order(NetBackend::Threads);
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn pipelined_mix_keeps_order_epoll_backend() {
-    pipelined_mix_keeps_order(NetBackend::Epoll);
+    pipelined_mix_keeps_order();
 }

@@ -14,7 +14,7 @@
 use cts_core::strategy::MergeOnFirst;
 use cts_core::ClusterEngine;
 use cts_daemon::replication::lease_epoch;
-use cts_daemon::server::{Daemon, DaemonConfig, NetBackend};
+use cts_daemon::server::{Daemon, DaemonConfig};
 use cts_daemon::wire::{code, read_msg, write_msg, Msg, MAX_FRAME, PROTOCOL, VERSION, WAL_FORMAT};
 use cts_daemon::Client;
 use cts_model::{EventId, Trace};
@@ -226,41 +226,34 @@ fn follower_replicates_reads_and_refuses_writes() {
 }
 
 /// Satellite 1: an unknown verb tag gets a typed `UNSUPPORTED` error and
-/// the connection stays usable — on both network backends. Old servers
-/// dropping the connection is exactly what version negotiation exists to
-/// avoid.
+/// the connection stays usable. Old servers dropping the connection is
+/// exactly what version negotiation exists to avoid.
 #[test]
 fn unknown_verb_yields_typed_unsupported_and_keeps_connection() {
-    for backend in [NetBackend::Epoll, NetBackend::Threads] {
-        let daemon = Daemon::start(DaemonConfig {
-            net: backend,
-            ..DaemonConfig::default()
-        })
-        .expect("daemon");
-        let mut s = raw(daemon.local_addr());
-        // A well-formed frame with an unassigned tag byte.
-        let body = [VERSION, 0xEE, 1, 2, 3];
-        let mut frame = (body.len() as u32).min(MAX_FRAME).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        s.write_all(&frame).expect("send junk");
-        match read_msg(&mut s).expect("recv").expect("dropped") {
-            Msg::Error { code: c, .. } => assert_eq!(c, code::UNSUPPORTED, "{backend:?}"),
-            other => panic!("unknown tag answered {other:?} on {backend:?}"),
-        }
-        // Same connection still speaks the protocol.
-        match call(
-            &mut s,
-            &Msg::Hello {
-                computation: "still-alive".into(),
-                num_processes: 1,
-                max_cluster_size: MCS,
-            },
-        ) {
-            Msg::HelloAck { .. } => {}
-            other => panic!("post-junk hello answered {other:?} on {backend:?}"),
-        }
-        daemon.shutdown();
+    let daemon = Daemon::start(DaemonConfig::default()).expect("daemon");
+    let mut s = raw(daemon.local_addr());
+    // A well-formed frame with an unassigned tag byte.
+    let body = [VERSION, 0xEE, 1, 2, 3];
+    let mut frame = (body.len() as u32).min(MAX_FRAME).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    s.write_all(&frame).expect("send junk");
+    match read_msg(&mut s).expect("recv").expect("dropped") {
+        Msg::Error { code: c, .. } => assert_eq!(c, code::UNSUPPORTED),
+        other => panic!("unknown tag answered {other:?}"),
     }
+    // Same connection still speaks the protocol.
+    match call(
+        &mut s,
+        &Msg::Hello {
+            computation: "still-alive".into(),
+            num_processes: 1,
+            max_cluster_size: MCS,
+        },
+    ) {
+        Msg::HelloAck { .. } => {}
+        other => panic!("post-junk hello answered {other:?}"),
+    }
+    daemon.shutdown();
 }
 
 /// Satellite 1: `Subscribe` is gated on the `ProtoHello` negotiation —

@@ -1,15 +1,17 @@
-//! One scripted conversation, two transports, identical replies.
+//! One scripted conversation, one recorded answer.
 //!
-//! Both network transports drive the same `Session::on_frame`, so a peer
-//! must not be able to tell them apart. This test sends one frame sequence
-//! — every client verb, every refusal class, every way a connection ends —
-//! to a daemon on the thread transport and (on Linux) a daemon on the epoll
-//! transport, and requires the two reply streams to be byte-identical once
-//! the fields that depend on timing are masked: `StatsResult` latencies and
-//! epoch numbers. The per-cell protocol decisions themselves are pinned,
-//! without a socket, by the matrix test in `crates/daemon/src/session.rs`.
+//! This test sends one frame sequence — every client verb, every refusal
+//! class, every way a connection ends — to a durable daemon and to a
+//! follower, and requires the reply stream to equal
+//! `tests/fixtures/transcript_replies.txt` byte for byte once the fields
+//! that depend on timing are masked: `StatsResult` latencies and epoch
+//! numbers. The fixture is what the deleted thread-per-connection
+//! transport answered to the same scripts, so the epoll transport still
+//! answers exactly as that reference did. The per-cell protocol decisions
+//! themselves are pinned, without a socket, by the matrix test in
+//! `crates/daemon/src/session.rs`.
 
-use cts_daemon::server::{Daemon, DaemonConfig, NetBackend};
+use cts_daemon::server::{Daemon, DaemonConfig};
 use cts_daemon::wire::{self, read_msg, write_msg, Msg};
 use cts_model::{Event, EventId, EventIndex, EventKind, ProcessId};
 use std::io::Write;
@@ -289,13 +291,12 @@ fn follower_script(addr: SocketAddr, out: &mut Vec<Vec<u8>>) {
     c.expect_hangup();
 }
 
-/// Run both scripts against fresh daemons on `net`; returns the transcript.
-fn transcript(net: NetBackend, tag: &str) -> Vec<Vec<u8>> {
+/// Run both scripts against fresh daemons; returns the transcript.
+fn transcript() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
 
     let leader = Daemon::start(DaemonConfig {
-        net,
-        data_dir: Some(tmpdir(&format!("{tag}-leader"))),
+        data_dir: Some(tmpdir("leader")),
         ..DaemonConfig::default()
     })
     .expect("bind leader");
@@ -307,7 +308,6 @@ fn transcript(net: NetBackend, tag: &str) -> Vec<Vec<u8>> {
         .and_then(|l| l.local_addr())
         .expect("reserve a port");
     let follower = Daemon::start(DaemonConfig {
-        net,
         follow: Some(dead),
         ..DaemonConfig::default()
     })
@@ -317,7 +317,6 @@ fn transcript(net: NetBackend, tag: &str) -> Vec<Vec<u8>> {
     out
 }
 
-#[cfg(target_os = "linux")]
 fn describe(frame: &[u8]) -> String {
     match Msg::decode(frame) {
         Ok(msg) => format!("{msg:?}"),
@@ -350,23 +349,34 @@ fn assert_complete(transcript: &[Vec<u8>]) {
     }
 }
 
+/// The fixture's reply lines, decoded from hex.
+fn recorded() -> Vec<Vec<u8>> {
+    include_str!("fixtures/transcript_replies.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            (0..l.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&l[i..i + 2], 16).expect("hex fixture"))
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
-fn both_transports_answer_byte_identically() {
-    let threads = transcript(NetBackend::Threads, "threads");
-    assert_complete(&threads);
-    // Off Linux there is one transport; the script still has to run clean.
-    #[cfg(target_os = "linux")]
-    {
-        let epoll = transcript(NetBackend::Epoll, "epoll");
-        for (i, (a, b)) in threads.iter().zip(&epoll).enumerate() {
-            assert_eq!(
-                a,
-                b,
-                "reply {i} differs:\n threads: {}\n epoll:   {}",
-                describe(a),
-                describe(b)
-            );
-        }
-        assert_eq!(threads.len(), epoll.len());
+fn transcript_matches_recorded_thread_transport_replies() {
+    let want = recorded();
+    assert_complete(&want);
+    let got = transcript();
+    assert_complete(&got);
+    for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(
+            a,
+            b,
+            "reply {i} differs:\n recorded: {}\n epoll:    {}",
+            describe(a),
+            describe(b)
+        );
     }
+    assert_eq!(want.len(), got.len());
 }

@@ -1,9 +1,9 @@
 //! A frame of malformed edges must not take down an ingest worker: the
 //! reorder buffer parks what the engine could not apply, and the rest of the
 //! computation keeps flowing. Each case feeds one bad `Events` frame through
-//! `Computation::enqueue_events` (what both transports call), then a valid
-//! stream on processes the bad frame does not touch, and requires that
-//! stream to be delivered and its `Flush` to return.
+//! `Computation::enqueue_events` (the blocking twin of what the transport
+//! calls), then a valid stream on processes the bad frame does not touch,
+//! and requires that stream to be delivered and its `Flush` to return.
 
 use cts_daemon::pipeline::{Computation, ComputationConfig};
 use cts_daemon::shard::StampStrategy;
