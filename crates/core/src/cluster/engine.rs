@@ -136,6 +136,12 @@ impl<S: MergePolicy> ClusterEngine<S> {
         }
     }
 
+    /// Room for `additional` more events without reallocating the stamp
+    /// log.
+    pub fn reserve(&mut self, additional: usize) {
+        self.log.reserve(additional);
+    }
+
     /// Accept the next event in delivery order.
     pub fn accept(&mut self, ev: Event) {
         let fm_stamp = self.fm.accept(ev);

@@ -14,8 +14,8 @@
 //! ```text
 //! meta                    computation parameters   (written once, CRC'd)
 //! ckpt-<delivered>.ckpt   delivered prefix         (atomic tmp+rename)
-//! wal-<start>.wal         delivered events > start (see crate::wal)
-//! epochs                  retained-epoch marks     (atomic tmp+rename)
+//! wal-<start>.wal         delivered events > start, and the
+//!                         retained-epoch marks     (see crate::wal)
 //! ```
 //!
 //! Checkpoint file:
@@ -39,8 +39,11 @@
 //!          ─► scan WAL segments in start order, keeping the longest
 //!             contiguous run of records continuing from the checkpoint;
 //!             truncate the first torn tail and ignore anything beyond it
+//!             and the last retained-epoch marks list any scanned segment
+//!             holds
 //!          ─► replay checkpoint events, then WAL-tail events, through the
-//!             reorder buffer → engine → delivered log (the normal pipeline)
+//!             reorder buffer → engine → delivered log (the normal pipeline),
+//!             republishing each mark at its delivered offset
 //!          ─► open a fresh segment at the recovered offset; serve
 //! ```
 
@@ -52,7 +55,6 @@ use std::path::{Path, PathBuf};
 
 const CKPT_MAGIC: &[u8; 8] = b"CTSCKPT1";
 const META_MAGIC: &[u8; 8] = b"CTSMETA1";
-const EPOCHS_MAGIC: &[u8; 8] = b"CTSEPOC1";
 
 /// Durable computation parameters (the `meta` file).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -237,43 +239,6 @@ pub fn write_checkpoint_with_floor(
     Ok(())
 }
 
-/// Persist the retained-epoch marks: `(epoch, delivered)` pairs, oldest
-/// first. Rewritten (atomically) on every publish of a durable single-mode
-/// computation, so a restart can republish the same epochs at the same
-/// delivered offsets during recovery replay — retained history survives a
-/// crash. Best-effort: a lost marks file costs retained epochs, not events.
-pub fn write_epoch_marks(dir: &Path, marks: &[(u64, u64)]) -> io::Result<()> {
-    let mut body = Vec::with_capacity(4 + marks.len() * 16);
-    body.extend_from_slice(&(marks.len() as u32).to_le_bytes());
-    for &(epoch, delivered) in marks {
-        body.extend_from_slice(&epoch.to_le_bytes());
-        body.extend_from_slice(&delivered.to_le_bytes());
-    }
-    write_atomic(dir, "epochs", EPOCHS_MAGIC, &body)
-}
-
-/// Load the retained-epoch marks, oldest first. A missing file is an empty
-/// list (fresh directory, or one written before retention existed).
-pub fn load_epoch_marks(dir: &Path) -> io::Result<Vec<(u64, u64)>> {
-    let path = dir.join("epochs");
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let body = read_checked(&path, EPOCHS_MAGIC)?;
-    let mut c = MetaCursor(&body);
-    let count = u32::from_le_bytes(c.take(4)?.try_into().unwrap()) as usize;
-    let mut marks = Vec::with_capacity(count);
-    for _ in 0..count {
-        let epoch = u64::from_le_bytes(c.take(8)?.try_into().unwrap());
-        let delivered = u64::from_le_bytes(c.take(8)?.try_into().unwrap());
-        marks.push((epoch, delivered));
-    }
-    if !c.0.is_empty() {
-        return Err(corrupt("trailing bytes in epochs"));
-    }
-    Ok(marks)
-}
-
 /// All checkpoints in `dir` by delivered count (unvalidated), sorted.
 fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
@@ -356,6 +321,9 @@ pub struct RecoveryReport {
     pub torn_bytes_truncated: u64,
     /// Human-readable description of the tear, if one was found.
     pub torn_tail: Option<String>,
+    /// The retained-epoch marks, `(epoch, delivered)` oldest first: the
+    /// last marks record the scan read (empty when there was none).
+    pub marks: Vec<(u64, u64)>,
 }
 
 impl RecoveryReport {
@@ -368,8 +336,8 @@ impl RecoveryReport {
 /// The full recovery scan for one computation directory: newest valid
 /// checkpoint plus the longest contiguous WAL run on top, with the first
 /// torn tail physically truncated. Returns the replay list (a prefix of a
-/// valid delivery order) and the offset new WAL segments must continue
-/// from.
+/// valid delivery order) and what the scan found, the marks to republish
+/// included.
 pub fn recover_dir(dir: &Path) -> io::Result<(Vec<Event>, RecoveryReport)> {
     let mut report = RecoveryReport::default();
     let mut events: Vec<Event> = Vec::new();
@@ -393,13 +361,17 @@ pub fn recover_dir(dir: &Path) -> io::Result<(Vec<Event>, RecoveryReport)> {
         // best-effort); skip them. Segments starting beyond the contiguous
         // frontier are unreachable (can only appear after an earlier tear)
         // and are ignored.
-        let scan: SegmentScan = wal::scan_segment(&path)?;
+        let mut scan: SegmentScan = wal::scan_segment(&path)?;
         report.segments_scanned += 1;
         if let Some(kind) = scan.torn {
             let file_len = std::fs::metadata(&path)?.len();
             report.torn_bytes_truncated += file_len - scan.valid_len;
             report.torn_tail = Some(format!("{}: {kind}", path.display()));
             wal::truncate_segment(&path, scan.valid_len)?;
+        }
+        // Segments are read oldest first, so the last list read wins.
+        if let Some(marks) = scan.marks.take() {
+            report.marks = marks;
         }
         if scan.end_offset() < next_offset {
             continue; // nothing new in here
@@ -582,18 +554,6 @@ mod tests {
         write_checkpoint(&dir, &meta(), &events[..20]).unwrap();
         let (replay, _) = recover_dir(&dir).unwrap();
         assert_eq!(replay, events[..20]);
-    }
-
-    #[test]
-    fn epoch_marks_roundtrip_and_missing_is_empty() {
-        let dir = tmpdir("marks");
-        assert_eq!(load_epoch_marks(&dir).unwrap(), Vec::new());
-        let marks = vec![(3, 120), (4, 180), (7, 400)];
-        write_epoch_marks(&dir, &marks).unwrap();
-        assert_eq!(load_epoch_marks(&dir).unwrap(), marks);
-        // Rewrite shrinks (GC retired the oldest).
-        write_epoch_marks(&dir, &marks[1..]).unwrap();
-        assert_eq!(load_epoch_marks(&dir).unwrap(), marks[1..]);
     }
 
     #[test]

@@ -1365,23 +1365,13 @@ pub fn hold_idle_conns(addr: SocketAddr, n: usize) -> io::Result<Vec<std::net::T
 }
 
 /// Process CPU time (user + system, all threads) in milliseconds, from
-/// `/proc/self/stat`. Returns 0 where /proc is unavailable.
+/// `CLOCK_PROCESS_CPUTIME_ID`. Returns 0 where that clock is unavailable.
 pub fn proc_cpu_ms() -> u64 {
-    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
-        return 0;
-    };
-    // Fields 14/15 (utime/stime) count in clock ticks; the comm field may
-    // contain spaces but is parenthesized, so split after the last ')'.
-    let Some(rest) = stat.rsplit_once(')').map(|(_, r)| r) else {
-        return 0;
-    };
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let ticks: u64 = [11usize, 12] // utime, stime (0-indexed after comm)
-        .iter()
-        .filter_map(|&i| fields.get(i).and_then(|f| f.parse::<u64>().ok()))
-        .sum();
-    // CLK_TCK is 100 on every Linux ABI this runs on.
-    ticks * 10
+    #[cfg(target_os = "linux")]
+    if let Ok(cpu) = crate::netpoll::process_cpu_time() {
+        return cpu.as_millis() as u64;
+    }
+    0
 }
 
 /// Resident set size in bytes, from `/proc/self/statm`. Returns 0 where

@@ -1,6 +1,7 @@
 //! Thin, safe wrappers over the Linux readiness syscalls the event loop
 //! needs: `epoll`, `eventfd`, `timerfd`, plus the two `rlimit`/`listen`
-//! helpers the C10K paths use. Hand-declared FFI — the workspace links no
+//! helpers the C10K paths use and the process CPU clock their idle-cost
+//! entry reads. Hand-declared FFI — the workspace links no
 //! external crates, and std already links libc, so these symbols resolve
 //! without adding a dependency.
 //!
@@ -72,6 +73,7 @@ extern "C" {
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
     fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
     fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut u64) -> c_int;
+    fn clock_gettime(clockid: c_int, tp: *mut Timespec) -> c_int;
 }
 
 // ---- readiness and control constants (uapi values, stable ABI) ----
@@ -97,6 +99,7 @@ const EFD_NONBLOCK: c_int = 0x800;
 const TFD_CLOEXEC: c_int = 0x80000;
 const TFD_NONBLOCK: c_int = 0x800;
 const CLOCK_MONOTONIC: c_int = 1;
+const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
 const RLIMIT_NOFILE: c_int = 7;
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -345,6 +348,17 @@ pub fn raise_nofile_to_hard() -> io::Result<u64> {
     Ok(lim.rlim_cur)
 }
 
+/// CPU time this process has used so far, user + system over all threads,
+/// at the nanosecond resolution of `CLOCK_PROCESS_CPUTIME_ID`.
+pub fn process_cpu_time() -> io::Result<Duration> {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    cvt(unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) })?;
+    Ok(Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +378,18 @@ mod tests {
         assert_eq!({ events[0].data }, 42);
         assert_eq!(ev.drain(), 2); // both wakes coalesced in the counter
         assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn process_cpu_clock_moves_in_less_than_a_tick() {
+        // A clock-tick counter moves in 10 ms steps; this clock resolves a
+        // spin far shorter than that.
+        let t0 = process_cpu_time().unwrap();
+        let mut t1 = t0;
+        while t1 == t0 {
+            t1 = process_cpu_time().unwrap();
+        }
+        assert!(t1 - t0 < Duration::from_millis(5), "{t0:?} -> {t1:?}");
     }
 
     #[test]

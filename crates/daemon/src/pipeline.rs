@@ -23,6 +23,13 @@
 //! covering a known event count is live, which is what makes answers
 //! deterministic enough to differentially test against the offline batch
 //! engine.
+//!
+//! A durable worker's publish of a new epoch appends the retained-epoch
+//! marks to the WAL as one record, with no barrier of its own (the next
+//! tick, flush or checkpoint syncs it), and every segment it opens starts
+//! with them. Recovery replays the recovered prefix into logs reserved for
+//! its whole length, republishing each mark on the way, and writes no file
+//! but the segment it opens.
 
 use crate::checkpoint::{self, CompMeta, RecoveryReport};
 use crate::metrics::Metrics;
@@ -291,7 +298,7 @@ impl Computation {
             }
             return comp;
         }
-        Self::spawn_inner(config, Vec::new())
+        Self::spawn_inner(config, Vec::new(), Vec::new())
     }
 
     /// Recover a durable computation from its data directory (newest valid
@@ -322,7 +329,7 @@ impl Computation {
         checkpoint::ensure_meta(&dur.dir, &meta)?;
         let (replay, report) = checkpoint::recover_dir(&dur.dir)?;
         let replayed = replay.len() as u64;
-        let comp = Self::spawn_inner(config, replay);
+        let comp = Self::spawn_inner(config, replay, report.marks.clone());
         // Block until the worker has applied the whole recovered prefix, so
         // callers observe fully recovered state.
         if replayed > 0 {
@@ -392,7 +399,13 @@ impl Computation {
         (comp, rt)
     }
 
-    fn spawn_inner(config: ComputationConfig, replay: Vec<Event>) -> Arc<Computation> {
+    /// Spawn the single worker, which first replays `replay` and republishes
+    /// each of `marks` (`(epoch, delivered)`, oldest first) on the way.
+    fn spawn_inner(
+        config: ComputationConfig,
+        replay: Vec<Event>,
+        marks: Vec<(u64, u64)>,
+    ) -> Arc<Computation> {
         let (tx, rx) = sync_channel(config.queue_capacity.max(1));
         let shared = Self::new_shared(&config);
         // The recovered prefix is on disk already (that is where it came
@@ -410,7 +423,7 @@ impl Computation {
         let dur_dir = config.durability.as_ref().map(|d| d.dir.clone());
         let handle = std::thread::Builder::new()
             .name(format!("ingest-{name}"))
-            .spawn(move || worker_loop(&worker_shared, rx, config, replay))
+            .spawn(move || worker_loop(&worker_shared, rx, config, replay, marks))
             .expect("spawn ingest worker");
         Arc::new(Computation {
             name,
@@ -697,6 +710,13 @@ impl WorkerEngine {
         }
     }
 
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            WorkerEngine::Merge1st(e) => e.reserve(additional),
+            WorkerEngine::Adaptive(e) => e.reserve(additional),
+        }
+    }
+
     fn accept(&mut self, ev: Event) {
         match self {
             WorkerEngine::Merge1st(e) => e.accept(ev),
@@ -749,6 +769,16 @@ impl<F: FnMut(&WorkerEngine, &TraceLog)> DeliveryHooks for WorkerHooks<'_, F> {
     }
 }
 
+/// The retainer's `(epoch, delivered)` marks, oldest first: the list a
+/// marks record persists and recovery republishes.
+fn retained_marks(retainer: &EpochRetainer<Snapshot>) -> Vec<(u64, u64)> {
+    retainer
+        .list()
+        .iter()
+        .map(|i| (i.epoch, i.delivered))
+        .collect()
+}
+
 /// The ingest worker: reorder → engine → delivered log, with the WAL lane
 /// and the replication stream following the log and epochs published from
 /// it.
@@ -757,21 +787,32 @@ fn worker_loop(
     rx: Receiver<IngestCmd>,
     config: ComputationConfig,
     replay: Vec<Event>,
+    marks: Vec<(u64, u64)>,
 ) {
     let n = config.num_processes;
     let mut buf = ReorderBuffer::new(n);
     let mut engine = WorkerEngine::new(n, config.strategy);
     let mut log = TraceLog::new(config.name.clone(), n);
     let mut last_published: Option<u64> = None;
+    // The durability lane; its first segment opens (at the recovered
+    // frontier) after replay, so nothing replayed is written back.
+    let mut lane = WalLane::new(
+        config.durability.clone(),
+        config.name.clone(),
+        Arc::clone(&shared.metrics),
+    );
 
     // `forced_epoch` republishes a recovered retention mark under its
     // original epoch number (recovery replay); `None` is a live publish.
     // The snapshot shares the log's and the engine's append-only storage,
-    // so a publish costs O(N), not O(history).
+    // so a publish costs O(N), not O(history). A new epoch appends the
+    // retained marks to the WAL, so they are as durable as the events
+    // they name (no-op until the lane opens).
     let publish = |engine: &WorkerEngine,
                    log: &TraceLog,
                    last_published: &mut Option<u64>,
-                   forced_epoch: Option<u64>| {
+                   forced_epoch: Option<u64>,
+                   lane: &mut WalLane| {
         let delivered = log.len() as u64;
         if *last_published == Some(delivered) {
             // Nothing new since the last epoch — but still wake waiters: a
@@ -811,21 +852,8 @@ fn worker_loop(
             .snapshots_published
             .fetch_add(1, Ordering::Relaxed);
         *last_published = Some(delivered);
-        // Persist the retention marks so retained history survives a
-        // restart (best-effort: losing them costs epochs, never events).
-        if let Some(dur) = &config.durability {
-            let marks: Vec<(u64, u64)> = shared
-                .retainer
-                .list()
-                .iter()
-                .map(|i| (i.epoch, i.delivered))
-                .collect();
-            if let Err(e) = checkpoint::write_epoch_marks(&dur.dir, &marks) {
-                eprintln!(
-                    "[cts-daemon] {}: epoch marks write failed: {e}",
-                    config.name
-                );
-            }
+        if lane.is_open() {
+            lane.marks(&retained_marks(&shared.retainer));
         }
         shared.cond.notify_all();
     };
@@ -836,11 +864,17 @@ fn worker_loop(
     // retained epochs at their original delivered offsets along the way, so
     // time-travel history survives the restart.
     if !replay.is_empty() {
-        let marks: Vec<(u64, u64)> = config
-            .durability
-            .as_ref()
-            .map(|d| checkpoint::load_epoch_marks(&d.dir).unwrap_or_default())
-            .unwrap_or_default();
+        // Size the logs for the whole prefix up front: a republished epoch
+        // pins the buffers it was cut from, so each doubling on the way
+        // would copy history and keep the old copy resident.
+        let mut per_process = vec![0usize; n as usize];
+        for ev in &replay {
+            if let Some(count) = per_process.get_mut(ev.process().idx()) {
+                *count += 1;
+            }
+        }
+        log.reserve(replay.len(), &per_process);
+        engine.reserve(replay.len());
         let mut next_mark = 0;
         let mut hooks = WorkerHooks {
             engine: &mut engine,
@@ -848,7 +882,8 @@ fn worker_loop(
             watermarks: &shared.watermarks,
             then: |engine: &WorkerEngine, log: &TraceLog| {
                 while next_mark < marks.len() && marks[next_mark].1 == log.len() as u64 {
-                    publish(engine, log, &mut last_published, Some(marks[next_mark].0));
+                    let epoch = Some(marks[next_mark].0);
+                    publish(engine, log, &mut last_published, epoch, &mut lane);
                     next_mark += 1;
                 }
             },
@@ -877,23 +912,19 @@ fn worker_loop(
             let mut g = lock(&shared.progress);
             g.delivered = buf.delivered_total();
         }
-        publish(&engine, &log, &mut last_published, None);
+        publish(&engine, &log, &mut last_published, None, &mut lane);
     }
 
-    // Durability state: a lane whose first segment continues from the
-    // recovered frontier (a no-op for an in-memory computation).
+    // Durability state: the lane's first segment continues from the
+    // recovered frontier, headed by the republished marks (a no-op for an
+    // in-memory computation).
     let meta = config.durability.as_ref().map(|_| CompMeta {
         name: config.name.clone(),
         num_processes: n,
         max_cluster_size: config.max_cluster_size,
     });
     let mut last_checkpoint = log.len() as u64;
-    let mut lane = WalLane::new(
-        config.durability.clone(),
-        config.name.clone(),
-        Arc::clone(&shared.metrics),
-    );
-    lane.rotate(log.len());
+    lane.rotate(log.len(), &retained_marks(&shared.retainer));
     // Group commit is timer-driven: the daemon's sync timer (timerfd on the
     // epoll backend) sends SyncWal each window, so the append path syncs
     // inline only under a zero window (= fsync every batch, the crash-test
@@ -993,7 +1024,7 @@ fn worker_loop(
                 shared.cond.notify_all();
                 let since = buf.delivered_total() - last_published.unwrap_or(0);
                 if since >= config.epoch_every {
-                    publish(&engine, &log, &mut last_published, None);
+                    publish(&engine, &log, &mut last_published, None, &mut lane);
                 }
                 // Checkpoint cadence: once the WAL is synced, persist the
                 // delivered prefix and rotate to a fresh segment (the old
@@ -1015,7 +1046,7 @@ fn worker_loop(
                             {
                                 Ok(()) => {
                                     last_checkpoint = delivered;
-                                    lane.rotate(log.len());
+                                    lane.rotate(log.len(), &retained_marks(&shared.retainer));
                                 }
                                 Err(e) => eprintln!(
                                     "[cts-daemon] {}: checkpoint failed: {e}",
@@ -1030,7 +1061,7 @@ fn worker_loop(
                 // A flush barrier is also the durability barrier: everything
                 // delivered reaches stable storage before the barrier lifts.
                 commit(&log, lane.sync(&log));
-                publish(&engine, &log, &mut last_published, None)
+                publish(&engine, &log, &mut last_published, None, &mut lane)
             }
             // Timer tick: close the group-commit window (a no-op when
             // nothing was appended since the last barrier).
@@ -1043,14 +1074,20 @@ fn worker_loop(
     // All senders gone: final snapshot so late readers see everything, and
     // a durable final state (synced WAL + checkpoint) so the next start
     // recovers instantly.
-    publish(&engine, &log, &mut last_published, None);
+    publish(&engine, &log, &mut last_published, None, &mut lane);
     commit(&log, lane.sync(&log));
     if let (Some(dur), Some(m)) = (&config.durability, &meta) {
         let delivered = log.len() as u64;
         if lane.is_open() && dur.checkpoint_every > 0 && delivered > last_checkpoint {
             let floor = shared.retainer.oldest_delivered().unwrap_or(delivered);
-            if let Err(e) = checkpoint::write_checkpoint_with_floor(&dur.dir, m, &log, floor) {
-                eprintln!("[cts-daemon] {}: final checkpoint failed: {e}", config.name);
+            match checkpoint::write_checkpoint_with_floor(&dur.dir, m, &log, floor) {
+                // The checkpoint may have retired the segment holding the
+                // marks: head a fresh one with them, as the cadence does.
+                Ok(()) => {
+                    lane.rotate(log.len(), &retained_marks(&shared.retainer));
+                    lane.sync(&log);
+                }
+                Err(e) => eprintln!("[cts-daemon] {}: final checkpoint failed: {e}", config.name),
             }
         }
     }

@@ -422,7 +422,7 @@ impl ShardedRuntime {
                     let _ = std::fs::remove_file(path);
                 }
                 let start = st.core.log().len();
-                st.lane.rotate(start);
+                st.lane.rotate(start, &[]);
             }
             // Legacy top-level segments are covered by the fresh checkpoint;
             // stale shard directories were unioned above.
@@ -706,7 +706,7 @@ impl ShardedRuntime {
                 continue;
             }
             let start = st.core.log().len();
-            st.lane.rotate(start);
+            st.lane.rotate(start, &[]);
             // A failed rotation degraded the lane, which then has no
             // directory. Otherwise the fresh segment exists, and every
             // other one here is behind the checkpoint.

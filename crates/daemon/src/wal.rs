@@ -38,6 +38,13 @@
 //! Internal event costs 2 bytes instead of 9.
 //! Send/Receive/Sync partner fields are varint-encoded after the index.
 //!
+//! A **marks record** carries the retained-epoch marks instead of events:
+//! its event block has count 0 and is followed by `varint n` and `n`
+//! `(epoch, delivered)` varint pairs. Its `first_offset` is the segment's
+//! next offset, so it never breaks contiguity. Each one holds the whole
+//! retained list, so a reader keeps the last list it reads
+//! ([`SegmentScan::marks`]).
+//!
 //! A crash can tear at most the tail of the newest segment; a reader stops
 //! at the first record whose length or CRC does not check out and reports
 //! the byte offset of the valid prefix, which recovery physically truncates
@@ -143,12 +150,31 @@ impl<S: DurableSink> WalWriter<S> {
         let mut payload = Vec::with_capacity(8 + 2 + events.len() * 3);
         payload.extend_from_slice(&(self.end_offset + 1).to_le_bytes());
         encode_delta_block(&mut payload, events);
+        self.write_record(&payload)?;
+        self.end_offset += events.len() as u64;
+        Ok(())
+    }
+
+    /// Append a marks record: the retained-epoch marks, `(epoch,
+    /// delivered)` pairs oldest first. Does not sync.
+    pub fn append_marks(&mut self, marks: &[(u64, u64)]) -> io::Result<()> {
+        let mut payload = Vec::with_capacity(8 + 2 + marks.len() * 6);
+        payload.extend_from_slice(&(self.end_offset + 1).to_le_bytes());
+        put_uvarint(&mut payload, 0);
+        put_uvarint(&mut payload, marks.len() as u64);
+        for &(epoch, delivered) in marks {
+            put_uvarint(&mut payload, epoch);
+            put_uvarint(&mut payload, delivered);
+        }
+        self.write_record(&payload)
+    }
+
+    fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
         let mut rec = Vec::with_capacity(8 + payload.len());
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
+        rec.extend_from_slice(&crc32(payload).to_le_bytes());
+        rec.extend_from_slice(payload);
         self.sink.write_all(&rec)?;
-        self.end_offset += events.len() as u64;
         self.bytes_written += rec.len() as u64;
         self.dirty = true;
         Ok(())
@@ -265,12 +291,13 @@ impl WalLane {
 
     /// Retire the open segment, if any — its bytes are charged to the
     /// failpoint budget; its barriers were counted as they were issued — and
-    /// open a fresh one at `start`. The caller has made sure `log[..start]`
-    /// is on disk already (a checkpoint, or the recovery it was read back
-    /// from), so both cursors move there whether or not the open succeeds.
-    /// A leftover file of the same name was fully consumed by the recovery
-    /// scan, or is empty, and is replaced.
-    pub(crate) fn rotate(&mut self, start: usize) {
+    /// open a fresh one at `start`, headed by a marks record of `marks` so
+    /// that retiring the covered segments never drops the list. The caller
+    /// has made sure `log[..start]` is on disk already (a checkpoint, or the
+    /// recovery it was read back from), so both cursors move there whether
+    /// or not the open succeeds. A leftover file of the same name was fully
+    /// consumed by the recovery scan, or is empty, and is replaced.
+    pub(crate) fn rotate(&mut self, start: usize, marks: &[(u64, u64)]) {
         if let (Some(old), Some(b)) = (self.writer.take(), self.fault_budget.as_mut()) {
             *b = b.saturating_sub(old.bytes_written());
         }
@@ -284,8 +311,23 @@ impl WalLane {
             None => File::create(&path).map(|f| Box::new(f) as _),
         };
         match sink.and_then(|s| WalWriter::from_sink(s, start as u64, dur.sync_window)) {
-            Ok(w) => self.writer = Some(w),
+            Ok(w) => {
+                self.writer = Some(w);
+                self.marks(marks);
+            }
             Err(e) => self.degrade("cannot open WAL segment", &e),
+        }
+    }
+
+    /// Append a marks record of `marks` with no barrier of its own (the
+    /// next tick, flush or checkpoint syncs it). An empty list writes
+    /// nothing.
+    pub(crate) fn marks(&mut self, marks: &[(u64, u64)]) {
+        let Some(w) = self.writer.as_mut().filter(|_| !marks.is_empty()) else {
+            return;
+        };
+        if let Err(e) = w.append_marks(marks) {
+            self.degrade("WAL write failed", &e);
         }
     }
 
@@ -492,6 +534,26 @@ fn decode_delta_block(buf: &[u8]) -> Result<Vec<Event>, WireError> {
     Ok(events)
 }
 
+/// Decode the list of a marks record (what follows its zero event count).
+/// Total: each pair costs >= 2 bytes, so the count is bounded by the
+/// payload before anything is allocated.
+fn decode_marks(buf: &[u8]) -> Result<Vec<(u64, u64)>, WireError> {
+    let mut pos = 0usize;
+    let count = get_uvarint(buf, &mut pos)?;
+    if count > (buf.len() - pos) as u64 / 2 {
+        return Err(WireError::Malformed("mark count exceeds payload"));
+    }
+    let mut marks = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let epoch = get_uvarint(buf, &mut pos)?;
+        marks.push((epoch, get_uvarint(buf, &mut pos)?));
+    }
+    if pos != buf.len() {
+        return Err(WireError::Malformed("trailing bytes after marks"));
+    }
+    Ok(marks)
+}
+
 /// One decoded WAL record.
 #[derive(Clone, Debug)]
 pub struct WalRecord {
@@ -532,9 +594,11 @@ pub struct SegmentScan {
     pub path: PathBuf,
     /// Start offset from the (validated) header.
     pub start_offset: u64,
-    /// Records of the valid prefix, in order, contiguous from
+    /// Event records of the valid prefix, in order, contiguous from
     /// `start_offset + 1`.
     pub records: Vec<WalRecord>,
+    /// The list of the last marks record in the valid prefix, if any.
+    pub marks: Option<Vec<(u64, u64)>>,
     /// Byte length of the valid prefix (truncation point when torn).
     pub valid_len: u64,
     /// Why the scan stopped early, if it did.
@@ -571,6 +635,7 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         path: path.to_path_buf(),
         start_offset: 0,
         records: Vec::new(),
+        marks: None,
         valid_len: 0,
         torn: None,
     };
@@ -601,33 +666,47 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
             scan.torn = Some(TornTail::BadCrc);
             return Ok(scan);
         }
-        let record = match decode_record(payload) {
-            Ok(r) => r,
-            Err(_) => {
+        match decode_record(payload) {
+            Ok((first_offset, Body::Events(events)))
+                if first_offset == expect_offset && !events.is_empty() =>
+            {
+                expect_offset += events.len() as u64;
+                scan.records.push(WalRecord {
+                    first_offset,
+                    events,
+                });
+            }
+            Ok((first_offset, Body::Marks(marks))) if first_offset == expect_offset => {
+                scan.marks = Some(marks);
+            }
+            _ => {
                 scan.torn = Some(TornTail::BadPayload);
                 return Ok(scan);
             }
-        };
-        if record.first_offset != expect_offset || record.events.is_empty() {
-            scan.torn = Some(TornTail::BadPayload);
-            return Ok(scan);
         }
-        expect_offset += record.events.len() as u64;
         pos += 8 + len as usize;
         scan.valid_len = pos as u64;
-        scan.records.push(record);
     }
     Ok(scan)
 }
 
-fn decode_record(payload: &[u8]) -> Result<WalRecord, WireError> {
+/// What a record carries after its first offset.
+enum Body {
+    Events(Vec<Event>),
+    Marks(Vec<(u64, u64)>),
+}
+
+fn decode_record(payload: &[u8]) -> Result<(u64, Body), WireError> {
     if payload.len() < 8 {
         return Err(WireError::Malformed("record payload too short"));
     }
-    Ok(WalRecord {
-        first_offset: u64::from_le_bytes(payload[..8].try_into().unwrap()),
-        events: decode_delta_block(&payload[8..])?,
-    })
+    let first_offset = u64::from_le_bytes(payload[..8].try_into().unwrap());
+    let body = match &payload[8..] {
+        // An event count of 0 (one varint byte) opens a marks record.
+        [0, marks @ ..] => Body::Marks(decode_marks(marks)?),
+        block => Body::Events(decode_delta_block(block)?),
+    };
+    Ok((first_offset, body))
 }
 
 /// Physically truncate a torn segment to its valid prefix and sync it.
@@ -844,7 +923,7 @@ mod tests {
             wal_byte_budget: Some(budget),
         };
         let mut lane = WalLane::new(Some(dur), "lane-test".into(), Arc::clone(&metrics));
-        lane.rotate(0);
+        lane.rotate(0, &[]);
         assert!(lane.is_open());
         (lane, metrics)
     }
@@ -874,7 +953,7 @@ mod tests {
         assert_eq!((lane.synced, lane.appended), (0, 8));
         // In-memory from here on: every call is a no-op.
         assert_eq!(lane.append(&log[..24], Barrier::Forced), 0..0);
-        lane.rotate(24);
+        lane.rotate(24, &[]);
         assert!(!lane.is_open());
         assert_eq!((lane.synced, lane.appended), (0, 8));
         assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 0);
@@ -908,7 +987,7 @@ mod tests {
         );
         assert_eq!(syncs(), 2);
 
-        lane.rotate(16);
+        lane.rotate(16, &[]);
         assert!(lane.is_open());
         assert_eq!(
             syncs(),
@@ -974,6 +1053,147 @@ mod tests {
         assert_eq!(lane.append(&log[..8], Barrier::WindowElapsed), 0..8);
         assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), 1);
         assert_eq!((lane.synced, lane.appended), (8, 8));
+    }
+
+    #[test]
+    fn marks_record_roundtrips_and_keeps_offsets_contiguous() {
+        let dir = tmpdir("marks-roundtrip");
+        let events = sample_events();
+        let first = [(1, 10)];
+        let last = [(1, 10), (2, 20), (300, 1 << 40)];
+        let mut w = WalWriter::create(&dir, 0, Duration::ZERO).unwrap();
+        w.append(&events[..10]).unwrap();
+        w.append_marks(&first).unwrap();
+        w.append(&events[10..20]).unwrap();
+        w.append_marks(&last).unwrap();
+        assert_eq!(w.end_offset(), 20, "marks carry no events");
+        w.sync().unwrap();
+        let scan = scan_segment(&dir.join(segment_name(0))).unwrap();
+        assert_eq!(scan.torn, None);
+        assert_eq!(scan.valid_len, w.bytes_written());
+        assert_eq!(scan.marks.as_deref(), Some(&last[..]), "the last list wins");
+        assert_eq!((scan.num_events(), scan.end_offset()), (20, 20));
+        assert_eq!(scan.records[1].first_offset, 11);
+    }
+
+    #[test]
+    fn last_marks_list_wins_across_a_rotate() {
+        let dir = tmpdir("marks-rotate");
+        let log = sample_events();
+        let (mut lane, _) = lane(&dir, HOUR, u64::MAX);
+        lane.append(&log[..16], Barrier::None);
+        lane.marks(&[(1, 8), (2, 16)]);
+        lane.marks(&[]); // writes nothing
+        lane.sync(&log[..16]);
+        lane.rotate(16, &[(2, 16)]);
+        lane.append(&log[..24], Barrier::None);
+        lane.sync(&log[..24]);
+        let old = scan_segment(&dir.join(segment_name(0))).unwrap();
+        assert_eq!(old.marks.as_deref(), Some(&[(1, 8), (2, 16)][..]));
+        let head = scan_segment(&dir.join(segment_name(16))).unwrap();
+        assert_eq!(head.marks.as_deref(), Some(&[(2, 16)][..]));
+        assert_eq!((head.torn, head.num_events()), (None, 8));
+        let (replay, report) = crate::checkpoint::recover_dir(&dir).unwrap();
+        assert_eq!(replay, log[..24]);
+        assert_eq!(report.marks, [(2, 16)]);
+        // A rotate with nothing retained heads its segment with no record.
+        lane.rotate(24, &[]);
+        lane.sync(&log[..24]);
+        let bare = dir.join(segment_name(24));
+        assert_eq!(std::fs::metadata(&bare).unwrap().len(), HEADER_LEN);
+        assert_eq!(scan_segment(&bare).unwrap().marks, None);
+    }
+
+    /// Write `events` and then `tail` as one raw record payload (first
+    /// offset prepended) to a fresh segment; returns its path and the length
+    /// of the valid prefix before `tail`.
+    fn segment_with_raw_tail(name: &str, events: &[Event], tail: &[u8]) -> (PathBuf, u64) {
+        let dir = tmpdir(name);
+        let mut w = WalWriter::create(&dir, 0, Duration::ZERO).unwrap();
+        w.append(events).unwrap();
+        let valid = w.bytes_written();
+        let mut payload = (events.len() as u64 + 1).to_le_bytes().to_vec();
+        payload.extend_from_slice(tail);
+        w.write_record(&payload).unwrap();
+        w.sync().unwrap();
+        (dir.join(segment_name(0)), valid)
+    }
+
+    #[test]
+    fn torn_or_garbled_marks_record_is_a_torn_tail_recovery_truncates() {
+        let events = sample_events();
+        // Torn: the record cut short by a crash.
+        let dir = tmpdir("marks-torn");
+        let path = dir.join(segment_name(0));
+        let mut w = WalWriter::create(&dir, 0, Duration::ZERO).unwrap();
+        w.append(&events[..12]).unwrap();
+        let valid = w.bytes_written();
+        w.append_marks(&[(1, 6), (2, 12)]).unwrap();
+        w.sync().unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let scan = scan_segment(&path).unwrap();
+        assert_eq!(
+            (scan.torn, scan.valid_len),
+            (Some(TornTail::ShortRecord), valid)
+        );
+        assert_eq!(scan.marks, None);
+        // Garbled under a good CRC: fewer pairs than counted, a pair cut in
+        // half, bytes after the list, no list at all.
+        for (i, tail) in [&[0u8, 3, 1, 6][..], &[0, 1, 1], &[0, 1, 1, 6, 9], &[0]]
+            .into_iter()
+            .enumerate()
+        {
+            let (path, valid) =
+                segment_with_raw_tail(&format!("marks-garbled-{i}"), &events[..12], tail);
+            let scan = scan_segment(&path).unwrap();
+            assert_eq!(
+                (scan.torn, scan.valid_len),
+                (Some(TornTail::BadPayload), valid)
+            );
+            assert_eq!(scan.marks, None);
+            let (replay, report) = crate::checkpoint::recover_dir(path.parent().unwrap()).unwrap();
+            assert_eq!(replay, events[..12]);
+            assert!(report.torn_tail.is_some() && report.marks.is_empty());
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                valid,
+                "not truncated"
+            );
+        }
+        // A marks record that does not continue the segment's offsets.
+        let mut payload = 99u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0, 1, 1, 6]);
+        let dir = tmpdir("marks-offset");
+        let mut w = WalWriter::create(&dir, 0, Duration::ZERO).unwrap();
+        w.write_record(&payload).unwrap();
+        w.sync().unwrap();
+        let scan = scan_segment(&dir.join(segment_name(0))).unwrap();
+        assert_eq!((scan.torn, scan.marks), (Some(TornTail::BadPayload), None));
+    }
+
+    #[test]
+    fn inflated_mark_count_is_refused_without_allocating() {
+        // A count near u64::MAX: reserving for it would abort the process,
+        // so a refusal proves the bound came first.
+        let mut inflated = Vec::new();
+        put_uvarint(&mut inflated, u64::MAX / 2);
+        inflated.extend_from_slice(&[1, 6]);
+        assert!(decode_marks(&inflated).is_err());
+        let mut tail = vec![0];
+        tail.extend_from_slice(&inflated);
+        let (path, valid) = segment_with_raw_tail("marks-inflated", &sample_events()[..5], &tail);
+        let scan = scan_segment(&path).unwrap();
+        assert_eq!(
+            (scan.torn, scan.valid_len),
+            (Some(TornTail::BadPayload), valid)
+        );
+        assert_eq!(scan.num_events(), 5);
     }
 
     #[test]

@@ -96,7 +96,6 @@ fn in_process_flags_with_addr_exit_2_and_name_the_flag() {
         &["--checkpoint-every", "200"],
         &["--epoch-every", "64"],
         &["--shards", "2"],
-        &["--net-threads"],
         &["--pollers", "2"],
         &["--followers", "2"],
         &["--kill-after", "100"],
@@ -115,6 +114,12 @@ fn in_process_flags_with_addr_exit_2_and_name_the_flag() {
             stderr.contains(flag[0]),
             "{args:?} should name {}, stderr was: {stderr}",
             flag[0]
+        );
+        // The `--addr` refusal itself, not an unknown-flag error that also
+        // exits 2 and echoes the name.
+        assert!(
+            stderr.contains("configures the in-process daemon"),
+            "{args:?} should be refused as in-process-only, stderr was: {stderr}"
         );
     }
 }

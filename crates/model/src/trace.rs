@@ -256,6 +256,15 @@ impl TraceLog {
         }
     }
 
+    /// Make room for `events` more events, `per_process[p]` of them on
+    /// process `p`, without reallocating.
+    pub fn reserve(&mut self, events: usize, per_process: &[usize]) {
+        self.events.reserve(events);
+        for (pos, &more) in self.delivery_pos.iter_mut().zip(per_process) {
+            pos.reserve(more);
+        }
+    }
+
     /// Append the next delivered event. An event that would break the
     /// delivery order is refused and leaves the log unchanged.
     pub fn push(&mut self, ev: Event) -> Result<(), InvalidDeliveryOrder> {

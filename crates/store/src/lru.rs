@@ -30,18 +30,14 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Cache holding at most `capacity` entries (≥ 1).
-    ///
-    /// Pre-allocation is clamped (like the entry arena) so a pathological
-    /// capacity — e.g. "effectively unbounded" expressed as `usize::MAX` —
-    /// does not eagerly allocate; storage still grows on demand up to
-    /// `capacity` entries.
+    /// Cache holding at most `capacity` entries (≥ 1). Allocates nothing
+    /// until the first insert; storage grows on demand up to `capacity`
+    /// entries.
     pub fn new(capacity: usize) -> LruCache<K, V> {
         assert!(capacity >= 1, "capacity must be positive");
-        const PREALLOC_CAP: usize = 1 << 20;
         LruCache {
-            map: HashMap::with_capacity(capacity.saturating_add(1).min(PREALLOC_CAP)),
-            entries: Vec::with_capacity(capacity.min(PREALLOC_CAP)),
+            map: HashMap::new(),
+            entries: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -291,6 +287,17 @@ mod tests {
         assert_eq!(c.get(&1234), Some(&3702));
         let (_, _, evictions) = c.stats();
         assert_eq!(evictions, 0, "nothing should ever be evicted");
+    }
+
+    #[test]
+    fn new_allocates_nothing_until_first_insert() {
+        let mut c: LruCache<u64, u64> = LruCache::new(1024);
+        assert_eq!((c.map.capacity(), c.entries.capacity()), (0, 0));
+        assert_eq!(c.get(&1), None);
+        assert_eq!((c.map.capacity(), c.entries.capacity()), (0, 0));
+        c.insert(1, 2);
+        assert!(c.map.capacity() >= 1 && c.entries.capacity() >= 1);
+        assert_eq!(c.stats(), (0, 1, 0));
     }
 
     #[test]

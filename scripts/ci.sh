@@ -366,8 +366,9 @@ stage_replay() {
     --asof-epochs 3 --replay-as mergeNth:8@2
 
   # Crash-stop (SIGKILL — no graceful checkpoint) and restart on the same
-  # data dir: recovery republishes the checkpointed epoch marks, so the
-  # retained history must still answer the same as-of checks afterwards.
+  # data dir: recovery republishes the epoch marks it reads back from the
+  # WAL, so the retained history must still answer the same as-of checks
+  # afterwards.
   kill -9 "$daemon_pid" 2>/dev/null || true
   wait "$daemon_pid" 2>/dev/null || true
   rm -f "$port_file"

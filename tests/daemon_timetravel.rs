@@ -460,3 +460,115 @@ fn follower_answers_asof_at_leader_acked_epochs_only() {
     follower.shutdown();
     leader.shutdown();
 }
+
+/// Retained history survives both a graceful restart and a crash, with
+/// the marks read back from the WAL: `ListEpochs` after each restart is the
+/// list the previous incarnation advertised, every retained epoch still
+/// answers as-of precedence and greatest-concurrent exactly like the
+/// offline engine over its prefix, and the computation directory never
+/// holds anything but `meta`, checkpoints and WAL segments. `retain_epochs
+/// = 1` makes the final checkpoint of a graceful shutdown cover every
+/// segment that held the list.
+#[test]
+fn retained_epochs_survive_restart_and_crash_from_the_wal() {
+    let t = Stencil1D {
+        procs: 8,
+        iters: 24,
+    }
+    .generate(11);
+    let n = t.num_events();
+    let part = 2 * n / 3;
+    for retain in [1usize, 8] {
+        let dir = tmpdir(&format!("marks-in-wal-{retain}"));
+        let config = || DaemonConfig {
+            data_dir: Some(dir.clone()),
+            epoch_every: 64,
+            checkpoint_every: 200,
+            retain_epochs: retain,
+            ..DaemonConfig::default()
+        };
+        let restart = || {
+            let d = Daemon::start(config()).expect("restart");
+            while d.is_recovering() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            d
+        };
+        let only_wal_checkpoints_and_meta = || {
+            for entry in std::fs::read_dir(dir.join(COMP)).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                assert!(
+                    name == "meta"
+                        || (name.starts_with("ckpt-") && name.ends_with(".ckpt"))
+                        || (name.starts_with("wal-") && name.ends_with(".wal")),
+                    "retain {retain}: unexpected file {name}"
+                );
+            }
+        };
+
+        // Graceful: the final checkpoint, then a restart.
+        let daemon = Daemon::start(config()).expect("daemon");
+        let mut c = session(daemon.local_addr(), t.num_processes());
+        c.stream_events(&t.events()[..part], 16).expect("stream");
+        c.flush(part as u64).expect("flush");
+        let before = c.list_epochs().expect("epochs");
+        assert_eq!(before.len(), retain, "more epochs published than retained");
+        c.goodbye().expect("goodbye");
+        daemon.shutdown();
+        only_wal_checkpoints_and_meta();
+        let daemon = restart();
+        let mut c = session(daemon.local_addr(), t.num_processes());
+        assert_eq!(c.list_epochs().expect("epochs"), before, "retain {retain}");
+
+        // Crash: the rest of the trace, a flush, then SIGKILL-like stop.
+        c.stream_events(&t.events()[part..], 16).expect("stream");
+        c.flush(n as u64).expect("flush");
+        let before = c.list_epochs().expect("epochs");
+        assert_eq!(before.last().map(|m| m.1), Some(n as u64));
+        // The last two epochs came after the last checkpoint rotation, so
+        // only the marks records appended at publish name them.
+        let newest_checkpoint = std::fs::read_dir(dir.join(COMP))
+            .unwrap()
+            .filter_map(|e| {
+                let name = e.unwrap().file_name().into_string().unwrap();
+                let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?;
+                u64::from_str_radix(hex, 16).ok()
+            })
+            .max()
+            .unwrap();
+        assert!(before.len() < 2 || before[before.len() - 2].1 > newest_checkpoint);
+        drop(c);
+        daemon.kill();
+        only_wal_checkpoints_and_meta();
+        let daemon = restart();
+        let mut c = session(daemon.local_addr(), t.num_processes());
+        assert_eq!(c.list_epochs().expect("epochs"), before, "retain {retain}");
+        for &(epoch, delivered) in &before {
+            let prefix = Trace::from_delivery_order(
+                COMP,
+                t.num_processes(),
+                t.events()[..delivered as usize].to_vec(),
+            )
+            .expect("valid prefix");
+            let oracle = offline(&prefix);
+            let ids: Vec<EventId> = prefix.all_event_ids().collect();
+            for (e, f) in sample_pairs(&ids, 60) {
+                let got = c.asof_precedes(epoch, e, f).expect("as-of precedes");
+                assert_eq!(got, oracle.precedes(&prefix, e, f), "@{epoch}: {e} -> {f}");
+            }
+            for k in 0..3usize {
+                let e = ids[(k * 15_485_863 + 3) % ids.len()];
+                let want = cts_store::queries::greatest_concurrent(
+                    &mut cts_store::queries::ClusterBackend(&oracle),
+                    &prefix,
+                    e,
+                );
+                let got = c.asof_greatest_concurrent(epoch, e).expect("as-of gc");
+                assert_eq!(got, want, "@{epoch}: greatest_concurrent({e})");
+            }
+        }
+        c.goodbye().expect("goodbye");
+        daemon.shutdown();
+        only_wal_checkpoints_and_meta();
+    }
+}
