@@ -422,7 +422,8 @@ fn bench_query_path(r: &mut Runner) {
 ///
 /// - `precedes_head_256` vs `precedes_asof_256`: the same 256 sampled
 ///   pairs answered at the head and at a retained historical epoch, one
-///   RTT per verdict, both asked once before timing. Both are the same
+///   RTT per verdict, both asked once before timing and then timed
+///   alternately, query by query. Both are the same
 ///   precedence test on a snapshot — the head, or the retained one the
 ///   epoch names — so an as-of verdict costs about a head verdict —
 ///   `scripts/ci.sh replay` gates `head/asof >= 0.5` (as-of within 2× of
@@ -469,22 +470,35 @@ fn bench_timetravel(r: &mut Runner) {
         let _ = client.precedes(e, f).expect("warm head");
         let _ = client.asof_precedes(asof_epoch, e, f).expect("warm as-of");
     }
-    r.run(g, "precedes_head_256", || {
-        pairs
-            .iter()
-            .filter(|&&(e, f)| client.precedes(e, f).expect("head precedes"))
-            .count()
-    });
-    r.run(g, "precedes_asof_256", || {
-        pairs
-            .iter()
-            .filter(|&&(e, f)| {
+    // The claimed pair takes turns query by query: each step asks every
+    // pair at the head and then as of the epoch, timing the two verdicts
+    // separately, so a slow stretch of a shared host lands on both sides
+    // alike. A fixed count, --quick or not, as in `bench_publish`.
+    let (warmup, samples) = (8, 64);
+    let mut ns: [Vec<f64>; 2] = Default::default();
+    for step in 0..warmup + samples {
+        let mut step_ns = [0u128; 2];
+        for &(e, f) in &pairs {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(client.precedes(e, f).expect("head precedes"));
+            let t1 = std::time::Instant::now();
+            std::hint::black_box(
                 client
                     .asof_precedes(asof_epoch, e, f)
-                    .expect("as-of precedes")
-            })
-            .count()
-    });
+                    .expect("as-of precedes"),
+            );
+            step_ns[0] += (t1 - t0).as_nanos();
+            step_ns[1] += t1.elapsed().as_nanos();
+        }
+        if step >= warmup {
+            for (ns, step_ns) in ns.iter_mut().zip(step_ns) {
+                ns.push(step_ns as f64);
+            }
+        }
+    }
+    let [head, asof] = ns;
+    r.samples(g, "precedes_head_256", head);
+    r.samples(g, "precedes_asof_256", asof);
     r.run(g, "replay_interval", || {
         client
             .replay_interval(0, asof_epoch)
@@ -605,7 +619,7 @@ fn bench_calibration(r: &mut Runner) {
 
 /// Deliver `arrivals` (a valid delivery order of `t`) through an
 /// in-process computation running `shards` ingest shards — with `auto_pin`,
-/// autoscaling from there with workers pinned to topology-chosen cores —
+/// autoscaling from there with workers pinned to CPUs of the process mask —
 /// from first enqueue to flush completion. Returns the wall nanoseconds.
 fn ingest_wall_ns(
     t: &cts_model::Trace,
@@ -648,7 +662,7 @@ fn ingest_wall_ns(
 /// Placement under planted imbalance: one hot process group delivered
 /// through static shard layouts (which leave the hot block pinned to one
 /// worker) vs `--shards auto` + `--pin-cores` (which splits the hot shard
-/// live and pins workers to distinct cores). One iteration = the whole
+/// live and pins workers to distinct CPUs). One iteration = the whole
 /// delivery; `ci.sh place` gates `hot6g4w_s1 / hot6g4w_auto_pin` at 1.3x
 /// on >=4-core hosts.
 fn bench_placement(r: &mut Runner) {

@@ -425,9 +425,4 @@ impl Client {
     pub fn goodbye(mut self) -> io::Result<()> {
         self.send(&Msg::Goodbye)
     }
-
-    /// Expose the raw wire version for diagnostics.
-    pub fn protocol_version() -> u8 {
-        wire::VERSION
-    }
 }

@@ -189,26 +189,27 @@ pub(crate) fn start(
         0 => auto_pollers(),
         n => n,
     };
-    // With --pin-cores, pollers take CPUs from the back of the topology's
-    // candidate list — shard workers take theirs from the front, so the two
-    // pools stay disjoint whenever the host has enough cores.
-    let plan = if shared.config.pin_cores {
-        crate::topology::CpuTopology::discover()
-            .ok()
-            .map(|t| t.plan(0, n))
+    // With --pin-cores, pollers take CPUs from the back of the process's
+    // mask — shard workers take theirs from the front, so the two pools
+    // stay disjoint whenever the mask has enough CPUs.
+    let poller_cpus = if shared.config.pin_cores {
+        let cpus = crate::netpoll::process_affinity().unwrap_or_default();
+        crate::netpoll::pin_plan(&cpus, 0, n).1
     } else {
-        None
+        Vec::new()
     };
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
         let mut worker = Worker::new(i, listener.try_clone()?, Arc::clone(&shared))?;
-        let cpu = plan.as_ref().map(|pl| pl.poller_cpus[i]);
+        let cpu = poller_cpus.get(i).copied();
         handles.push(
             std::thread::Builder::new()
                 .name(format!("cts-daemon-poll-{i}"))
                 .spawn(move || {
                     if let Some(cpu) = cpu {
-                        let _ = crate::netpoll::pin_current_thread(cpu);
+                        if let Err(e) = crate::netpoll::pin_current_thread(cpu) {
+                            eprintln!("[cts-daemon] poller {i} not pinned to cpu {cpu}: {e}");
+                        }
                     }
                     worker.run()
                 })?,

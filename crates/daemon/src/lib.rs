@@ -45,9 +45,8 @@
 //!   replication log, so `--follow <leader>` daemons replay it through the
 //!   normal pipeline and answer queries bit-identically to the leader at
 //!   commit-point epochs, fenced by leader leases;
-//! - [`topology`]: CPU/cache/NUMA discovery from sysfs and the placement
-//!   plan that pins shard workers and pollers to distinct cores
-//!   (`--pin-cores`), feeding the live shard autoscaler (`--shards auto`).
+//! - `netpoll`: the Linux syscalls (epoll, eventfd, timerfd, CPU affinity)
+//!   and the `--pin-cores` plan over the process's own CPU mask.
 //!
 //! Correctness rests on the delivery-order-invariance property established
 //! by the core crates: any valid delivery order yields exact precedence, so
@@ -71,7 +70,6 @@ pub mod server;
 pub(crate) mod session;
 pub mod shard;
 pub(crate) mod sharded;
-pub mod topology;
 pub mod wal;
 pub mod wire;
 

@@ -44,9 +44,9 @@
 //! and retire cold ones from per-shard occupancy EWMAs, with no
 //! stop-the-world freeze. `--balance` steals clusters between shards at a
 //! fixed count (implied by `auto`), and `--pin-cores` pins shard workers
-//! and network pollers to topology-chosen CPUs (distinct cores, shards
-//! grouped by LLC/NUMA node; silently unpinned when sysfs discovery
-//! fails).
+//! and network pollers to CPUs of the process's own CPU mask (shards from
+//! its front, pollers from its back; a failed pin is logged and leaves
+//! `QueryPlacement.pinned` false).
 
 use cts_core::strategy::StrategySpec;
 use cts_daemon::server::{Daemon, DaemonConfig};

@@ -1,7 +1,8 @@
 //! Thin, safe wrappers over the Linux readiness syscalls the event loop
 //! needs: `epoll`, `eventfd`, `timerfd`, plus the two `rlimit`/`listen`
-//! helpers the C10K paths use and the process CPU clock their idle-cost
-//! entry reads. Hand-declared FFI — the workspace links no
+//! helpers the C10K paths use, the process CPU clock their idle-cost
+//! entry reads, and the CPU-affinity calls behind `--pin-cores` with the
+//! plan that assigns its CPUs. Hand-declared FFI — the workspace links no
 //! external crates, and std already links libc, so these symbols resolve
 //! without adding a dependency.
 //!
@@ -305,8 +306,19 @@ pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
 
 /// The calling thread's allowed CPUs, ascending.
 pub fn current_affinity() -> io::Result<Vec<usize>> {
+    affinity_of(0)
+}
+
+/// The process's allowed CPUs, ascending: its main thread's mask, which
+/// `cts-daemon` never pins — not the caller's, which may be a poller that
+/// has already pinned itself.
+pub fn process_affinity() -> io::Result<Vec<usize>> {
+    affinity_of(std::process::id() as c_int)
+}
+
+fn affinity_of(pid: c_int) -> io::Result<Vec<usize>> {
     let mut mask = [0u64; CPU_SET_WORDS];
-    cvt(unsafe { sched_getaffinity(0, CPU_SET_WORDS * 8, mask.as_mut_ptr()) })?;
+    cvt(unsafe { sched_getaffinity(pid, CPU_SET_WORDS * 8, mask.as_mut_ptr()) })?;
     let mut cpus = Vec::new();
     for (w, bits) in mask.iter().enumerate() {
         let mut bits = *bits;
@@ -317,6 +329,24 @@ pub fn current_affinity() -> io::Result<Vec<usize>> {
         }
     }
     Ok(cpus)
+}
+
+/// The `--pin-cores` CPUs over `allowed`, the process's mask in order: shard
+/// workers take the front, pollers the back, skipping the shard CPUs while
+/// any other is left. Both wrap when the list is short. Empty assigns none.
+pub fn pin_plan(allowed: &[usize], shards: usize, pollers: usize) -> (Vec<usize>, Vec<usize>) {
+    if allowed.is_empty() {
+        return Default::default();
+    }
+    let wrap = |i: usize| allowed[i % allowed.len()];
+    let shard_cpus: Vec<usize> = (0..shards).map(wrap).collect();
+    let free = |c: &&usize| !shard_cpus.contains(c);
+    let spare: Vec<usize> = allowed.iter().rev().filter(free).copied().collect();
+    let poller = |i: usize| spare.get(i % spare.len().max(1)).copied();
+    let poller_cpus = (0..pollers)
+        .map(|i| poller(i).unwrap_or_else(|| wrap(shards + i)))
+        .collect();
+    (shard_cpus, poller_cpus)
 }
 
 // ---- helpers for the C10K paths ----
@@ -466,5 +496,67 @@ mod tests {
     #[test]
     fn pin_rejects_out_of_range_cpu() {
         assert!(pin_current_thread(CPU_SET_WORDS * 64).is_err());
+    }
+
+    #[test]
+    fn process_affinity_ignores_the_callers_pin() {
+        let process = process_affinity().unwrap();
+        assert!(!process.is_empty());
+        let last = *process.last().unwrap();
+        std::thread::spawn(move || {
+            pin_current_thread(last).unwrap();
+            assert_eq!(current_affinity().unwrap(), vec![last]);
+            assert_eq!(process_affinity().unwrap(), process);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn plan_gives_shards_the_front_and_pollers_the_back() {
+        let (shards, pollers) = pin_plan(&[0, 1, 2, 3, 4, 5], 2, 2);
+        assert_eq!(shards, vec![0, 1]);
+        assert_eq!(pollers, vec![5, 4]);
+        // Each side alone, as the two call sites ask for it.
+        assert_eq!(pin_plan(&[0, 1, 2, 3], 3, 0), (vec![0, 1, 2], vec![]));
+        assert_eq!(pin_plan(&[0, 1, 2, 3], 0, 2), (vec![], vec![3, 2]));
+    }
+
+    #[test]
+    fn plan_keeps_shards_and_pollers_apart_when_cpus_suffice() {
+        for n in 2..=8usize {
+            let allowed: Vec<usize> = (0..n).collect();
+            for shards in 0..n {
+                let (s, p) = pin_plan(&allowed, shards, n - shards);
+                assert!(p.iter().all(|c| !s.contains(c)), "{n} cpus: {s:?} {p:?}");
+                let mut all = [s, p].concat();
+                all.sort_unstable();
+                assert_eq!(all, allowed, "every cpu used once");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_wraps_on_short_lists() {
+        assert_eq!(pin_plan(&[7], 3, 2), (vec![7, 7, 7], vec![7, 7]));
+        let (s, p) = pin_plan(&[0, 1, 2], 4, 2);
+        assert_eq!(s, vec![0, 1, 2, 0]);
+        // No CPU is free of shards: pollers continue the wrap.
+        assert_eq!(p, vec![1, 2]);
+        let (s, p) = pin_plan(&[0, 1, 2], 2, 3);
+        assert_eq!(s, vec![0, 1]);
+        assert_eq!(p, vec![2, 2, 2]);
+        assert_eq!(pin_plan(&[], 2, 2), (vec![], vec![]));
+    }
+
+    #[test]
+    fn plan_uses_only_cpus_of_a_gapped_mask() {
+        let allowed = [2, 3, 6, 7];
+        for (shards, pollers) in [(2, 2), (4, 4), (1, 3), (6, 1)] {
+            let (s, p) = pin_plan(&allowed, shards, pollers);
+            assert_eq!((s.len(), p.len()), (shards, pollers));
+            assert!(s.iter().chain(&p).all(|c| allowed.contains(c)));
+        }
+        assert_eq!(pin_plan(&allowed, 2, 2), (vec![2, 3], vec![7, 6]));
     }
 }

@@ -97,8 +97,8 @@ pub struct ComputationConfig {
     /// Occupancy-driven cluster stealing at a fixed shard count
     /// (`--balance`). Implied by `auto_scale` once it hits a bound.
     pub balance: bool,
-    /// Pin shard workers to topology-chosen CPUs (`--pin-cores`): one
-    /// worker per physical core, shards packed into one LLC/NUMA domain.
+    /// Pin shard workers to CPUs of the process's CPU mask (`--pin-cores`):
+    /// one CPU each from the front of the mask, wrapping when it is short.
     pub pin_cores: bool,
     /// Placement tuning; `None` selects [`PlacementParams::default`]
     /// (tests pass aggressive thresholds for determinism).

@@ -67,8 +67,8 @@ pub struct DaemonConfig {
     pub auto_scale: bool,
     /// `--balance`: cluster stealing at a fixed shard count.
     pub balance: bool,
-    /// `--pin-cores`: pin shard workers and pollers to topology-chosen CPUs
-    /// (silently unpinned when sysfs discovery fails).
+    /// `--pin-cores`: pin shard workers and pollers to CPUs of the
+    /// process's CPU mask (shards from its front, pollers from its back).
     pub pin_cores: bool,
     /// Placement-engine tuning (EWMA shift, cooldown, hot/cold thresholds,
     /// shard-count bounds). `None` = [`PlacementParams::default`]. A finite

@@ -153,8 +153,8 @@ pub(crate) struct ShardedRuntime {
     active: AtomicUsize,
     auto_scale: bool,
     balance: bool,
-    /// Shard workers were pinned to topology-chosen CPUs at spawn.
-    pinned: bool,
+    /// Shard workers whose `--pin-cores` pin call has succeeded.
+    pinned_workers: AtomicUsize,
     placement: Mutex<PlacementEngine>,
     ctl: Ctl,
     shared: Arc<CompShared>,
@@ -204,13 +204,17 @@ impl ShardedRuntime {
         let mut placement_params = config.placement.unwrap_or_default();
         placement_params.min_shards = placement_params.min_shards.clamp(1, requested);
         placement_params.max_shards = placement_params.max_shards.min(shards);
-        let plan = if config.pin_cores {
-            crate::topology::CpuTopology::discover()
-                .ok()
-                .map(|t| t.plan(shards, 0))
+        // --pin-cores: the front of the *process's* mask (the poller that
+        // spawns us on `Hello` is pinned; pollers take the mask's back).
+        #[cfg(target_os = "linux")]
+        let shard_cpus = if config.pin_cores {
+            let cpus = crate::netpoll::process_affinity().unwrap_or_default();
+            crate::netpoll::pin_plan(&cpus, shards, 0).0
         } else {
-            None
+            Vec::new()
         };
+        #[cfg(not(target_os = "linux"))]
+        let shard_cpus: Vec<usize> = Vec::new();
         let env = ShardEnv::new(n, config.strategy);
         let routing = initial_routing(n, requested);
         let meta = config.durability.as_ref().map(|_| CompMeta {
@@ -261,7 +265,7 @@ impl ShardedRuntime {
             active: AtomicUsize::new(requested),
             auto_scale: config.auto_scale,
             balance: config.balance || config.auto_scale,
-            pinned: plan.is_some(),
+            pinned_workers: AtomicUsize::new(0),
             placement: Mutex::new(PlacementEngine::new(shards, placement_params)),
             ctl: Ctl {
                 pause: AtomicBool::new(false),
@@ -283,13 +287,17 @@ impl ShardedRuntime {
             .store(requested as u64, Ordering::Relaxed);
         for (s, rx) in receivers.into_iter().enumerate() {
             let worker = Arc::clone(&rt);
-            let cpu = plan.as_ref().map(|pl| pl.shard_cpus[s]);
+            let cpu = shard_cpus.get(s).copied();
             let handle = std::thread::Builder::new()
                 .name(format!("shard-{}-{s}", config.name))
                 .spawn(move || {
                     #[cfg(target_os = "linux")]
                     if let Some(cpu) = cpu {
-                        let _ = crate::netpoll::pin_current_thread(cpu);
+                        if let Err(e) = crate::netpoll::pin_current_thread(cpu) {
+                            eprintln!("[cts-daemon] shard {s} not pinned to cpu {cpu}: {e}");
+                        } else {
+                            worker.pinned_workers.fetch_add(1, Ordering::Release);
+                        }
                     }
                     #[cfg(not(target_os = "linux"))]
                     let _ = cpu;
@@ -316,7 +324,7 @@ impl ShardedRuntime {
         let eng = lock(&self.placement);
         PlacementInfo {
             shards: active as u64,
-            pinned: self.pinned,
+            pinned: self.pinned_workers.load(Ordering::Acquire) == self.shards.len(),
             rescales: eng.rescales,
             steals: eng.steals,
             occupancy_q16: eng.shares_q16(active),

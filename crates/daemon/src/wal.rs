@@ -295,8 +295,10 @@ impl WalLane {
     /// that retiring the covered segments never drops the list. The caller
     /// has made sure `log[..start]` is on disk already (a checkpoint, or the
     /// recovery it was read back from), so both cursors move there whether
-    /// or not the open succeeds. A leftover file of the same name was fully
-    /// consumed by the recovery scan, or is empty, and is replaced.
+    /// or not the open succeeds. A leftover file of the same name (recovery
+    /// read it; after a graceful shutdown it holds just the marks) is
+    /// replaced atomically — written aside, synced, renamed over, directory
+    /// synced: one counted barrier. A fresh name costs none.
     pub(crate) fn rotate(&mut self, start: usize, marks: &[(u64, u64)]) {
         if let (Some(old), Some(b)) = (self.writer.take(), self.fault_budget.as_mut()) {
             *b = b.saturating_sub(old.bytes_written());
@@ -305,15 +307,32 @@ impl WalLane {
         self.appended = start;
         self.synced = start;
         let path = dur.dir.join(segment_name(start as u64));
-        let _ = std::fs::remove_file(&path);
+        let replace = path.exists();
+        let tmp = path.with_extension("wal.tmp");
+        let at = if replace { &tmp } else { &path };
         let sink: io::Result<Box<dyn DurableSink + Send>> = match self.fault_budget {
-            Some(budget) => FailpointFs::create(&path, budget).map(|f| Box::new(f) as _),
-            None => File::create(&path).map(|f| Box::new(f) as _),
+            Some(budget) => FailpointFs::create(at, budget).map(|f| Box::new(f) as _),
+            None => File::create(at).map(|f| Box::new(f) as _),
         };
-        match sink.and_then(|s| WalWriter::from_sink(s, start as u64, dur.sync_window)) {
+        let opened = sink
+            .and_then(|s| WalWriter::from_sink(s, start as u64, dur.sync_window))
+            .and_then(|mut w| {
+                if !marks.is_empty() {
+                    w.append_marks(marks)?;
+                }
+                if replace {
+                    w.sync()?;
+                    std::fs::rename(&tmp, &path)?;
+                    File::open(&dur.dir)?.sync_all()?;
+                }
+                Ok(w)
+            });
+        match opened {
             Ok(w) => {
+                self.metrics
+                    .wal_syncs
+                    .fetch_add(w.syncs(), Ordering::Relaxed);
                 self.writer = Some(w);
-                self.marks(marks);
             }
             Err(e) => self.degrade("cannot open WAL segment", &e),
         }
@@ -1102,6 +1121,49 @@ mod tests {
         let bare = dir.join(segment_name(24));
         assert_eq!(std::fs::metadata(&bare).unwrap().len(), HEADER_LEN);
         assert_eq!(scan_segment(&bare).unwrap().marks, None);
+    }
+
+    #[test]
+    fn rotate_over_a_same_name_segment_syncs_the_new_marks_once() {
+        let dir = tmpdir("rotate-replace");
+        let log = sample_events();
+        // What a graceful shutdown leaves: the last segment holds only the
+        // marks record, synced.
+        let (mut lane, metrics) = lane(&dir, HOUR, u64::MAX);
+        lane.sync(&log[..16]);
+        lane.rotate(16, &[(1, 8), (2, 16)]);
+        lane.sync(&log[..16]);
+        let syncs_before = metrics.wal_syncs.load(Ordering::Relaxed);
+        // Restart: recovery replays 16 events and rotates to the same name
+        // with the republished marks. They are durable before any tick.
+        let mut restarted = WalLane::new(lane.dur.clone(), "restart".into(), Arc::clone(&metrics));
+        restarted.rotate(16, &[(2, 16), (3, 16)]);
+        assert!(restarted.is_open());
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), syncs_before + 1);
+        let seg = dir.join(segment_name(16));
+        let scan = scan_segment(&seg).unwrap();
+        assert_eq!(scan.marks.as_deref(), Some(&[(2, 16), (3, 16)][..]));
+        assert_eq!((scan.torn, scan.num_events()), (None, 0));
+        assert!(!seg.with_extension("wal.tmp").exists());
+        // Appends continue in the renamed file.
+        restarted.sync(&log[..24]);
+        let scan = scan_segment(&seg).unwrap();
+        assert_eq!((scan.start_offset, scan.num_events()), (16, 8));
+    }
+
+    #[test]
+    fn rotate_to_a_fresh_name_issues_no_barrier() {
+        let dir = tmpdir("rotate-fresh");
+        let log = sample_events();
+        let (mut lane, metrics) = lane(&dir, HOUR, u64::MAX);
+        lane.sync(&log[..16]);
+        let syncs_before = metrics.wal_syncs.load(Ordering::Relaxed);
+        lane.rotate(16, &[(1, 16)]);
+        assert!(lane.is_open());
+        assert_eq!(metrics.wal_syncs.load(Ordering::Relaxed), syncs_before);
+        lane.sync(&log[..16]);
+        let scan = scan_segment(&dir.join(segment_name(16))).unwrap();
+        assert_eq!(scan.marks.as_deref(), Some(&[(1, 16)][..]));
     }
 
     /// Write `events` and then `tail` as one raw record payload (first

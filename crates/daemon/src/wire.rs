@@ -789,8 +789,8 @@ messages! {
         partition: Vec<u32>,
     }
     /// Reply to [`Msg::QueryPlacement`]: the head snapshot's epoch and
-    /// delivered count, the active shard count, whether workers are pinned
-    /// to topology-chosen cores, the daemon-lifetime rescale/steal counters,
+    /// delivered count, the active shard count, whether every shard
+    /// worker is pinned to its `--pin-cores` CPU, the daemon-lifetime rescale/steal counters,
     /// per-active-shard occupancy shares in Q16 (`occupancy_q16[s]` sums to
     /// ~1.0 across shards), and `routing[p]` = the shard process `p`'s
     /// events are routed to.

@@ -4,12 +4,12 @@
 //! query path answers against the *newest* one. Time-travel queries (RepCl-style
 //! replay, as-of precedence) need older epochs to stay reachable for a while.
 //! The retainer keeps published snapshot handles in a ring bounded by an epoch
-//! count and an optional byte budget; GC retires the oldest *unpinned* entries
-//! first and never evicts the newest epoch, so the head of history is always
-//! answerable. Pins are RAII guards: an in-flight query or a replication
-//! catch-up pins the epoch it reads so GC under pressure cannot free it
-//! mid-answer, and dropping the pin re-runs GC so deferred evictions happen
-//! promptly.
+//! count and an optional byte budget; GC retires the oldest entries first and
+//! never evicts the newest epoch, so the head of history is always
+//! answerable. A reader (an as-of query, an interval replay) holds the `Arc`
+//! that [`EpochRetainer::get`] returns for as long as it reads, so GC can
+//! drop an epoch from the ring mid-answer without freeing the snapshot under
+//! that reader; the next `get` of it reports it retired.
 //!
 //! The retainer is generic over the snapshot type so the store layer does not
 //! depend on the daemon's `Snapshot` struct.
@@ -28,14 +28,12 @@ pub struct EpochInfo {
     pub delivered: u64,
     /// Estimated resident bytes attributed to this entry.
     pub bytes: u64,
-    pub pinned: bool,
 }
 
 struct Entry<T> {
     epoch: u64,
     delivered: u64,
     bytes: u64,
-    pins: u32,
     value: Arc<T>,
 }
 
@@ -44,7 +42,7 @@ struct Ring<T> {
     total_bytes: u64,
 }
 
-/// Bounded ring of published epochs with pin/unpin and GC.
+/// Bounded ring of published epochs with GC.
 pub struct EpochRetainer<T> {
     ring: RwLock<Ring<T>>,
     retain_epochs: usize,
@@ -82,23 +80,16 @@ impl<T> EpochRetainer<T> {
             epoch,
             delivered,
             bytes,
-            pins: 0,
             value,
         });
         self.gc_locked(&mut ring);
     }
 
-    /// Evict oldest-first while over either cap, skipping pinned entries and
-    /// never evicting the newest epoch. Deferred evictions (entries skipped
-    /// because they were pinned) are retried on the next insert or unpin.
+    /// Evict oldest-first while over either cap, never evicting the newest
+    /// epoch.
     fn gc_locked(&self, ring: &mut Ring<T>) {
-        let mut idx = 0;
-        while ring.entries.len() > 1 && idx < ring.entries.len() - 1 && self.over_caps(ring) {
-            if ring.entries[idx].pins > 0 {
-                idx += 1;
-                continue;
-            }
-            let gone = ring.entries.remove(idx).expect("index checked");
+        while ring.entries.len() > 1 && self.over_caps(ring) {
+            let gone = ring.entries.pop_front().expect("length checked");
             ring.total_bytes -= gone.bytes;
             self.retired.fetch_add(1, Ordering::Relaxed);
         }
@@ -110,36 +101,13 @@ impl<T> EpochRetainer<T> {
     }
 
     /// Snapshot handle for `epoch`, if still retained. The caller holds the
-    /// `Arc` for the duration of a single answer; use [`EpochRetainer::pin`]
-    /// to keep the epoch itself retained across multiple requests.
+    /// `Arc` for the duration of a single answer.
     pub fn get(&self, epoch: u64) -> Option<Arc<T>> {
         let ring = self.ring.read();
         ring.entries
             .iter()
             .find(|e| e.epoch == epoch)
             .map(|e| Arc::clone(&e.value))
-    }
-
-    /// Pin `epoch` against GC. Returns `None` if it is already retired.
-    pub fn pin(self: &Arc<Self>, epoch: u64) -> Option<PinnedEpoch<T>> {
-        let mut ring = self.ring.write();
-        let entry = ring.entries.iter_mut().find(|e| e.epoch == epoch)?;
-        entry.pins += 1;
-        let value = Arc::clone(&entry.value);
-        Some(PinnedEpoch {
-            retainer: Arc::clone(self),
-            epoch,
-            value,
-        })
-    }
-
-    fn unpin(&self, epoch: u64) {
-        let mut ring = self.ring.write();
-        if let Some(entry) = ring.entries.iter_mut().find(|e| e.epoch == epoch) {
-            entry.pins = entry.pins.saturating_sub(1);
-        }
-        // A deferred eviction may now be possible.
-        self.gc_locked(&mut ring);
     }
 
     /// All retained epochs, oldest first.
@@ -151,7 +119,6 @@ impl<T> EpochRetainer<T> {
                 epoch: e.epoch,
                 delivered: e.delivered,
                 bytes: e.bytes,
-                pinned: e.pins > 0,
             })
             .collect()
     }
@@ -177,29 +144,6 @@ impl<T> EpochRetainer<T> {
     /// Estimated resident bytes across all retained entries.
     pub fn resident_bytes(&self) -> u64 {
         self.ring.read().total_bytes
-    }
-}
-
-/// RAII pin: the epoch stays retained until the guard drops.
-pub struct PinnedEpoch<T> {
-    retainer: Arc<EpochRetainer<T>>,
-    epoch: u64,
-    value: Arc<T>,
-}
-
-impl<T> PinnedEpoch<T> {
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    pub fn value(&self) -> &Arc<T> {
-        &self.value
-    }
-}
-
-impl<T> Drop for PinnedEpoch<T> {
-    fn drop(&mut self) {
-        self.retainer.unpin(self.epoch);
     }
 }
 
@@ -252,30 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_epoch_survives_pressure_until_unpin() {
-        let r = retainer(1, 0);
-        fill(&r, 1..=1);
-        let pin = r.pin(1).expect("epoch 1 retained");
-        fill(&r, 2..=6);
-        // Epoch 1 is pinned: GC skips it even though it is far over cap.
-        assert_eq!(*r.get(1).expect("pinned survives"), 1);
-        assert_eq!(*pin.value().as_ref(), 1);
-        assert_eq!(r.retained(), 2, "pin forces ring over its cap");
-        drop(pin);
-        // Deferred eviction runs on unpin.
-        assert!(r.get(1).is_none(), "unpinned epoch collected");
-        assert_eq!(r.retained(), 1);
-    }
-
-    #[test]
-    fn pin_retired_epoch_fails() {
-        let r = retainer(2, 0);
-        fill(&r, 1..=5);
-        assert!(r.pin(1).is_none());
-        assert!(r.pin(5).is_some());
-    }
-
-    #[test]
     fn stale_insert_ignored() {
         let r = retainer(4, 0);
         fill(&r, 1..=3);
@@ -285,18 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn list_reports_oldest_first_with_pins() {
+    fn list_reports_oldest_first() {
         let r = retainer(4, 0);
         fill(&r, 5..=7);
-        let _pin = r.pin(6).expect("retained");
         let infos = r.list();
         assert_eq!(
             infos.iter().map(|i| i.epoch).collect::<Vec<_>>(),
             vec![5, 6, 7]
-        );
-        assert_eq!(
-            infos.iter().map(|i| i.pinned).collect::<Vec<_>>(),
-            vec![false, true, false]
         );
         assert_eq!(infos[0].delivered, 50);
     }

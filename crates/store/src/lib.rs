@@ -19,7 +19,7 @@
 //! - [`queries`]: precedence, greatest-concurrent-elements, and partial-order
 //!   scrolling over any timestamp backend;
 //! - [`epoch_retainer`]: a capacity/byte-bounded ring of retained epoch
-//!   snapshots with pin/unpin, backing the daemon's time-travel read path;
+//!   snapshots, backing the daemon's time-travel read path;
 //! - [`sync`]: the poison-tolerant `RwLock` wrapper the shared store hands
 //!   its query threads.
 
@@ -34,7 +34,7 @@ pub mod timestamp_cache;
 pub mod vm_sim;
 
 pub use btree::BPlusTree;
-pub use epoch_retainer::{EpochInfo, EpochRetainer, PinnedEpoch};
+pub use epoch_retainer::{EpochInfo, EpochRetainer};
 pub use event_store::{EventStore, IngestHandle, SharedStore};
 pub use lru::LruCache;
 pub use shared_cache::{CacheStats, CachedClusterBackend, SharedQueryCache};

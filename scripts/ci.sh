@@ -43,9 +43,9 @@
 #   place     shard autoscaling: the planted-imbalance soak through a
 #             --shards auto daemon (in-process and over the wire), gated
 #             on zero differential mismatches AND >= 1 live autoscale
-#             action, plus — on >= 4-core hosts — the placement claim:
-#             auto + --pin-cores >= 1.3x the worst static shard layout
-#             on the planted hot-group trace
+#             action, plus — where the process's CPU mask (nproc) holds
+#             >= 4 CPUs — the placement claim: auto + --pin-cores >= 1.3x
+#             the worst static shard layout on the planted hot-group trace
 #   bench     two cts-bench --quick runs gated against the committed
 #             baseline by scripts/bench_gate.py
 #   benchmark the pinned end-to-end benchmark (benchmark/, its own package
@@ -443,7 +443,7 @@ stage_adapt() {
 }
 
 stage_place() {
-  echo "==> place: shard autoscaling, planted-imbalance soak + topology placement"
+  echo "==> place: shard autoscaling, planted-imbalance soak + core pinning"
   # In-process soak: planted hot-group fixtures through a --shards auto
   # daemon, the placement sampled mid-stream over the wire. Gates: zero
   # differential mismatches AND >= 1 live autoscale action (a dead
@@ -455,7 +455,7 @@ stage_place() {
 
   # The same soak against a real daemon process started with --shards
   # auto --pin-cores (exercises the QueryPlacement wire verb and the
-  # sysfs topology plan end to end).
+  # process-mask pin plan end to end).
   local port_file="$workdir/place-daemon.port" port
   target/release/cts-daemon --port 0 --port-file "$port_file" \
     --shards auto --pin-cores &

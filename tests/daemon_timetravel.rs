@@ -264,74 +264,6 @@ fn retired_epoch_gets_typed_error_and_gate_requires_level3() {
     daemon.shutdown();
 }
 
-/// A pinned epoch survives arbitrary retention pressure: while a pin is
-/// held the GC skips it (so an in-flight as-of query never loses its
-/// snapshot), and once the pin drops the next sweep retires it.
-#[test]
-fn pinned_epoch_survives_retention_pressure_until_unpinned() {
-    use cts_daemon::pipeline::{Computation, ComputationConfig};
-    let t = trace();
-    let n = t.num_events();
-    let comp = Computation::spawn(ComputationConfig {
-        name: "pin-pressure".into(),
-        num_processes: t.num_processes(),
-        max_cluster_size: MCS,
-        strategy: cts_daemon::shard::StampStrategy::Merge1st {
-            max_cluster_size: MCS as usize,
-        },
-        queue_capacity: 8,
-        epoch_every: 16,
-        shards: 1,
-        auto_scale: false,
-        balance: false,
-        pin_cores: false,
-        placement: None,
-        durability: None,
-        query_cache_capacity: 0,
-        // Cap 1: the pinned epoch + the newest head put the ring over cap
-        // for the whole pressure phase, so surviving it is purely the
-        // pin's doing — and the unpin is immediately collectable.
-        retain_epochs: 1,
-        retain_bytes: 0,
-    });
-
-    // First quarter: publish at least one epoch, then pin the oldest.
-    let quarter = n / 4;
-    for chunk in t.events()[..quarter].chunks(16) {
-        comp.enqueue_events(chunk.to_vec()).unwrap();
-    }
-    comp.flush(quarter as u64, Duration::from_secs(30)).unwrap();
-    let retainer = comp.retainer().clone();
-    let victim = retainer.list().first().expect("an epoch").epoch;
-    let pin = retainer.pin(victim).expect("pin a live epoch");
-
-    // Pressure: the rest of the trace publishes far more than cap 2.
-    for chunk in t.events()[quarter..].chunks(16) {
-        comp.enqueue_events(chunk.to_vec()).unwrap();
-    }
-    comp.flush(n as u64, Duration::from_secs(30)).unwrap();
-    assert!(
-        retainer.retired() > 0,
-        "cadence produced no retirements; the pressure is vacuous"
-    );
-    let listed = retainer.list();
-    let entry = listed
-        .iter()
-        .find(|i| i.epoch == victim)
-        .expect("pinned epoch was collected under pressure");
-    assert!(entry.pinned);
-    assert_eq!(pin.epoch(), victim);
-    assert!(retainer.get(victim).is_some());
-
-    // Unpinning releases it to the very next sweep.
-    drop(pin);
-    assert!(
-        retainer.get(victim).is_none(),
-        "unpinned over-cap epoch was not retired"
-    );
-    comp.shutdown();
-}
-
 /// An interval replay cursor started before an epoch publish resumes
 /// exactly — no gap, no overlap — because the chunks come from the
 /// retained `to_epoch` snapshot, not from the moving head.
