@@ -58,8 +58,15 @@ impl VectorClock {
     /// written as a plain zipped loop so it auto-vectorizes.
     #[inline]
     pub fn max_assign(&mut self, other: &VectorClock) {
-        debug_assert_eq!(self.v.len(), other.v.len());
-        for (a, b) in self.v.iter_mut().zip(other.v.iter()) {
+        self.max_assign_slice(&other.v);
+    }
+
+    /// [`max_assign`](Self::max_assign) with a clock stored elsewhere (a
+    /// full cluster stamp in a stamp arena).
+    #[inline]
+    pub fn max_assign_slice(&mut self, other: &[u32]) {
+        debug_assert_eq!(self.v.len(), other.len());
+        for (a, b) in self.v.iter_mut().zip(other.iter()) {
             *a = (*a).max(*b);
         }
     }

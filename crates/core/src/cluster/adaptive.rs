@@ -45,6 +45,7 @@
 use super::engine::{ClusterTimestamps, StampLog};
 use super::membership::ClusterSets;
 use super::stamp::ClusterStamp;
+use crate::clock::VectorClock;
 use crate::fm::FmEngine;
 use cts_model::{Event, ProcessId, Trace};
 use std::collections::HashMap;
@@ -243,7 +244,8 @@ impl AdaptiveEngine {
         }
     }
 
-    fn record_full(&mut self, p: ProcessId, index: u32, clock: crate::clock::VectorClock) {
+    fn record_full(&mut self, p: ProcessId, index: u32, clock: &VectorClock) {
+        let clock = clock.as_slice();
         self.log.push(p, index, ClusterStamp::Full { clock });
     }
 
@@ -264,7 +266,7 @@ impl AdaptiveEngine {
         // the event kind.
         if std::mem::take(&mut self.pending_marker[p.idx()]) {
             self.num_forced_full += 1;
-            self.record_full(p, index, fm_stamp);
+            self.record_full(p, index, &fm_stamp);
             return;
         }
 
@@ -286,15 +288,8 @@ impl AdaptiveEngine {
                     let dead = if kept == my_slot { their_slot } else { my_slot };
                     self.decider.note_merge(dead);
                     self.num_merges += 1;
-                    let clock = fm_stamp.project(self.sets.members(vid));
-                    self.log.push(
-                        p,
-                        index,
-                        ClusterStamp::Projected {
-                            version: vid,
-                            clock,
-                        },
-                    );
+                    self.log
+                        .push_projected(vid, &fm_stamp, self.sets.members(vid));
                     return;
                 }
                 let migrate = self.decider.on_blocked(
@@ -307,7 +302,7 @@ impl AdaptiveEngine {
                 );
                 // The blocked CR itself is the migrating process's anchor
                 // (rule 1): recorded full stamp, before membership changes.
-                self.record_full(p, index, fm_stamp);
+                self.record_full(p, index, &fm_stamp);
                 if migrate {
                     self.apply_migration(p, index, my_slot, their_slot);
                 }
@@ -317,12 +312,10 @@ impl AdaptiveEngine {
                 // send — the projection could hide departed-process
                 // knowledge, so force a recorded full stamp.
                 self.num_forced_full += 1;
-                self.record_full(p, index, fm_stamp);
+                self.record_full(p, index, &fm_stamp);
             }
             _ => {
-                let clock = fm_stamp.project(self.sets.members(v));
-                self.log
-                    .push(p, index, ClusterStamp::Projected { version: v, clock });
+                self.log.push_projected(v, &fm_stamp, self.sets.members(v));
             }
         }
     }

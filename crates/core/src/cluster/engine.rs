@@ -1,6 +1,6 @@
 //! The online cluster-timestamp engine and the queryable result.
 
-use super::membership::ClusterSets;
+use super::membership::{ClusterSets, ClusterVersionId};
 use super::stamp::ClusterStamp;
 use crate::clock::VectorClock;
 use crate::clustering::Clustering;
@@ -8,6 +8,8 @@ use crate::fm::FmEngine;
 use crate::strategy::{MergePolicy, StaticClusters};
 use cts_model::append::{AppendVec, Prefix};
 use cts_model::{Event, EventId, EventIndex, ProcessId, Trace};
+use std::fmt;
+use std::ops::Range;
 
 /// A cluster receive recorded as a gateway: the event's sequence number
 /// within its process and where its full stamp lives.
@@ -19,6 +21,29 @@ struct CrRecord {
     pos: u32,
 }
 
+/// Where one stamp's words lie in the arena, and its shape: a `Copy`
+/// record of 12 bytes per event.
+#[derive(Clone, Copy, Debug)]
+struct StampRec {
+    /// The cluster version a projected stamp is over, or [`FULL`].
+    version: u32,
+    /// The arena chunk holding the words.
+    chunk: u32,
+    /// Offset of the first word within that chunk.
+    offset: u32,
+}
+
+/// `StampRec::version` of a `Full` stamp (no real version gets this id).
+const FULL: u32 = u32::MAX;
+
+/// Words in the smallest arena chunk (one 4 KiB page), unless the clock
+/// width `N` is larger.
+const MIN_CHUNK_WORDS: usize = 1 << 10;
+
+/// Words in the largest arena chunk (1 GiB), unless the clock width is
+/// larger; offsets within a chunk then always fit a `u32`.
+const MAX_CHUNK_WORDS: usize = 1 << 28;
+
 /// The append-only half of a cluster-timestamp structure: the stamps in
 /// delivery order and, per process, the cluster receives among them.
 ///
@@ -26,10 +51,22 @@ struct CrRecord {
 /// [`AdaptiveEngine`](super::AdaptiveEngine), a sharded daemon's cut
 /// assembler) grows one of these, and [`timestamps`](Self::timestamps)
 /// turns what it holds so far into a queryable [`ClusterTimestamps`] that
-/// shares the storage — an epoch snapshot in O(`N`), whatever the length of
-/// history.
+/// shares the storage — an epoch snapshot in O(`N` + log history) handles,
+/// whatever the length of history.
+///
+/// A stamp's words go to an arena of chunks that never move: chunk `k`
+/// holds `base·2^k` words (`base ≥ N`, so a full stamp always fits one
+/// chunk), is allocated at that capacity and is never grown, and a stamp
+/// that does not fit the rest of the open chunk starts the next one. Each
+/// event adds a [`StampRec`] locating its words. A word is therefore
+/// written once and never copied, and the untouched tail of the open chunk
+/// costs address space, not resident memory.
 pub struct StampLog {
-    stamps: AppendVec<ClusterStamp>,
+    recs: AppendVec<StampRec>,
+    /// The word arena: every chunk but the last is closed.
+    chunks: Vec<AppendVec<u32>>,
+    /// Words in chunk 0.
+    base: usize,
     /// Cluster receives per process, in increasing `index` order.
     crs: Vec<AppendVec<CrRecord>>,
     num_cluster_receives: usize,
@@ -38,50 +75,105 @@ pub struct StampLog {
 impl StampLog {
     /// An empty log for `num_processes` processes.
     pub fn new(num_processes: u32) -> StampLog {
+        StampLog::with_base(num_processes, MIN_CHUNK_WORDS)
+    }
+
+    /// An empty log whose first arena chunk holds `base` words, or `N` if
+    /// that is more.
+    fn with_base(num_processes: u32, base: usize) -> StampLog {
         StampLog {
-            stamps: AppendVec::new(),
+            recs: AppendVec::new(),
+            chunks: Vec::new(),
+            base: base.max(num_processes as usize),
             crs: (0..num_processes).map(|_| AppendVec::new()).collect(),
             num_cluster_receives: 0,
         }
     }
 
     /// Append the stamp of the next delivered event, event `index` of
-    /// process `p`. A `Full` stamp is recorded as one of `p`'s cluster
-    /// receives (events of one process arrive in index order, so each list
-    /// stays sorted).
-    pub fn push(&mut self, p: ProcessId, index: u32, stamp: ClusterStamp) {
-        if stamp.is_cluster_receive() {
-            self.num_cluster_receives += 1;
-            self.crs[p.idx()].push(CrRecord {
-                index,
-                pos: self.stamps.len() as u32,
-            });
+    /// process `p`, copying its words into the arena. A `Full` stamp is
+    /// recorded as one of `p`'s cluster receives (events of one process
+    /// arrive in index order, so each list stays sorted).
+    pub fn push(&mut self, p: ProcessId, index: u32, stamp: ClusterStamp<'_>) {
+        let version = match stamp {
+            ClusterStamp::Projected { version, .. } => version.0,
+            ClusterStamp::Full { clock } => {
+                debug_assert_eq!(clock.len(), self.crs.len(), "a full stamp is N wide");
+                self.num_cluster_receives += 1;
+                self.crs[p.idx()].push(CrRecord {
+                    index,
+                    pos: self.recs.len() as u32,
+                });
+                FULL
+            }
+        };
+        let clock = stamp.clock();
+        let (chunk, offset) = self.open_chunk(clock.len());
+        self.chunks[chunk as usize].extend_from_slice(clock);
+        self.recs.push(StampRec {
+            version,
+            chunk,
+            offset,
+        });
+    }
+
+    /// Append a projected stamp over `version` (whose member list is
+    /// `members`), writing the projection of `fm` straight into the arena.
+    pub fn push_projected(
+        &mut self,
+        version: ClusterVersionId,
+        fm: &VectorClock,
+        members: &[ProcessId],
+    ) {
+        let (chunk, offset) = self.open_chunk(members.len());
+        self.chunks[chunk as usize].extend(members.iter().map(|&q| fm.get(q)));
+        self.recs.push(StampRec {
+            version: version.0,
+            chunk,
+            offset,
+        });
+    }
+
+    /// The chunk and offset where a stamp of `len` words goes: the open
+    /// chunk if they fit, else a new one.
+    #[inline]
+    fn open_chunk(&mut self, len: usize) -> (u32, u32) {
+        if self.chunks.last().is_none_or(|c| c.spare() < len) {
+            // Chunk k holds base·2^k words, up to the largest chunk (the
+            // `min(20)` only keeps the shift in range).
+            let k = self.chunks.len() as u32;
+            let cap = (self.base << k.min(20)).min(MAX_CHUNK_WORDS.max(self.base));
+            self.chunks.push(AppendVec::with_capacity(cap));
         }
-        self.stamps.push(stamp);
+        let open = self.chunks.len() - 1;
+        (open as u32, self.chunks[open].len() as u32)
     }
 
     /// Stamps appended so far.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.recs.len()
     }
 
     /// Has nothing been appended yet?
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.recs.is_empty()
     }
 
-    /// Room for `additional` more stamps without reallocating.
+    /// Room for `additional` more stamp records without reallocating (the
+    /// words need none: arena chunks are allocated whole).
     pub fn reserve(&mut self, additional: usize) {
-        self.stamps.reserve(additional);
+        self.recs.reserve(additional);
     }
 
     /// The queryable structure over every stamp appended so far. `sets`
     /// must hold every version a `Projected` stamp names; the result shares
-    /// the stamps and cluster-receive lists with this log.
+    /// the records, the word arena and the cluster-receive lists with this
+    /// log.
     pub fn timestamps(&self, sets: ClusterSets, num_merges: usize) -> ClusterTimestamps {
         ClusterTimestamps {
             sets,
-            stamps: self.stamps.prefix(),
+            recs: self.recs.prefix(),
+            words: self.chunks.iter().map(AppendVec::prefix).collect(),
             crs: self.crs.iter().map(AppendVec::prefix).collect(),
             num_cluster_receives: self.num_cluster_receives,
             num_merges,
@@ -137,7 +229,7 @@ impl<S: MergePolicy> ClusterEngine<S> {
     }
 
     /// Room for `additional` more events without reallocating the stamp
-    /// log.
+    /// log's records.
     pub fn reserve(&mut self, additional: usize) {
         self.log.reserve(additional);
     }
@@ -161,37 +253,29 @@ impl<S: MergePolicy> ClusterEngine<S> {
             _ => None,
         };
 
-        let stamp = match cr_source {
-            None => {
-                // Ordinary event: project onto the current cluster.
-                let v = self.sets.current_version(p);
-                ClusterStamp::Projected {
-                    version: v,
-                    clock: fm_stamp.project(self.sets.members(v)),
-                }
-            }
+        let v = match cr_source {
+            // Ordinary event: project onto the current cluster.
+            None => self.sets.current_version(p),
             Some(src) => {
                 let ra = self.sets.find(p);
                 let rb = self.sets.find(src.process);
-                if self.policy.on_cluster_receive(ra, rb, &self.sets) {
-                    // Mergeable: the merge makes this event no longer a
-                    // cluster receive; project onto the merged cluster.
-                    let (new_root, v) = self.sets.merge(ra, rb);
-                    self.policy.after_merge(ra, rb, new_root);
-                    self.num_merges += 1;
-                    ClusterStamp::Projected {
-                        version: v,
-                        clock: fm_stamp.project(self.sets.members(v)),
-                    }
-                } else {
+                if !self.policy.on_cluster_receive(ra, rb, &self.sets) {
                     // Non-mergeable cluster receive: keep the full stamp (the
                     // log notes it as the greatest cluster receive of `p` so
                     // far).
-                    ClusterStamp::Full { clock: fm_stamp }
+                    let clock = fm_stamp.as_slice();
+                    self.log.push(p, ev.index().0, ClusterStamp::Full { clock });
+                    return;
                 }
+                // Mergeable: the merge makes this event no longer a cluster
+                // receive; project onto the merged cluster.
+                let (new_root, v) = self.sets.merge(ra, rb);
+                self.policy.after_merge(ra, rb, new_root);
+                self.num_merges += 1;
+                v
             }
         };
-        self.log.push(p, ev.index().0, stamp);
+        self.log.push_projected(v, &fm_stamp, self.sets.members(v));
     }
 
     /// Coarsen the current clusters to realize `target`: every group of the
@@ -277,11 +361,13 @@ pub fn run_static(trace: &Trace, clustering: &Clustering) -> ClusterTimestamps {
 /// the cluster version history, and the per-process cluster-receive chains
 /// used by precedence queries.
 ///
-/// The stamps and chains are [`Prefix`] handles on a [`StampLog`], so the
-/// epochs a live engine publishes share one copy of them.
+/// The stamp records, the word arena's chunks and the chains are [`Prefix`]
+/// handles on a [`StampLog`], so the epochs a live engine publishes share
+/// one copy of them.
 pub struct ClusterTimestamps {
     sets: ClusterSets,
-    stamps: Prefix<ClusterStamp>,
+    recs: Prefix<StampRec>,
+    words: Box<[Prefix<u32>]>,
     crs: Vec<Prefix<CrRecord>>,
     num_cluster_receives: usize,
     num_merges: usize,
@@ -289,18 +375,44 @@ pub struct ClusterTimestamps {
 
 impl ClusterTimestamps {
     /// The stamp of the event at a delivery position.
-    pub fn stamp_at(&self, pos: usize) -> &ClusterStamp {
-        &self.stamps[pos]
+    #[inline]
+    pub fn stamp_at(&self, pos: usize) -> ClusterStamp<'_> {
+        let r = self.recs[pos];
+        let words = &self.words[r.chunk as usize][r.offset as usize..];
+        if r.version == FULL {
+            ClusterStamp::Full {
+                clock: &words[..self.crs.len()],
+            }
+        } else {
+            let version = ClusterVersionId(r.version);
+            ClusterStamp::Projected {
+                version,
+                clock: &words[..self.sets.size(version)],
+            }
+        }
     }
 
     /// The stamp of an event.
-    pub fn stamp(&self, trace: &Trace, id: EventId) -> &ClusterStamp {
-        &self.stamps[trace.delivery_pos(id)]
+    #[inline]
+    pub fn stamp(&self, trace: &Trace, id: EventId) -> ClusterStamp<'_> {
+        self.stamp_at(trace.delivery_pos(id))
     }
 
     /// All stamps in delivery order.
-    pub fn stamps(&self) -> &[ClusterStamp] {
-        &self.stamps
+    pub fn stamps(&self) -> Stamps<'_> {
+        Stamps { cts: self }
+    }
+
+    /// Bytes of stamp state this structure refers to: the records, the
+    /// arena words written so far, the cluster-receive lists and the
+    /// cluster versions. Snapshots of one log share these bytes.
+    pub fn stored_bytes(&self) -> u64 {
+        let words: usize = self.words.iter().map(|c| c.len()).sum();
+        let crs: usize = self.crs.iter().map(|l| l.len()).sum();
+        (self.recs.len() * std::mem::size_of::<StampRec>()
+            + words * std::mem::size_of::<u32>()
+            + crs * std::mem::size_of::<CrRecord>()
+            + self.sets.stored_bytes()) as u64
     }
 
     /// Number of non-mergeable cluster receives (the quantity every
@@ -325,13 +437,13 @@ impl ClusterTimestamps {
     }
 
     /// Greatest cluster receive of process `q` with index ≤ `known`, if any.
-    fn greatest_cr(&self, q: ProcessId, known: u32) -> Option<&ClusterStamp> {
+    fn greatest_cr(&self, q: ProcessId, known: u32) -> Option<ClusterStamp<'_>> {
         let list = &self.crs[q.idx()];
         let i = list.partition_point(|r| r.index <= known);
         if i == 0 {
             None
         } else {
-            Some(&self.stamps[list[i - 1].pos as usize])
+            Some(self.stamp_at(list[i - 1].pos as usize))
         }
     }
 
@@ -355,20 +467,20 @@ impl ClusterTimestamps {
             return e.index < f.index;
         }
         let need = e.index.0;
-        match &self.stamps[trace.delivery_pos(f)] {
-            ClusterStamp::Full { clock } => clock.get(e.process) >= need,
+        match self.stamp(trace, f) {
+            ClusterStamp::Full { clock } => clock[e.process.idx()] >= need,
             ClusterStamp::Projected { version, clock } => {
-                if let Some(pos) = self.sets.position(*version, e.process) {
+                if let Some(pos) = self.sets.position(version, e.process) {
                     return clock[pos] >= need;
                 }
-                let members = self.sets.members(*version);
+                let members = self.sets.members(version);
                 for (pos, &q) in members.iter().enumerate() {
                     let known = clock[pos];
                     if known == 0 {
                         continue;
                     }
                     if let Some(ClusterStamp::Full { clock: cr }) = self.greatest_cr(q, known) {
-                        if cr.get(e.process) >= need {
+                        if cr[e.process.idx()] >= need {
                             return true;
                         }
                     }
@@ -397,11 +509,11 @@ impl ClusterTimestamps {
     /// Conversely every such stamp belongs to an event in `f`'s past, so
     /// no component can exceed the true clock.
     pub fn materialized_clock(&self, trace: &Trace, f: EventId) -> VectorClock {
-        match &self.stamps[trace.delivery_pos(f)] {
-            ClusterStamp::Full { clock } => clock.clone(),
+        match self.stamp(trace, f) {
+            ClusterStamp::Full { clock } => VectorClock::from_vec(clock.to_vec()),
             ClusterStamp::Projected { version, clock } => {
                 let mut out = VectorClock::zero(self.crs.len());
-                let members = self.sets.members(*version);
+                let members = self.sets.members(version);
                 for (pos, &q) in members.iter().enumerate() {
                     let known = clock[pos];
                     if known == 0 {
@@ -411,7 +523,7 @@ impl ClusterTimestamps {
                         out.set(q, known);
                     }
                     if let Some(ClusterStamp::Full { clock: cr }) = self.greatest_cr(q, known) {
-                        out.max_assign(cr);
+                        out.max_assign_slice(cr);
                     }
                 }
                 out
@@ -452,8 +564,8 @@ impl ClusterTimestamps {
         let mut frontier: Vec<(u32, u32)> = self.crs.iter().map(|l| (0, l.len() as u32)).collect();
         frontier[pe.idx()] = (0, 0);
         first_in_lockstep(&mut frontier, |r, i| {
-            let cr = &self.stamps[self.crs[r][i as usize].pos as usize];
-            matches!(cr, ClusterStamp::Full { clock } if clock.get(pe) >= need)
+            let cr = self.stamp_at(self.crs[r][i as usize].pos as usize);
+            matches!(cr, ClusterStamp::Full { clock } if clock[pe.idx()] >= need)
         });
         let mut thr: Vec<u32> = frontier
             .iter()
@@ -487,18 +599,89 @@ impl ClusterTimestamps {
     /// Does the event stamped `stamp` follow event `need` of `pe`, given the
     /// follower frontier `thr` (by process)?
     #[inline]
-    fn follows(&self, stamp: &ClusterStamp, pe: ProcessId, need: u32, thr: &[u32]) -> bool {
+    fn follows(&self, stamp: ClusterStamp<'_>, pe: ProcessId, need: u32, thr: &[u32]) -> bool {
         match stamp {
-            ClusterStamp::Full { clock } => clock.get(pe) >= need,
+            ClusterStamp::Full { clock } => clock[pe.idx()] >= need,
             ClusterStamp::Projected { version, clock } => self
                 .sets
-                .members(*version)
+                .members(version)
                 .iter()
                 .zip(clock.iter())
                 .fold(false, |any, (r, &known)| any | (known >= thr[r.idx()])),
         }
     }
 }
+
+/// The stamps of a [`ClusterTimestamps`] in delivery order: a view that
+/// reads each one out of the word arena on demand.
+#[derive(Clone, Copy)]
+pub struct Stamps<'a> {
+    cts: &'a ClusterTimestamps,
+}
+
+impl<'a> Stamps<'a> {
+    /// Number of stamps.
+    pub fn len(&self) -> usize {
+        self.cts.recs.len()
+    }
+
+    /// Are there none?
+    pub fn is_empty(&self) -> bool {
+        self.cts.recs.is_empty()
+    }
+
+    /// The stamps in delivery order.
+    pub fn iter(&self) -> StampIter<'a> {
+        StampIter {
+            cts: self.cts,
+            pos: 0..self.len(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Stamps<'a> {
+    type Item = ClusterStamp<'a>;
+    type IntoIter = StampIter<'a>;
+
+    fn into_iter(self) -> StampIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Stamps<'_> {
+    /// Stamp by stamp: same shapes, versions and words.
+    fn eq(&self, other: &Stamps<'_>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Stamps<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over [`Stamps`].
+#[derive(Clone)]
+pub struct StampIter<'a> {
+    cts: &'a ClusterTimestamps,
+    pos: Range<usize>,
+}
+
+impl<'a> Iterator for StampIter<'a> {
+    type Item = ClusterStamp<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ClusterStamp<'a>> {
+        self.pos.next().map(|pos| self.cts.stamp_at(pos))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.pos.size_hint()
+    }
+}
+
+impl ExactSizeIterator for StampIter<'_> {}
 
 /// Many lower-bound searches side by side. On return every `(lo, hi)` of
 /// `ranges` has collapsed to the first `i` in `[lo, hi)` with `pred(k, i)`,
@@ -681,14 +864,14 @@ mod tests {
         for (pos, _) in t.events().iter().enumerate() {
             match cts.stamp_at(pos) {
                 ClusterStamp::Projected { version, clock } => {
-                    let members = cts.sets().members(*version);
+                    let members = cts.sets().members(version);
                     let full = fm.stamp_at(pos);
                     for (i, &q) in members.iter().enumerate() {
                         assert_eq!(clock[i], full[q.idx()]);
                     }
                 }
                 ClusterStamp::Full { clock } => {
-                    assert_eq!(clock.as_slice(), fm.stamp_at(pos));
+                    assert_eq!(clock, fm.stamp_at(pos));
                 }
             }
         }
@@ -834,6 +1017,156 @@ mod tests {
             vec![None, None, Some(id(2, 1))]
         );
         assert_gc_exact(&t, &cts);
+    }
+
+    /// Event counts at which a log with chunk-0 size `base` closes a chunk
+    /// (every earlier stamp lies in closed chunks; the next one opens a new
+    /// chunk).
+    fn seams<S: MergePolicy>(t: &Trace, base: usize, policy: S) -> Vec<usize> {
+        let mut eng = ClusterEngine::new(t.num_processes(), policy);
+        eng.log = StampLog::with_base(t.num_processes(), base);
+        let mut out = Vec::new();
+        for (k, &ev) in t.events().iter().enumerate() {
+            let chunks = eng.log.chunks.len();
+            eng.accept(ev);
+            if eng.log.chunks.len() > chunks && k > 0 {
+                out.push(k);
+            }
+        }
+        out
+    }
+
+    /// The first `len` events of `t` as a trace of their own.
+    fn prefix_trace(t: &Trace, len: usize) -> Trace {
+        let mut log = cts_model::TraceLog::new("prefix", t.num_processes());
+        for &ev in &t.events()[..len] {
+            log.push(ev).expect("a prefix of a delivery order is one");
+        }
+        log.trace().expect("no sync pairs in these traces")
+    }
+
+    /// Snapshots one event before, at and one event after every chunk seam
+    /// of an arena starting at `base` words, all checked once the whole
+    /// trace has been pushed (so later pushes into the open chunk must not
+    /// have disturbed them): each equals an engine run over its prefix,
+    /// stamp by stamp, and answers `precedes` and `greatest_concurrent` as
+    /// that run does. Returns the number of seams.
+    fn check_seams<S: MergePolicy>(t: &Trace, base: usize, policy: impl Fn() -> S) -> usize {
+        let seams = seams(t, base, policy());
+        let mut at: Vec<usize> = seams
+            .iter()
+            .flat_map(|&b| [b - 1, b, b + 1])
+            .filter(|&len| len <= t.num_events())
+            .collect();
+        at.sort_unstable();
+        at.dedup();
+        let mut eng = ClusterEngine::new(t.num_processes(), policy());
+        eng.log = StampLog::with_base(t.num_processes(), base);
+        let mut snaps = Vec::new();
+        for (k, &ev) in t.events().iter().enumerate() {
+            if at.contains(&k) {
+                snaps.push((k, eng.snapshot()));
+            }
+            eng.accept(ev);
+        }
+        if at.contains(&t.num_events()) {
+            snaps.push((t.num_events(), eng.snapshot()));
+        }
+        let closed = eng.log.chunks.len() - 1;
+        assert!(eng.log.chunks[..closed]
+            .iter()
+            .all(|c| c.spare() < t.num_processes() as usize));
+        for (len, snap) in &snaps {
+            let prefix = prefix_trace(t, *len);
+            let reference = ClusterEngine::run(&prefix, policy());
+            assert_eq!(snap.stamps().len(), *len);
+            assert_eq!(snap.stamps(), reference.stamps(), "snapshot at {len}");
+            assert_eq!(
+                snap.num_cluster_receives(),
+                reference.num_cluster_receives()
+            );
+            for e in prefix.all_event_ids() {
+                for f in prefix.all_event_ids() {
+                    assert_eq!(
+                        snap.precedes(&prefix, e, f),
+                        reference.precedes(&prefix, e, f),
+                        "{e} -> {f} at {len}"
+                    );
+                }
+                assert_eq!(
+                    snap.greatest_concurrent(&prefix, e),
+                    reference.greatest_concurrent(&prefix, e),
+                    "gc({e}) at {len}"
+                );
+            }
+        }
+        seams.len()
+    }
+
+    /// P0 sends to P1 over and over; with no merging every receive keeps
+    /// its full 2-word stamp. Widths run 1, 2, 1, 2, … so an arena of 2-,
+    /// 4- and 8-word chunks ends chunk 2 exactly full with a full stamp.
+    fn ping(rounds: usize) -> Trace {
+        let mut b = TraceBuilder::new(2);
+        for _ in 0..rounds {
+            let s = b.send(p(0), p(1)).unwrap();
+            b.receive(p(1), s).unwrap();
+        }
+        b.finish_complete("ping").unwrap()
+    }
+
+    #[test]
+    fn full_stamps_fill_a_chunk_exactly() {
+        let t = ping(12);
+        let mut eng = ClusterEngine::new(2, NeverMerge);
+        eng.log = StampLog::with_base(2, 2);
+        for &ev in t.events() {
+            eng.accept(ev);
+        }
+        let chunk2 = &eng.log.chunks[2];
+        assert_eq!((chunk2.len(), chunk2.spare()), (8, 0));
+        let last_in_chunk2 = eng.log.recs.iter().rev().find(|r| r.chunk == 2).unwrap();
+        assert_eq!((last_in_chunk2.version, last_in_chunk2.offset), (FULL, 6));
+        assert!(check_seams(&t, 2, || NeverMerge) >= 3);
+    }
+
+    #[test]
+    fn snapshots_at_chunk_seams_match_prefix_runs() {
+        for t in [two_pairs_bridge(), ring_with_cross_traffic()] {
+            let n = t.num_processes();
+            assert!(check_seams(&t, 1, || NeverMerge) >= 3);
+            assert!(check_seams(&t, 4, || MergeOnFirst::new(2)) >= 2);
+            assert!(check_seams(&t, 1, || MergeOnNth::new(n, 4, 0.6)) >= 2);
+        }
+    }
+
+    /// The production chunk size: a hub-heavy computation whose stamps
+    /// cross several seams, and every snapshot stays equal to the run over
+    /// its prefix.
+    #[test]
+    fn production_chunks_keep_snapshots_exact() {
+        use cts_workloads::Workload;
+        let t = cts_workloads::web::WebServer {
+            clients: 48,
+            workers: 16,
+            requests: 1500,
+            affinity: 0.6,
+        }
+        .generate(3);
+        let policy = || MergeOnFirst::new(4);
+        let mut eng = ClusterEngine::new(t.num_processes(), policy());
+        let mut snaps = Vec::new();
+        for (k, &ev) in t.events().iter().enumerate() {
+            if k % 257 == 0 {
+                snaps.push((k, eng.snapshot()));
+            }
+            eng.accept(ev);
+        }
+        assert!(eng.log.chunks.len() >= 3, "{} chunks", eng.log.chunks.len());
+        let whole = ClusterEngine::run(&t, policy());
+        for (len, snap) in &snaps {
+            assert!(snap.stamps().iter().eq(whole.stamps().iter().take(*len)));
+        }
     }
 
     #[test]

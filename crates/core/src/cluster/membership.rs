@@ -14,6 +14,11 @@
 //! migration allocates two (shrunk source, grown destination), and old
 //! versions are never mutated. A merge-only computation over `N` processes
 //! creates at most `2N − 1` versions; each migration adds two more.
+//!
+//! Member lists live end to end in one append-only arena of process ids,
+//! and a version is a `(start, len)` record into it, so the history of
+//! versions is two flat sequences of `Copy` values that a snapshot shares
+//! and no growth ever deep-copies.
 
 use crate::clustering::Clustering;
 use cts_model::append::AppendVec;
@@ -34,9 +39,19 @@ pub struct ClusterSets {
     /// For live slots: the current version id of the slot's cluster. Garbage
     /// for retired (empty) slots.
     version_at_slot: Vec<u32>,
-    /// Sorted member lists, append-only: a clone shares them, so an
-    /// engine's snapshot copies only the two per-process maps above.
-    versions: AppendVec<Box<[ProcessId]>>,
+    /// Per version, where its sorted member list lies in `members`.
+    /// Append-only like `members`: a clone shares both, so an engine's
+    /// snapshot copies only the two per-process maps above.
+    versions: AppendVec<VersionRec>,
+    /// Every version's member list, end to end.
+    members: AppendVec<ProcessId>,
+}
+
+/// A version's member list: `members[start..start + len]`.
+#[derive(Clone, Copy, Debug)]
+struct VersionRec {
+    start: u32,
+    len: u32,
 }
 
 impl ClusterSets {
@@ -46,9 +61,8 @@ impl ClusterSets {
         ClusterSets {
             slot_of: (0..n).collect(),
             version_at_slot: (0..n).collect(),
-            versions: (0..n)
-                .map(|p| vec![ProcessId(p)].into_boxed_slice())
-                .collect(),
+            versions: (0..n).map(|p| VersionRec { start: p, len: 1 }).collect(),
+            members: (0..n).map(ProcessId).collect(),
         }
     }
 
@@ -62,17 +76,16 @@ impl ClusterSets {
             slot_of: vec![0; n as usize],
             version_at_slot: vec![0; n as usize],
             versions: AppendVec::with_capacity(clustering.num_clusters()),
+            members: AppendVec::with_capacity(n as usize),
         };
         for members in clustering.clusters() {
             let slot = members[0].0;
-            let vid = sets.versions.len() as u32;
             for &m in members {
                 sets.slot_of[m.idx()] = slot;
             }
-            sets.version_at_slot[slot as usize] = vid;
             let mut sorted = members.to_vec();
             sorted.sort_unstable();
-            sets.versions.push(sorted.into_boxed_slice());
+            sets.version_at_slot[slot as usize] = sets.push_version(sorted).0;
         }
         sets
     }
@@ -112,19 +125,39 @@ impl ClusterSets {
 
     /// Size of the cluster occupying `root`.
     pub fn size_of_root(&self, root: u32) -> usize {
-        self.versions[self.version_at_slot[root as usize] as usize].len()
+        self.size(self.version_of_root(root))
     }
 
     /// Member list of a version snapshot (sorted by process id).
     #[inline]
     pub fn members(&self, v: ClusterVersionId) -> &[ProcessId] {
-        &self.versions[v.0 as usize]
+        let r = self.versions[v.0 as usize];
+        &self.members[r.start as usize..(r.start + r.len) as usize]
     }
 
     /// Size of a version snapshot.
     #[inline]
     pub fn size(&self, v: ClusterVersionId) -> usize {
-        self.members(v).len()
+        self.versions[v.0 as usize].len as usize
+    }
+
+    /// Bytes of the version history: the records and the member arena.
+    pub fn stored_bytes(&self) -> usize {
+        self.versions.len() * std::mem::size_of::<VersionRec>()
+            + self.members.len() * std::mem::size_of::<ProcessId>()
+    }
+
+    /// Append a new version whose member list is `members` (sorted).
+    fn push_version(&mut self, members: impl IntoIterator<Item = ProcessId>) -> ClusterVersionId {
+        let vid = ClusterVersionId(self.versions.len() as u32);
+        let start = self.members.len();
+        self.members.extend(members);
+        let len = self.members.len() - start;
+        self.versions.push(VersionRec {
+            start: start as u32,
+            len: len as u32,
+        });
+        vid
     }
 
     /// Position of `q` in the member list of `v`, if present. This is the
@@ -151,10 +184,10 @@ impl ClusterSets {
         } else {
             (rb, ra)
         };
-        let va = self.version_at_slot[big as usize] as usize;
-        let vb = self.version_at_slot[small as usize] as usize;
+        let va = self.version_of_root(big);
+        let vb = self.version_of_root(small);
         // Sorted merge of the two member lists.
-        let (a, b) = (&self.versions[va], &self.versions[vb]);
+        let (a, b) = (self.members(va), self.members(vb));
         let mut merged = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
@@ -168,11 +201,10 @@ impl ClusterSets {
         }
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
-        for &m in self.versions[vb].iter() {
+        for &m in &merged {
             self.slot_of[m.idx()] = big;
         }
-        let vid = ClusterVersionId(self.versions.len() as u32);
-        self.versions.push(merged.into_boxed_slice());
+        let vid = self.push_version(merged);
         self.version_at_slot[big as usize] = vid.0;
         (big, vid)
     }
@@ -187,25 +219,22 @@ impl ClusterSets {
         let from = self.slot_of[q.idx()];
         assert_ne!(from, to, "migrating a process into its own cluster");
         debug_assert!(self.slot_is_live(to), "migrating into retired slot {to}");
-        let vf = self.version_at_slot[from as usize] as usize;
-        let shrunk: Vec<ProcessId> = self.versions[vf]
+        let shrunk: Vec<ProcessId> = self
+            .members(self.version_of_root(from))
             .iter()
             .copied()
             .filter(|&m| m != q)
             .collect();
-        let src_vid = ClusterVersionId(self.versions.len() as u32);
-        self.versions.push(shrunk.into_boxed_slice());
+        let src_vid = self.push_version(shrunk);
         self.version_at_slot[from as usize] = src_vid.0;
 
-        let vt = self.version_at_slot[to as usize] as usize;
-        let dest = &self.versions[vt];
+        let dest = self.members(self.version_of_root(to));
         let at = dest.partition_point(|&m| m < q);
         let mut grown = Vec::with_capacity(dest.len() + 1);
         grown.extend_from_slice(&dest[..at]);
         grown.push(q);
         grown.extend_from_slice(&dest[at..]);
-        let dst_vid = ClusterVersionId(self.versions.len() as u32);
-        self.versions.push(grown.into_boxed_slice());
+        let dst_vid = self.push_version(grown);
         self.version_at_slot[to as usize] = dst_vid.0;
         self.slot_of[q.idx()] = to;
         (src_vid, dst_vid)

@@ -28,7 +28,7 @@ pub mod space;
 pub mod stamp;
 
 pub use adaptive::{AdaptiveEngine, AdaptiveParams, DriftDecider};
-pub use engine::{ClusterEngine, ClusterTimestamps, StampLog};
+pub use engine::{ClusterEngine, ClusterTimestamps, StampIter, StampLog, Stamps};
 pub use membership::{ClusterSets, ClusterVersionId};
 pub use space::{Encoding, SpaceReport};
 pub use stamp::ClusterStamp;

@@ -38,7 +38,7 @@ impl Encoding {
     }
 
     /// Elements charged for one cluster stamp.
-    fn cluster_elements(&self, stamp: &ClusterStamp) -> u64 {
+    fn cluster_elements(&self, stamp: &ClusterStamp<'_>) -> u64 {
         match (self, stamp) {
             (Encoding::Fixed { fm_width, .. }, ClusterStamp::Full { .. }) => *fm_width as u64,
             (Encoding::Fixed { cluster_width, .. }, ClusterStamp::Projected { .. }) => {
@@ -79,7 +79,7 @@ impl SpaceReport {
         let stamps = cts.stamps();
         let mut cluster_elements = 0u64;
         for stamp in stamps {
-            cluster_elements += enc.cluster_elements(stamp);
+            cluster_elements += enc.cluster_elements(&stamp);
         }
         let num_events = stamps.len();
         let fm_elements = enc.fm_elements() * num_events as u64;

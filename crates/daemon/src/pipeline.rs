@@ -150,14 +150,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Estimated resident bytes of this snapshot — the trace's event array
-    /// plus per-event stamp state. Retention accounting only (the byte cap
-    /// of [`cts_store::EpochRetainer`]); not an exact heap measurement.
-    /// Retained epochs share their common history, so summing this over
-    /// them counts the shared bytes once per epoch.
+    /// Bytes of history this snapshot refers to: the trace's events and
+    /// delivery positions, plus the stamp records, the stamp words written
+    /// so far, the cluster-receive lists and the cluster versions
+    /// ([`ClusterTimestamps::stored_bytes`]). The byte cap of
+    /// [`cts_store::EpochRetainer`] counts these. Retained epochs share
+    /// their common history, so summing this over them counts the shared
+    /// bytes once per epoch.
     pub fn footprint(&self) -> u64 {
-        let per_event = std::mem::size_of::<Event>() as u64 + 16;
-        1024 + self.delivered * per_event
+        let per_event = (std::mem::size_of::<Event>() + std::mem::size_of::<u32>()) as u64;
+        self.delivered * per_event + self.cts.stored_bytes()
     }
 }
 

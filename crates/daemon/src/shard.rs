@@ -63,7 +63,8 @@
 use crate::pipeline::lock;
 use crate::reorder::{DeliveryHooks, RejectReason, ReorderBuffer};
 use cts_core::cluster::{
-    AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, DriftDecider, StampLog,
+    AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, ClusterVersionId, DriftDecider,
+    StampLog,
 };
 use cts_core::strategy::{MergeOnFirst, MergePolicy};
 use cts_core::VectorClock;
@@ -445,12 +446,10 @@ impl ShardStamper {
         }
     }
 
-    fn project(sets: &ClusterSets, p: ProcessId, clock: &VectorClock) -> ClusterStamp {
-        let version = sets.version_of_root(sets.find_readonly(p));
-        ClusterStamp::Projected {
-            version,
-            clock: clock.project(sets.members(version)),
-        }
+    /// `p`'s current cluster version in the cached world.
+    fn current_version(&self, p: ProcessId) -> ClusterVersionId {
+        let sets = &self.cache.sets;
+        sets.version_of_root(sets.find_readonly(p))
     }
 
     /// Swap in `next` as the new world and refresh the local cache. The
@@ -484,14 +483,13 @@ impl ShardStamper {
         self.install(shared, guard, next);
     }
 
-    /// Stamp one delivered event. Returns the stamp and whether this call
-    /// changed cluster membership (the caller schedules a rebalance).
-    fn stamp(&mut self, ev: Event, clock: &VectorClock, env: &ShardEnv) -> (ClusterStamp, bool) {
+    /// Classify one delivered event. Returns the cluster version its stamp
+    /// projects over (`None` for a full stamp; a version is always in the
+    /// cached world on return) and whether this call changed cluster
+    /// membership (the caller schedules a rebalance).
+    fn classify(&mut self, ev: Event, env: &ShardEnv) -> (Option<ClusterVersionId>, bool) {
         self.refresh(&env.sets);
         let p = ev.process();
-        let full = || ClusterStamp::Full {
-            clock: clock.clone(),
-        };
         let adaptive = self.strategy.is_adaptive();
         // Rule 2: a pending marker forces a recorded full stamp, whatever
         // the event kind. A marker set concurrently (cache lagging) is
@@ -502,7 +500,7 @@ impl ShardStamper {
             let mut guard = lock(&env.sets.inner);
             self.fire_marker(&env.sets, &mut guard, p, ev.index().0);
             env.forced_full.fetch_add(1, Ordering::Relaxed);
-            return (full(), false);
+            return (None, false);
         }
         let cross = ev.kind.receive_source().filter(|src| {
             let v = self
@@ -519,11 +517,11 @@ impl ShardStamper {
                 if let Some(src) = ev.kind.receive_source() {
                     if self.cache.stale_source(src.process, src.index.0) {
                         env.forced_full.fetch_add(1, Ordering::Relaxed);
-                        return (full(), false);
+                        return (None, false);
                     }
                 }
             }
-            return (Self::project(&self.cache.sets, p, clock), false);
+            return (Some(self.current_version(p)), false);
         };
         // Cluster receive under the cached view: re-run the rule ladder
         // under the lock with the freshest membership (another shard may
@@ -532,7 +530,7 @@ impl ShardStamper {
         if adaptive && guard.pending_marker[p.idx()] {
             self.fire_marker(&env.sets, &mut guard, p, ev.index().0);
             env.forced_full.fetch_add(1, Ordering::Relaxed);
-            return (full(), false);
+            return (None, false);
         }
         let ra = guard.sets.find_readonly(p);
         let rb = guard.sets.find_readonly(src.process);
@@ -545,9 +543,9 @@ impl ShardStamper {
             drop(guard);
             if stale {
                 env.forced_full.fetch_add(1, Ordering::Relaxed);
-                return (full(), false);
+                return (None, false);
             }
-            return (Self::project(&self.cache.sets, p, clock), false);
+            return (Some(self.current_version(p)), false);
         }
         match self.strategy {
             StampStrategy::Merge1st { .. } => {
@@ -557,15 +555,10 @@ impl ShardStamper {
                     next.num_merges += 1;
                     self.policy.after_merge(ra, rb, new_root);
                     self.install(&env.sets, &mut guard, next);
-                    drop(guard);
-                    let stamp = ClusterStamp::Projected {
-                        version,
-                        clock: clock.project(self.cache.sets.members(version)),
-                    };
-                    (stamp, true)
+                    (Some(version), true)
                 } else {
                     drop(guard);
-                    (full(), false)
+                    (None, false)
                 }
             }
             StampStrategy::Adaptive(params) => {
@@ -579,19 +572,14 @@ impl ShardStamper {
                     drop(drift);
                     next.num_merges += 1;
                     self.install(&env.sets, &mut guard, next);
-                    drop(guard);
-                    let stamp = ClusterStamp::Projected {
-                        version,
-                        clock: clock.project(self.cache.sets.members(version)),
-                    };
-                    return (stamp, true);
+                    return (Some(version), true);
                 }
                 let index = ev.index().0;
                 let migrate = drift.on_blocked(p, index, rb, my_size, their_size, &params);
                 if !migrate {
                     drop(drift);
                     drop(guard);
-                    return (full(), false);
+                    return (None, false);
                 }
                 // Migrate `p` into the sender's cluster. The blocked CR
                 // being stamped right now is `p`'s anchor (rule 1), and the
@@ -619,7 +607,7 @@ impl ShardStamper {
                 }
                 self.install(&env.sets, &mut guard, next);
                 drop(guard);
-                (full(), true)
+                (None, true)
             }
         }
     }
@@ -630,11 +618,28 @@ impl ShardStamper {
 // ---------------------------------------------------------------------------
 
 /// One delivered event with its cluster stamp, as handed from a shard to the
-/// [`CutAssembler`].
+/// [`CutAssembler`]. The record owns the stamp's words only in transit: the
+/// assembler copies them into its [`StampLog`] and drops the record.
 #[derive(Clone, Debug)]
 pub struct DeliveredRec {
     pub ev: Event,
-    pub stamp: ClusterStamp,
+    /// The cluster version a projected stamp is over; `None` for a full
+    /// stamp.
+    pub version: Option<ClusterVersionId>,
+    /// The stamp's words: the projection over `version`'s members, or the
+    /// full clock.
+    pub clock: Box<[u32]>,
+}
+
+impl DeliveredRec {
+    /// The stamp, borrowing this record's words.
+    pub fn stamp(&self) -> ClusterStamp<'_> {
+        let clock = &self.clock;
+        match self.version {
+            Some(version) => ClusterStamp::Projected { version, clock },
+            None => ClusterStamp::Full { clock },
+        }
+    }
 }
 
 /// The environment every shard of a computation shares.
@@ -824,11 +829,15 @@ impl DeliveryHooks for CoreHooks<'_> {
 
     fn deliver(&mut self, ev: Event) {
         let clock = self.fm.accept(ev, &self.env.exchange, self.wakes);
-        let (stamp, merged) = self.stamper.stamp(ev, &clock, self.env);
+        let (version, merged) = self.stamper.classify(ev, self.env);
         if merged {
             *self.rebalance_needed = true;
         }
-        self.outbox.push(DeliveredRec { ev, stamp });
+        let clock = match version {
+            Some(v) => clock.project(self.stamper.cache.sets.members(v)),
+            None => clock.as_slice().into(),
+        };
+        self.outbox.push(DeliveredRec { ev, version, clock });
         self.log.push(ev);
         self.env.watermarks[ev.process().idx()].store(ev.index().0, Ordering::Relaxed);
     }
@@ -1309,7 +1318,7 @@ impl CutAssembler {
             .push(rec.ev)
             .expect("the assembler consumes events in a valid delivery order");
         self.taken[p] = index;
-        self.stamps.push(rec.ev.process(), index, rec.stamp);
+        self.stamps.push(rec.ev.process(), index, rec.stamp());
     }
 
     /// Events in the merged log so far.

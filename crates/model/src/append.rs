@@ -14,12 +14,25 @@
 //! The elements live in a reference-counted buffer of fixed capacity. The
 //! writer appends past every reader's length into slots no reader can see,
 //! so appending never disturbs a live prefix. When the buffer is full the
-//! writer moves to one of twice the capacity: if nobody else holds the old
-//! buffer its elements are moved over bitwise, otherwise they are cloned
-//! and the old buffer stays alive, unchanged, for as long as some prefix
-//! still refers to it. Appends therefore cost amortised O(1), a prefix
-//! costs one reference-count increment, and a set of prefixes held at
-//! once shares at most one copy of history per buffer generation.
+//! writer copies its elements into one of twice the capacity; the old
+//! buffer stays alive, unchanged, for as long as some prefix still refers
+//! to it. Appends therefore cost amortised O(1), a prefix costs one
+//! reference-count increment, and a set of prefixes held at once shares at
+//! most one copy of history per buffer generation. A writer that must never
+//! copy (a stamp arena chunk) is created at its final capacity with
+//! [`AppendVec::with_capacity`] and never filled past it.
+//!
+//! ## Why elements are `Copy`
+//!
+//! A move to a bigger buffer copies the elements bitwise, whether or not a
+//! prefix still holds the old buffer, and a buffer frees its allocation
+//! without dropping anything. Both are only right for `Copy` elements, and
+//! they are the point: an element that owned heap memory would be
+//! deep-cloned at every move made under a live prefix, and the originals
+//! would stay resident beside the clones for as long as the prefix lives,
+//! so a history of such elements would cost up to two copies. Structures
+//! that need variable-length payloads keep them in an arena of words and
+//! store `Copy` records that locate them.
 //!
 //! Cloning a writer forks it copy-on-write: the clone shares the elements
 //! so far and moves to a buffer of its own on its first push, so a
@@ -30,66 +43,46 @@
 //! this module; nothing outside it can reach the raw buffer.
 
 use std::fmt;
-use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ops::Deref;
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A heap allocation of `cap` slots, the first `init` of which hold
-/// initialised values. Dropping it drops exactly those values and frees the
-/// allocation.
-struct Buffer<T> {
+/// A heap allocation of `cap` slots of `Copy` values. Dropping it frees the
+/// allocation; the values need no drop.
+struct Buffer<T: Copy> {
     ptr: NonNull<T>,
     cap: usize,
-    /// Initialised slots. Written only by the [`AppendVec`] that created
-    /// this buffer; read by `Drop`, after the last `Arc` is gone, and by a
-    /// writer that finds its `Arc` unique. Either way the `Arc`'s own
-    /// release/acquire on the count orders the write before the read, so
-    /// `Relaxed` suffices.
-    init: AtomicUsize,
-    _owns: PhantomData<T>,
 }
 
-// SAFETY: a `Buffer<T>` owns its `T`s (`ptr` is a unique allocation, `cap`
-// and `init` are plain counters). Sharing `&Buffer<T>` across threads hands
-// out `&T` only (readers build `&[T]` over initialised slots, the writer
-// writes slots no reader sees), which needs `T: Sync`; whichever thread
-// drops the last `Arc` drops the `T`s, which needs `T: Send`.
-unsafe impl<T: Send + Sync> Send for Buffer<T> {}
+// SAFETY: a `Buffer<T>` owns its allocation (`ptr` is a unique allocation,
+// `cap` a plain counter). Sharing `&Buffer<T>` across threads hands out
+// `&T` only (readers build `&[T]` over initialised slots, the writer writes
+// slots no reader sees), which needs `T: Sync`; whichever thread drops the
+// last `Arc` frees the allocation, which holds `T`s and so needs `T: Send`.
+unsafe impl<T: Copy + Send + Sync> Send for Buffer<T> {}
 // SAFETY: as for `Send` above: shared access yields `&T` only, and the last
-// holder, on any thread, drops the `T`s.
-unsafe impl<T: Send + Sync> Sync for Buffer<T> {}
+// holder, on any thread, frees the allocation.
+unsafe impl<T: Copy + Send + Sync> Sync for Buffer<T> {}
 
-impl<T> Buffer<T> {
-    /// Take over a `Vec`'s allocation; its `len` elements become the
-    /// initialised slots.
+impl<T: Copy> Buffer<T> {
+    /// Take over a `Vec`'s allocation (its elements stay where they are).
     fn from_vec(v: Vec<T>) -> Buffer<T> {
         let mut v = ManuallyDrop::new(v);
         Buffer {
             ptr: NonNull::new(v.as_mut_ptr()).expect("Vec pointers are never null"),
             cap: v.capacity(),
-            init: AtomicUsize::new(v.len()),
-            _owns: PhantomData,
         }
     }
 }
 
-impl<T> Drop for Buffer<T> {
+impl<T: Copy> Drop for Buffer<T> {
     fn drop(&mut self) {
-        let init = *self.init.get_mut();
         // SAFETY: `ptr`/`cap` came from a `Vec<T>` (`from_vec`) that was
-        // never freed, and exactly the first `init` slots are initialised:
-        // the writer bumps `init` after each write and zeroes it when it
-        // moves the values out (`AppendVec::grow`). This is the last
-        // reference, so no prefix can observe the values afterwards.
-        // Dropping them in place and then rebuilding the `Vec` with length
-        // 0 drops each value once and frees the allocation once.
-        unsafe {
-            ptr::drop_in_place(ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), init));
-            drop(Vec::from_raw_parts(self.ptr.as_ptr(), 0, self.cap));
-        }
+        // never freed, and this is the last reference, so no prefix can
+        // read the slots afterwards. Rebuilding the `Vec` with length 0
+        // frees the allocation once; `T: Copy` values need no drop.
+        unsafe { drop(Vec::from_raw_parts(self.ptr.as_ptr(), 0, self.cap)) }
     }
 }
 
@@ -100,11 +93,11 @@ impl<T> Drop for Buffer<T> {
 /// Invariant: of all writers sharing a buffer, at most one — the one that
 /// created it — has `cap == buf.cap` and writes into it; every other one
 /// is a fork with `cap == len`, which must move to a buffer of its own
-/// before its first write. The writing one's `len` equals `buf.init` and
-/// is at least every fork's and every prefix's length. A writer that has
-/// never allocated holds no buffer (`cap == len == 0`), so empty sequences
-/// cost no allocation.
-pub struct AppendVec<T> {
+/// before its first write. The writing one's `len` is at least every
+/// fork's and every prefix's length. A writer that has never allocated
+/// holds no buffer (`cap == len == 0`), so empty sequences cost no
+/// allocation.
+pub struct AppendVec<T: Copy> {
     buf: Option<Arc<Buffer<T>>>,
     /// `buf.ptr` (dangling without a buffer), cached so the hot paths skip
     /// the `Arc`.
@@ -120,12 +113,12 @@ pub struct AppendVec<T> {
 // and two counters. Moving the writer to another thread moves its right to
 // fill slots `len..cap`, which no other writer or prefix can reach (see
 // the invariant above), and `&AppendVec<T>` hands out `&[T]` only.
-unsafe impl<T: Send + Sync> Send for AppendVec<T> {}
+unsafe impl<T: Copy + Send + Sync> Send for AppendVec<T> {}
 // SAFETY: as for `Send` above: through `&AppendVec<T>` nothing can append,
 // and reads yield `&T` only.
-unsafe impl<T: Send + Sync> Sync for AppendVec<T> {}
+unsafe impl<T: Copy + Send + Sync> Sync for AppendVec<T> {}
 
-impl<T> AppendVec<T> {
+impl<T: Copy> AppendVec<T> {
     /// An empty sequence (no allocation until the first push).
     pub fn new() -> AppendVec<T> {
         AppendVec::from(Vec::new())
@@ -137,6 +130,13 @@ impl<T> AppendVec<T> {
         AppendVec::from(Vec::with_capacity(cap))
     }
 
+    /// Elements this writer can still append without moving to a new
+    /// buffer.
+    #[inline]
+    pub fn spare(&self) -> usize {
+        self.cap - self.len
+    }
+
     /// A shareable handle on the elements appended so far. Later appends
     /// do not change what it sees.
     pub fn prefix(&self) -> Prefix<T> {
@@ -146,12 +146,10 @@ impl<T> AppendVec<T> {
             len: self.len,
         }
     }
-}
 
-impl<T: Clone> AppendVec<T> {
-    /// Append one element. Amortised O(1); when the buffer is full and
-    /// prefixes still hold it, the move to a buffer of twice the size
-    /// clones the existing elements once.
+    /// Append one element. Amortised O(1); when the buffer is full, the
+    /// move to a buffer of twice the size copies the existing elements
+    /// once.
     #[inline]
     pub fn push(&mut self, value: T) {
         if self.len == self.cap {
@@ -159,15 +157,33 @@ impl<T: Clone> AppendVec<T> {
         }
         // SAFETY: `len < cap`, so this writer is the buffer's creator
         // (a fork has `cap == len` until it moves) and slot `len` is inside
-        // the allocation. The slot is uninitialised and beyond the length of
-        // every fork and every `Prefix` of this buffer (both are taken at
-        // this writer's `len` or less, and `len` only grows), so nobody else
-        // reads or writes it.
+        // the allocation. The slot is beyond the length of every fork and
+        // every `Prefix` of this buffer (both are taken at this writer's
+        // `len` or less, and `len` only grows), so nobody else reads or
+        // writes it.
         unsafe { self.ptr.as_ptr().add(self.len).write(value) };
         self.len += 1;
-        if let Some(buf) = &self.buf {
-            buf.init.store(self.len, Ordering::Relaxed);
-        }
+    }
+
+    /// Append a copy of `values`: one bulk copy, where pushing them one at
+    /// a time would check the capacity per element.
+    pub fn extend_from_slice(&mut self, values: &[T]) {
+        self.reserve(values.len());
+        // SAFETY: after `reserve`, `len + values.len() <= cap`, so this
+        // writer is the buffer's creator (or `values` is empty) and the
+        // destination slots lie inside the allocation, beyond the length
+        // of every fork and `Prefix` (see `push`), so nobody else reads or
+        // writes them. `values` is borrowed from elsewhere (`&mut self`
+        // rules out this buffer's own slots), so the ranges do not
+        // overlap.
+        unsafe {
+            ptr::copy_nonoverlapping(
+                values.as_ptr(),
+                self.ptr.as_ptr().add(self.len),
+                values.len(),
+            )
+        };
+        self.len += values.len();
     }
 
     /// Make room for at least `additional` more elements without
@@ -179,36 +195,20 @@ impl<T: Clone> AppendVec<T> {
         }
     }
 
-    /// Move to a buffer with room for at least `min_cap` elements.
+    /// Move to a buffer with room for at least `min_cap` elements: a
+    /// bitwise copy of the elements so far. The old buffer is freed when
+    /// this was its last holder, and otherwise stays, unchanged, with the
+    /// prefixes and forks that hold it.
     #[cold]
     fn grow(&mut self, min_cap: usize) {
         let cap = min_cap.max(self.cap.saturating_mul(2)).max(4);
         let mut next: Vec<T> = Vec::with_capacity(cap);
-        let len = self.len;
-        match self.buf.as_mut().and_then(Arc::get_mut) {
-            Some(old) if old.init.load(Ordering::Relaxed) == len => {
-                // SAFETY: nobody else holds the old buffer (the `Arc` is
-                // unique), exactly its first `len` slots are initialised,
-                // and `next` has room for `cap >= len` elements in a
-                // distinct allocation. The values are moved bitwise; zeroing
-                // `init` right after keeps the old buffer from dropping them
-                // too, and `set_len` hands them to `next`.
-                unsafe {
-                    ptr::copy_nonoverlapping(self.ptr.as_ptr(), next.as_mut_ptr(), len);
-                    *old.init.get_mut() = 0;
-                    next.set_len(len);
-                }
-            }
-            // Others still read the old buffer (or, for a fork, it holds
-            // more than this writer's elements), or there is none: it keeps
-            // its values and the new one gets clones.
-            _ => next.extend_from_slice(self),
-        }
+        next.extend_from_slice(self);
         *self = AppendVec::from(next);
     }
 }
 
-impl<T: Clone> Clone for AppendVec<T> {
+impl<T: Copy> Clone for AppendVec<T> {
     /// Fork: O(1) now, sharing the elements so far; the fork's first push
     /// moves it to a buffer of its own.
     fn clone(&self) -> AppendVec<T> {
@@ -221,7 +221,7 @@ impl<T: Clone> Clone for AppendVec<T> {
     }
 }
 
-impl<T> From<Vec<T>> for AppendVec<T> {
+impl<T: Copy> From<Vec<T>> for AppendVec<T> {
     /// Adopt a `Vec`'s allocation and elements without copying.
     fn from(v: Vec<T>) -> AppendVec<T> {
         if v.capacity() == 0 {
@@ -244,19 +244,29 @@ impl<T> From<Vec<T>> for AppendVec<T> {
     }
 }
 
-impl<T> FromIterator<T> for AppendVec<T> {
+impl<T: Copy> FromIterator<T> for AppendVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> AppendVec<T> {
         AppendVec::from(iter.into_iter().collect::<Vec<T>>())
     }
 }
 
-impl<T> Default for AppendVec<T> {
+impl<T: Copy> Extend<T> for AppendVec<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.reserve(iter.size_hint().0);
+        for value in iter {
+            self.push(value);
+        }
+    }
+}
+
+impl<T: Copy> Default for AppendVec<T> {
     fn default() -> AppendVec<T> {
         AppendVec::new()
     }
 }
 
-impl<T> Deref for AppendVec<T> {
+impl<T: Copy> Deref for AppendVec<T> {
     type Target = [T];
 
     #[inline]
@@ -271,7 +281,7 @@ impl<T> Deref for AppendVec<T> {
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for AppendVec<T> {
+impl<T: Copy + fmt::Debug> fmt::Debug for AppendVec<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -280,7 +290,7 @@ impl<T: fmt::Debug> fmt::Debug for AppendVec<T> {
 /// The first `len` elements of an [`AppendVec`], frozen at the moment the
 /// handle was taken: an `Arc` on the buffer plus a length. Cloning it is a
 /// reference-count increment; it derefs to `&[T]`.
-pub struct Prefix<T> {
+pub struct Prefix<T: Copy> {
     /// `None` only for a prefix of a writer that never allocated (`len` 0).
     buf: Option<Arc<Buffer<T>>>,
     /// `buf.ptr`, cached so indexing costs what it costs on a `Vec`.
@@ -292,28 +302,29 @@ pub struct Prefix<T> {
 // when `T: Send + Sync`, see `Buffer`), a copy of that buffer's pointer,
 // and a length. A prefix only ever reads its initialised, never-again-written
 // slots, handing out `&T`.
-unsafe impl<T: Send + Sync> Send for Prefix<T> {}
+unsafe impl<T: Copy + Send + Sync> Send for Prefix<T> {}
 // SAFETY: as for `Send` above: shared access yields `&T` only.
-unsafe impl<T: Send + Sync> Sync for Prefix<T> {}
+unsafe impl<T: Copy + Send + Sync> Sync for Prefix<T> {}
 
-impl<T> Deref for Prefix<T> {
+impl<T: Copy> Deref for Prefix<T> {
     type Target = [T];
 
     #[inline]
     fn deref(&self) -> &[T] {
         // SAFETY: the prefix was taken from the writer when `len` slots of
         // `buf` were initialised (or, without a buffer, `ptr` is dangling
-        // and `len` is 0). `buf` is kept alive by this handle's `Arc`, and neither a later `push` (which writes at or beyond the
-        // writer's length, never below) nor a move to a bigger buffer (which
-        // leaves a shared old buffer untouched) writes those slots again.
-        // The writes that filled them happened before the handle was taken,
-        // and whatever moved or shared the handle to this thread (channel,
+        // and `len` is 0). `buf` is kept alive by this handle's `Arc`, and
+        // neither a later `push` (which writes at or beyond the writer's
+        // length, never below) nor a move to a bigger buffer (which leaves
+        // the old buffer untouched) writes those slots again. The writes
+        // that filled them happened before the handle was taken, and
+        // whatever moved or shared the handle to this thread (channel,
         // lock, spawn) orders them before this read.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
-impl<T> Clone for Prefix<T> {
+impl<T: Copy> Clone for Prefix<T> {
     fn clone(&self) -> Prefix<T> {
         Prefix {
             buf: self.buf.clone(),
@@ -323,14 +334,14 @@ impl<T> Clone for Prefix<T> {
     }
 }
 
-impl<T> From<Vec<T>> for Prefix<T> {
+impl<T: Copy> From<Vec<T>> for Prefix<T> {
     /// The whole of `v`, without copying.
     fn from(v: Vec<T>) -> Prefix<T> {
         AppendVec::from(v).prefix()
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Prefix<T> {
+impl<T: Copy + fmt::Debug> fmt::Debug for Prefix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -339,24 +350,24 @@ impl<T: fmt::Debug> fmt::Debug for Prefix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicIsize;
     use std::sync::mpsc;
 
     const fn assert_send_sync<X: Send + Sync>() {}
     const _: () = {
         assert_send_sync::<AppendVec<u32>>();
         assert_send_sync::<Prefix<u32>>();
-        assert_send_sync::<AppendVec<String>>();
-        assert_send_sync::<Prefix<String>>();
+        assert_send_sync::<AppendVec<(u64, u32)>>();
+        assert_send_sync::<Prefix<(u64, u32)>>();
     };
 
     #[test]
     fn empty_writer_and_zero_length_prefix() {
-        let w: AppendVec<String> = AppendVec::new();
+        let w: AppendVec<u64> = AppendVec::new();
         assert!(w.is_empty());
+        assert_eq!(w.spare(), 0);
         let p = w.prefix();
         assert_eq!(p.len(), 0);
-        assert_eq!(&*p, &[] as &[String]);
+        assert_eq!(&*p, &[] as &[u64]);
         drop(w);
         assert!(p.iter().next().is_none());
         let mut w = AppendVec::with_capacity(0);
@@ -382,7 +393,39 @@ mod tests {
         let before = w.prefix();
         w.push(101);
         assert_eq!(before.len(), 100);
+        // A bulk append that outgrows the buffer moves it, leaving the
+        // prefixes on the old one intact.
+        let big: Vec<i32> = (102..=2000).collect();
+        w.extend_from_slice(&big);
+        w.extend_from_slice(&[]);
+        assert!(w.iter().copied().eq(1..=2000));
+        assert!(before.iter().copied().eq(1..=100));
         assert_eq!(format!("{:?}", Prefix::from(vec![7, 8])), "[7, 8]");
+    }
+
+    /// A writer created at its final capacity fills it in place: its
+    /// buffer never moves, so every prefix shares the one allocation.
+    #[test]
+    fn fixed_capacity_writer_never_moves() {
+        let mut w: AppendVec<u32> = AppendVec::with_capacity(64);
+        let base = w.ptr;
+        let mut prefixes = Vec::new();
+        while w.spare() >= 5 {
+            let at = w.len() as u32;
+            if at.is_multiple_of(2) {
+                w.extend(at..at + 5);
+            } else {
+                w.extend_from_slice(&[at, at + 1, at + 2, at + 3, at + 4]);
+            }
+            prefixes.push(w.prefix());
+        }
+        assert_eq!(w.len(), 60);
+        assert_eq!(w.spare(), 4);
+        assert_eq!(w.ptr, base, "a fill within capacity moved the buffer");
+        for (k, p) in prefixes.iter().enumerate() {
+            assert_eq!(p.ptr, base);
+            assert!(p.iter().copied().eq(0..5 * (k as u32 + 1)));
+        }
     }
 
     /// Readers on other threads hold prefixes taken at many lengths and
@@ -393,20 +436,20 @@ mod tests {
     fn prefixes_stay_frozen_across_reallocations_on_other_threads() {
         const READERS: usize = 4;
         const TOTAL: usize = 5_000;
-        let value = |i: usize| format!("v{i}");
-        let mut w: AppendVec<String> = AppendVec::new();
+        let value = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut w: AppendVec<u64> = AppendVec::new();
         let mut txs = Vec::new();
         let mut handles = Vec::new();
         for _ in 0..READERS {
-            let (tx, rx) = mpsc::channel::<Prefix<String>>();
+            let (tx, rx) = mpsc::channel::<Prefix<u64>>();
             txs.push(tx);
             handles.push(std::thread::spawn(move || {
-                let mut held: Vec<Prefix<String>> = Vec::new();
+                let mut held: Vec<Prefix<u64>> = Vec::new();
                 let mut checks = 0usize;
                 for p in rx {
                     held.push(p);
                     for p in &held {
-                        assert!(p.iter().enumerate().all(|(i, s)| *s == value(i)));
+                        assert!(p.iter().enumerate().all(|(i, &s)| s == value(i)));
                         checks += 1;
                     }
                 }
@@ -434,151 +477,45 @@ mod tests {
             let checks = h.join().expect("reader panicked");
             assert!(checks >= sent);
         }
-        assert!(w.iter().enumerate().all(|(i, s)| *s == value(i)));
-    }
-
-    /// A value that counts its live instances: creation (including
-    /// clones) increments, drop decrements.
-    struct Counted<'a>(u32, &'a AtomicIsize);
-
-    impl<'a> Counted<'a> {
-        fn new(v: u32, live: &'a AtomicIsize) -> Counted<'a> {
-            live.fetch_add(1, Ordering::SeqCst);
-            Counted(v, live)
-        }
-    }
-
-    impl Clone for Counted<'_> {
-        fn clone(&self) -> Self {
-            Counted::new(self.0, self.1)
-        }
-    }
-
-    impl Drop for Counted<'_> {
-        fn drop(&mut self) {
-            let before = self.1.fetch_sub(1, Ordering::SeqCst);
-            assert!(before > 0, "dropped more values than were created");
-        }
-    }
-
-    /// Every value (original or clone made by a reallocation) is dropped
-    /// exactly once, whatever order the writer and the prefixes go in.
-    #[test]
-    fn every_value_dropped_exactly_once_in_any_drop_order() {
-        // Each scenario: (pushes, prefix every k pushes, drop order).
-        for pushes in [0usize, 1, 3, 4, 5, 17, 64, 300] {
-            for every in [1usize, 3, 50] {
-                for order in 0..4 {
-                    let live = AtomicIsize::new(0);
-                    {
-                        let mut w = AppendVec::new();
-                        let mut prefixes = Vec::new();
-                        for i in 0..pushes {
-                            w.push(Counted::new(i as u32, &live));
-                            if i % every == 0 {
-                                prefixes.push(w.prefix());
-                            }
-                        }
-                        for p in &prefixes {
-                            assert!(p.iter().enumerate().all(|(i, c)| c.0 == i as u32));
-                        }
-                        match order {
-                            0 => {
-                                drop(w);
-                                drop(prefixes);
-                            }
-                            1 => {
-                                drop(prefixes);
-                                drop(w);
-                            }
-                            2 => {
-                                // Newest prefix first, writer in the middle.
-                                let half = prefixes.len() / 2;
-                                while prefixes.len() > half {
-                                    prefixes.pop();
-                                }
-                                drop(w);
-                                while prefixes.pop().is_some() {}
-                            }
-                            _ => {
-                                // Oldest first, writer last.
-                                while !prefixes.is_empty() {
-                                    prefixes.remove(0);
-                                }
-                                drop(w);
-                            }
-                        }
-                    }
-                    assert_eq!(
-                        live.load(Ordering::SeqCst),
-                        0,
-                        "pushes {pushes}, every {every}, order {order}"
-                    );
-                }
-            }
-        }
+        assert!(w.iter().enumerate().all(|(i, &s)| s == value(i)));
     }
 
     /// Forks share what they were cloned from and diverge on their first
-    /// push, without disturbing the original, each other or any prefix;
-    /// every value is still dropped exactly once.
+    /// push, without disturbing the original, each other or any prefix,
+    /// whatever order they are dropped in.
     #[test]
     fn forks_copy_on_write() {
         for order in 0..3 {
-            let live = AtomicIsize::new(0);
-            {
-                let mut a = AppendVec::with_capacity(64);
-                for i in 0..10 {
-                    a.push(Counted::new(i, &live));
-                }
-                let before = a.prefix();
-                let mut b = a.clone();
-                let mut d = a.clone();
-                assert_eq!(live.load(Ordering::SeqCst), 10, "a fork copies nothing");
-                a.push(Counted::new(100, &live)); // in place: a created the buffer
-                b.push(Counted::new(200, &live)); // b moves first
-                let mut c = b.clone();
-                c.push(Counted::new(300, &live));
-                let tags = |v: &[Counted<'_>]| v.iter().map(|c| c.0).collect::<Vec<_>>();
-                let base: Vec<u32> = (0..10).collect();
-                assert_eq!(tags(&before), base);
-                assert_eq!(tags(&a), [&base[..], &[100]].concat());
-                assert_eq!(tags(&b), [&base[..], &[200]].concat());
-                assert_eq!(tags(&c), [&base[..], &[200, 300]].concat());
-                match order {
-                    0 => drop((a, b, c, d, before)),
-                    1 => drop((before, d, c, b, a)),
-                    _ => {
-                        // The original goes first: the fork left holding
-                        // the buffer alone must clone, not move, since the
-                        // buffer also holds a value (100) the fork does not
-                        // own.
-                        drop((a, before));
-                        d.push(Counted::new(400, &live));
-                        assert_eq!(tags(&d), [&base[..], &[400]].concat());
-                        drop((b, c, d));
-                    }
+            let mut a = AppendVec::with_capacity(64);
+            for i in 0..10u32 {
+                a.push(i);
+            }
+            let before = a.prefix();
+            let mut b = a.clone();
+            let mut d = a.clone();
+            assert_eq!(b.ptr, a.ptr, "a fork copies nothing");
+            a.push(100); // in place: a created the buffer
+            b.push(200); // b moves first
+            let mut c = b.clone();
+            c.push(300);
+            let base: Vec<u32> = (0..10).collect();
+            assert_eq!(&*before, &base[..]);
+            assert_eq!(&*a, &[&base[..], &[100]].concat()[..]);
+            assert_eq!(&*b, &[&base[..], &[200]].concat()[..]);
+            assert_eq!(&*c, &[&base[..], &[200, 300]].concat()[..]);
+            match order {
+                0 => drop((a, b, c, d, before)),
+                1 => drop((before, d, c, b, a)),
+                _ => {
+                    // The original goes first: the fork left holding the
+                    // buffer alone still moves before writing, since the
+                    // buffer also holds a value (100) past the fork's end.
+                    drop((a, before));
+                    d.push(400);
+                    assert_eq!(&*d, &[&base[..], &[400]].concat()[..]);
+                    drop((b, c, d));
                 }
             }
-            assert_eq!(live.load(Ordering::SeqCst), 0, "order {order}");
         }
-    }
-
-    /// A writer with no prefixes outstanding moves its values instead of
-    /// cloning them.
-    #[test]
-    fn unshared_growth_moves_instead_of_cloning() {
-        let live = AtomicIsize::new(0);
-        let mut w = AppendVec::new();
-        for i in 0..1000 {
-            w.push(Counted::new(i, &live));
-        }
-        assert_eq!(live.load(Ordering::SeqCst), 1000);
-        let p = w.prefix();
-        w.reserve(w.cap + 1); // shared: clones once
-        assert_eq!(live.load(Ordering::SeqCst), 2000);
-        drop(p);
-        drop(w);
-        assert_eq!(live.load(Ordering::SeqCst), 0);
     }
 }

@@ -192,13 +192,13 @@ fn projected_stamps_are_fm_projections() {
         for pos in 0..t.num_events() {
             match cts.stamp_at(pos) {
                 ClusterStamp::Projected { version, clock } => {
-                    let members = cts.sets().members(*version);
+                    let members = cts.sets().members(version);
                     for (i, &q) in members.iter().enumerate() {
                         assert_eq!(clock[i], fm.stamp_at(pos)[q.idx()]);
                     }
                 }
                 ClusterStamp::Full { clock } => {
-                    assert_eq!(clock.as_slice(), fm.stamp_at(pos));
+                    assert_eq!(clock, fm.stamp_at(pos));
                 }
             }
         }
