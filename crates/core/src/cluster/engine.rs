@@ -56,8 +56,9 @@ const MAX_CHUNK_WORDS: usize = 1 << 28;
 ///
 /// A stamp's words go to an arena of chunks that never move: chunk `k`
 /// holds `base·2^k` words (`base ≥ N`, so a full stamp always fits one
-/// chunk), is allocated at that capacity and is never grown, and a stamp
-/// that does not fit the rest of the open chunk starts the next one. Each
+/// chunk) unless [`reserve`](Self::reserve) asked for more, is allocated at
+/// that capacity and is never grown, and a stamp that does not fit the
+/// rest of the open chunk starts the next one. Each
 /// event adds a [`StampRec`] locating its words. A word is therefore
 /// written once and never copied, and the untouched tail of the open chunk
 /// costs address space, not resident memory.
@@ -139,14 +140,22 @@ impl StampLog {
     #[inline]
     fn open_chunk(&mut self, len: usize) -> (u32, u32) {
         if self.chunks.last().is_none_or(|c| c.spare() < len) {
-            // Chunk k holds base·2^k words, up to the largest chunk (the
-            // `min(20)` only keeps the shift in range).
-            let k = self.chunks.len() as u32;
-            let cap = (self.base << k.min(20)).min(MAX_CHUNK_WORDS.max(self.base));
-            self.chunks.push(AppendVec::with_capacity(cap));
+            self.open_new_chunk(len);
         }
         let open = self.chunks.len() - 1;
         (open as u32, self.chunks[open].len() as u32)
+    }
+
+    /// Open a chunk of at least `min` words (up to the largest chunk). A
+    /// chunk holds `base` more words than all chunks before it, so chunk
+    /// `k` holds `base·2^k` unless a reservation asked for more.
+    #[cold]
+    fn open_new_chunk(&mut self, min: usize) {
+        let held: usize = self.chunks.iter().map(|c| c.len() + c.spare()).sum();
+        let cap = (held + self.base)
+            .max(min)
+            .min(MAX_CHUNK_WORDS.max(self.base));
+        self.chunks.push(AppendVec::with_capacity(cap));
     }
 
     /// Stamps appended so far.
@@ -159,10 +168,20 @@ impl StampLog {
         self.recs.is_empty()
     }
 
-    /// Room for `additional` more stamp records without reallocating (the
-    /// words need none: arena chunks are allocated whole).
+    /// Room for `additional` more stamps without allocating: their records,
+    /// and words for as many full stamps in the open chunk (or a new one of
+    /// that size, up to the largest chunk). Words never written cost
+    /// address space, not resident memory. A run of known length thus
+    /// writes its words into one allocation, which a later run in the same
+    /// process can get back from the allocator with its pages still mapped;
+    /// a ladder of chunks is more often returned to the operating system
+    /// on drop and faulted in again.
     pub fn reserve(&mut self, additional: usize) {
         self.recs.reserve(additional);
+        let words = additional.saturating_mul(self.crs.len());
+        if self.chunks.last().is_none_or(|c| c.spare() < words) {
+            self.open_new_chunk(words);
+        }
     }
 
     /// The queryable structure over every stamp appended so far. `sets`
@@ -228,8 +247,8 @@ impl<S: MergePolicy> ClusterEngine<S> {
         }
     }
 
-    /// Room for `additional` more events without reallocating the stamp
-    /// log's records.
+    /// Room for `additional` more events without allocating stamp storage
+    /// (see [`StampLog::reserve`]).
     pub fn reserve(&mut self, additional: usize) {
         self.log.reserve(additional);
     }
@@ -1167,6 +1186,32 @@ mod tests {
         for (len, snap) in &snaps {
             assert!(snap.stamps().iter().eq(whole.stamps().iter().take(*len)));
         }
+    }
+
+    /// A reservation opens one chunk with room for that many full stamps,
+    /// so a run of known length writes every word into one allocation; the
+    /// next chunk after it is at least as large.
+    #[test]
+    fn reserve_fits_a_run_in_one_chunk() {
+        let t = ring_with_cross_traffic();
+        let n = t.num_processes() as usize;
+        let mut eng = ClusterEngine::new(t.num_processes(), NeverMerge);
+        eng.log = StampLog::with_base(t.num_processes(), 1);
+        eng.reserve(t.num_events());
+        for &ev in t.events() {
+            eng.accept(ev);
+        }
+        assert_eq!(eng.log.chunks.len(), 1);
+        assert_eq!(
+            eng.log.chunks[0].len() + eng.log.chunks[0].spare(),
+            n * t.num_events()
+        );
+        eng.log.open_new_chunk(1);
+        assert_eq!(eng.log.chunks[1].spare(), n * t.num_events() + n);
+        assert_eq!(
+            eng.snapshot().stamps(),
+            ClusterEngine::run(&t, NeverMerge).stamps()
+        );
     }
 
     #[test]

@@ -1167,6 +1167,54 @@ mod tests {
         comp.shutdown();
     }
 
+    /// A snapshot's footprint is its events and their delivery positions
+    /// plus the stamp bytes it refers to, and between two snapshots of one
+    /// engine those grow by exactly a 12-byte record per event, 4 bytes per
+    /// stamp word written and 8 bytes per cluster receive (no merges, so
+    /// the cluster versions stay as they were).
+    #[test]
+    fn footprint_counts_events_records_and_stamp_words() {
+        let t = Stencil1D { procs: 8, iters: 6 }.generate(7);
+        let mut eng = ClusterEngine::new(t.num_processes(), cts_core::strategy::NeverMerge);
+        let mut log = TraceLog::new("footprint", t.num_processes());
+        let mut snaps: Vec<Snapshot> = Vec::new();
+        for (k, &ev) in t.events().iter().enumerate() {
+            eng.accept(ev);
+            log.push(ev).unwrap();
+            if k + 1 == t.num_events() / 2 || k + 1 == t.num_events() {
+                snaps.push(Snapshot {
+                    epoch: snaps.len() as u64 + 1,
+                    delivered: k as u64 + 1,
+                    trace: log.trace().unwrap(),
+                    cts: eng.snapshot(),
+                });
+            }
+        }
+        let per_event = (std::mem::size_of::<Event>() + 4) as u64;
+        for s in &snaps {
+            assert_eq!(
+                s.footprint(),
+                s.delivered * per_event + s.cts.stored_bytes()
+            );
+        }
+        let (a, b) = (&snaps[0], &snaps[1]);
+        let words: usize = b
+            .cts
+            .stamps()
+            .iter()
+            .skip(a.delivered as usize)
+            .map(|s| s.clock().len())
+            .sum();
+        let crs = b.cts.num_cluster_receives() - a.cts.num_cluster_receives();
+        assert!(words > 0 && crs > 0);
+        assert_eq!(
+            b.cts.stored_bytes() - a.cts.stored_bytes(),
+            12 * (b.delivered - a.delivered) + 4 * words as u64 + 8 * crs as u64
+        );
+        // The earlier snapshot still counts only its own prefix.
+        assert_eq!(a.cts.stamps().len() as u64, a.delivered);
+    }
+
     #[test]
     fn sharded_flush_then_queries_match_offline_engine() {
         let t = Stencil1D { procs: 8, iters: 6 }.generate(7);

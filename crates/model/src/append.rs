@@ -152,30 +152,22 @@ impl<T: Copy> AppendVec<T> {
     /// once.
     #[inline]
     pub fn push(&mut self, value: T) {
-        if self.len == self.cap {
-            self.grow(self.len + 1);
-        }
-        // SAFETY: `len < cap`, so this writer is the buffer's creator
-        // (a fork has `cap == len` until it moves) and slot `len` is inside
-        // the allocation. The slot is beyond the length of every fork and
-        // every `Prefix` of this buffer (both are taken at this writer's
-        // `len` or less, and `len` only grows), so nobody else reads or
-        // writes it.
-        unsafe { self.ptr.as_ptr().add(self.len).write(value) };
-        self.len += 1;
+        self.extend_from_slice(std::slice::from_ref(&value));
     }
 
-    /// Append a copy of `values`: one bulk copy, where pushing them one at
-    /// a time would check the capacity per element.
+    /// Append a copy of `values` in one bulk copy. Every append goes
+    /// through here: it is the one place that writes elements.
+    #[inline]
     pub fn extend_from_slice(&mut self, values: &[T]) {
         self.reserve(values.len());
         // SAFETY: after `reserve`, `len + values.len() <= cap`, so this
-        // writer is the buffer's creator (or `values` is empty) and the
+        // writer is the buffer's creator (a fork has `cap == len` until it
+        // moves), or `values` is empty and nothing is written. The
         // destination slots lie inside the allocation, beyond the length
-        // of every fork and `Prefix` (see `push`), so nobody else reads or
-        // writes them. `values` is borrowed from elsewhere (`&mut self`
-        // rules out this buffer's own slots), so the ranges do not
-        // overlap.
+        // of every fork and every `Prefix` of this buffer (both are taken
+        // at this writer's `len` or less, and `len` only grows), so nobody
+        // else reads or writes them. `values` is initialised memory and
+        // those slots are not yet, so the ranges do not overlap.
         unsafe {
             ptr::copy_nonoverlapping(
                 values.as_ptr(),
@@ -188,6 +180,7 @@ impl<T: Copy> AppendVec<T> {
 
     /// Make room for at least `additional` more elements without
     /// reallocating.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         let want = self.len.checked_add(additional).expect("capacity overflow");
         if want > self.cap {

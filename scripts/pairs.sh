@@ -3,21 +3,20 @@
 # working tree (the change), alternating which side runs first.
 #
 # Usage: scripts/pairs.sh REV [--pairs N] [--workload W ...] [--seed S]
-#                         [--seconds T]
 #
 #   REV          any commit-ish; extracted with `git archive`, so only
 #                committed files of REV are measured
 #   --pairs N    pairs per workload (default 10)
 #   --workload W repeatable (default: every workload of BENCHMARK.json)
 #   --seed S     the seed both sides of every pair run (default 1)
-#   --seconds T  the benchmark's budget per run (default 30, as declared)
 #
 # Each side is built in a target directory of its own, under $PAIRS_DIR
 # (default target/pairs), where REV's tree is also extracted, keyed by its
 # commit id so a rerun reuses the build. Every run is
-#   bash benchmark/run.sh --workload W --seed S --seconds T --trace 0
-# in that side's tree; its last stdout line (the workload's JSON report)
-# is kept as $PAIRS_DIR/runs-<id>-seed<S>/<workload>/<side>-<k>.json.
+#   bash benchmark/run.sh --workload W --seed S
+# in that side's tree, at the run length the benchmark declares; its last
+# stdout line (the workload's JSON report) is kept as
+# $PAIRS_DIR/runs-<id>-seed<S>/<workload>/<side>-<k>.json.
 #
 # Per workload and end-to-end metric it prints the parent and change
 # medians, the change in % (positive = better), the pairs the change won,
@@ -34,21 +33,19 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 
 [ $# -ge 1 ] || usage
 REV="$1"
 shift
 PAIRS=10
 SEED=1
-SECONDS_BUDGET=30
 WORKLOADS=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) PAIRS="$2"; shift 2 ;;
         --workload) WORKLOADS+=("$2"); shift 2 ;;
         --seed) SEED="$2"; shift 2 ;;
-        --seconds) SECONDS_BUDGET="$2"; shift 2 ;;
         *) usage ;;
     esac
 done
@@ -92,7 +89,7 @@ run_one() { # side workload k
     echo "[pairs] $w pair $k: $side" >&2
     if ! (cd "$(tree_of "$side")" && CARGO_TARGET_DIR="$(target_of "$side")" \
         bash benchmark/run.sh --workload "$w" --seed "$SEED" \
-        --seconds "$SECONDS_BUDGET" --trace 0 2>"$log" | tail -n 1 >"$out"); then
+        2>"$log" | tail -n 1 >"$out"); then
         echo "[pairs] $w pair $k: $side run failed, see $log" >&2
         return 1
     fi
