@@ -302,6 +302,8 @@ fn bench_store_queries(r: &mut Runner) {
 /// - `rtt_single_256` vs `rtt_batch_256`: the same 256 pairs as individual
 ///   `QueryPrecedes` round trips vs one `QueryPrecedesBatch` frame against
 ///   a loopback daemon (wire + scheduling cost, not verdict cost).
+/// - `rtt_gcbatch_256`: one `QueryGcBatch` frame of 256 events spread over
+///   the same trace (one frame: the limit at 200 processes is 580).
 fn bench_query_path(r: &mut Runner) {
     use cts_store::queries::{greatest_concurrent_linear, ClusterBackend, PrecedenceBackend};
     use cts_store::{CachedClusterBackend, SharedQueryCache};
@@ -379,16 +381,21 @@ fn bench_query_path(r: &mut Runner) {
 
     // Wire round trips against a live loopback daemon. Single queries pay
     // one RTT per verdict; the batch pays one RTT total. (Skipped when a
-    // filter excludes both ids, so filtered runs don't boot a daemon.)
-    let single_id = format!("{g}/rtt_single_256");
-    let batch_id = format!("{g}/rtt_batch_256");
+    // filter excludes every rtt id, so filtered runs don't boot a daemon.)
     if let Some(pat) = &r.filter {
-        if !single_id.contains(pat.as_str()) && !batch_id.contains(pat.as_str()) {
+        let rtt_ids = ["rtt_single_256", "rtt_batch_256", "rtt_gcbatch_256"];
+        if !rtt_ids
+            .iter()
+            .any(|id| format!("{g}/{id}").contains(pat.as_str()))
+        {
             return;
         }
     }
     let trace = clustered_trace(200, 8);
     let pairs = query_pairs(&trace, 256);
+    let spread: Vec<EventId> = (0..256)
+        .map(|k: usize| trace.at(k * trace.num_events() / 256).id)
+        .collect();
     let daemon =
         cts_daemon::Daemon::start(cts_daemon::DaemonConfig::default()).expect("loopback daemon");
     let mut client = cts_daemon::Client::connect(daemon.local_addr()).expect("connect");
@@ -410,6 +417,14 @@ fn bench_query_path(r: &mut Runner) {
             .iter()
             .flatten()
             .filter(|&&b| b)
+            .count()
+    });
+    r.run(g, "rtt_gcbatch_256", || {
+        client
+            .gc_batch(&spread)
+            .expect("gc batch rtt")
+            .iter()
+            .flatten()
             .count()
     });
     let _ = client.goodbye();

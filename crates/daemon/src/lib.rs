@@ -63,7 +63,6 @@ pub mod metrics;
 #[cfg(target_os = "linux")]
 pub mod netpoll;
 pub mod pipeline;
-pub mod query_pool;
 pub mod reorder;
 pub mod replication;
 pub mod server;

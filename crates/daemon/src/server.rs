@@ -19,7 +19,6 @@
 
 use crate::checkpoint;
 use crate::pipeline::{lock, Computation, ComputationConfig, DurabilityConfig};
-use crate::query_pool::QueryPool;
 use crate::replication;
 use crate::shard::{PlacementParams, StampStrategy};
 use crate::wire::{code, write_msg, Msg};
@@ -75,12 +74,6 @@ pub struct DaemonConfig {
     /// `max_shards` also raises the pre-allocated slot count past the
     /// host's parallelism, which is how soaks force splits on small hosts.
     pub placement: Option<PlacementParams>,
-    /// Entry bound of each computation's greatest-concurrent memo;
-    /// `0` selects [`crate::pipeline::DEFAULT_QUERY_CACHE_CAPACITY`].
-    pub query_cache_capacity: usize,
-    /// Worker threads for batched queries; `0` picks a host-sized default
-    /// ([`QueryPool::default_size`]), `1` evaluates batches inline.
-    pub query_workers: usize,
     /// Follower mode: replicate this leader's computations and serve reads
     /// from them. Writes (`Events`, `Flush`) over the wire are refused with
     /// [`code::READ_ONLY`]; see [`crate::replication`].
@@ -115,8 +108,6 @@ impl Default for DaemonConfig {
             balance: false,
             pin_cores: false,
             placement: None,
-            query_cache_capacity: 0,
-            query_workers: 0,
             follow: None,
             retain_epochs: 0,
             retain_bytes: 0,
@@ -136,8 +127,6 @@ pub(crate) struct DaemonShared {
     /// True while startup recovery replays on-disk state; every request
     /// except `Shutdown`/`Goodbye` is refused with `RECOVERING` until then.
     pub(crate) recovering: AtomicBool,
-    /// Shared worker pool for batched query evaluation.
-    pub(crate) query_pool: QueryPool,
     /// Connections currently being served.
     pub(crate) live_conns: AtomicU64,
     /// Connections accepted / refused-with-OVERLOADED since start.
@@ -208,7 +197,6 @@ impl Daemon {
             Err(e) => {
                 // Pollers started before the failure exit on the wake.
                 shared.request_shutdown();
-                shared.query_pool.shutdown();
                 return Err(e);
             }
         };
@@ -279,7 +267,6 @@ impl Daemon {
         for (_, comp) in comps {
             comp.shutdown();
         }
-        self.shared.query_pool.shutdown();
     }
 
     /// Crash-stop for recovery testing: like [`shutdown`](Self::shutdown)
@@ -293,7 +280,6 @@ impl Daemon {
         for (_, comp) in comps {
             comp.kill();
         }
-        self.shared.query_pool.shutdown();
     }
 
     fn join_net_threads(&mut self) {
@@ -347,10 +333,6 @@ impl DaemonShared {
     /// `recovering` closes the `RECOVERING` gate until startup recovery
     /// opens it.
     pub(crate) fn new(config: DaemonConfig, addr: SocketAddr, recovering: bool) -> DaemonShared {
-        let query_pool = QueryPool::new(match config.query_workers {
-            0 => QueryPool::default_size(),
-            n => n,
-        });
         // Mint this start's leader incarnation before serving: leases
         // granted by a previous incarnation must be recognizably stale from
         // the very first Subscribe.
@@ -367,7 +349,6 @@ impl DaemonShared {
             computations: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             recovering: AtomicBool::new(recovering),
-            query_pool,
             live_conns: AtomicU64::new(0),
             conns_accepted: AtomicU64::new(0),
             conns_refused: AtomicU64::new(0),
@@ -467,7 +448,7 @@ fn computation_config(
         pin_cores: shared.config.pin_cores,
         placement: shared.config.placement,
         durability,
-        query_cache_capacity: shared.config.query_cache_capacity,
+        query_cache_capacity: 0,
         retain_epochs: shared.config.retain_epochs,
         retain_bytes: shared.config.retain_bytes,
     }

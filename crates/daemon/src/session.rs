@@ -35,7 +35,6 @@
 
 use crate::metrics::Metrics;
 use crate::pipeline::{lock, Computation, FlushError, Snapshot};
-use crate::query_pool::QueryPool;
 use crate::reorder::{unknown_process, MAX_PARKED};
 use crate::replication::{self, Grant};
 use crate::server::DaemonShared;
@@ -156,7 +155,7 @@ impl Session {
             }
             Scope::Session => {
                 return match &self.comp {
-                    Some(comp) => in_session(comp, &shared.query_pool, msg),
+                    Some(comp) => in_session(comp, msg),
                     None => Step::Reply(Msg::Error {
                         code: code::NO_SESSION,
                         message: "no session: send Hello first".into(),
@@ -293,7 +292,7 @@ fn list_computations(shared: &DaemonShared) -> Vec<CompInfo> {
 }
 
 /// A session-scoped verb on a bound session.
-fn in_session(comp: &Computation, pool: &QueryPool, msg: Msg) -> Step {
+fn in_session(comp: &Computation, msg: Msg) -> Step {
     match msg {
         Msg::Events(events) => {
             // Validate process ids — the event's own and its edge's far
@@ -346,7 +345,7 @@ fn in_session(comp: &Computation, pool: &QueryPool, msg: Msg) -> Step {
                 retainer.retired(),
             )))
         }
-        query => Step::Reply(serve_query(comp, pool, &query)),
+        query => Step::Reply(serve_query(comp, &query)),
     }
 }
 
@@ -395,9 +394,9 @@ fn cluster_map(comp: &Computation) -> Msg {
 
 /// Answer a query with latency/served metrics recorded, so the stats a
 /// client reads do not depend on which transport served it.
-fn serve_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> Msg {
+fn serve_query(comp: &Computation, msg: &Msg) -> Msg {
     let t0 = std::time::Instant::now();
-    let (reply, served) = answer_query(comp, pool, msg);
+    let (reply, served) = answer_query(comp, msg);
     record_query(comp.metrics(), msg, t0.elapsed().as_nanos() as u64, served);
     reply
 }
@@ -546,7 +545,7 @@ fn window(
 /// Answer a query against the head snapshot or a retained epoch. Returns the
 /// reply and how many individual queries it answered (batch messages count
 /// per item).
-fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
+fn answer_query(comp: &Computation, msg: &Msg) -> (Msg, u64) {
     match msg {
         &Msg::QueryPrecedes { e, f } => (precedes(comp, None, e, f), 1),
         &Msg::QueryAsOfPrecedes { epoch, e, f } => (precedes(comp, Some(epoch), e, f), 1),
@@ -567,16 +566,19 @@ fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
         } => (window(comp, Some(epoch), process, from, to, limit), 1),
         Msg::QueryPrecedesBatch { pairs } => {
             let snap = comp.snapshot();
-            let epoch = snap.epoch;
-            let cache = Arc::clone(comp.query_cache());
-            let verdicts = pool.map(pairs.clone(), move |(e, f)| {
-                if !snap.trace.contains(e) || !snap.trace.contains(f) {
-                    return None;
-                }
-                Some(reader(&snap, &cache).precedes(&snap.trace, e, f))
-            });
+            let mut r = reader(&snap, comp.query_cache());
+            let verdicts = pairs
+                .iter()
+                .map(|&(e, f)| {
+                    (snap.trace.contains(e) && snap.trace.contains(f))
+                        .then(|| r.precedes(&snap.trace, e, f))
+                })
+                .collect();
             (
-                Msg::PrecedesBatchResult { epoch, verdicts },
+                Msg::PrecedesBatchResult {
+                    epoch: snap.epoch,
+                    verdicts,
+                },
                 pairs.len() as u64,
             )
         }
@@ -594,19 +596,22 @@ fn answer_query(comp: &Computation, pool: &QueryPool, msg: &Msg) -> (Msg, u64) {
                 return (err, 1);
             }
             let snap = comp.snapshot();
-            let epoch = snap.epoch;
-            let cache = Arc::clone(comp.query_cache());
-            let results = pool.map(events.clone(), move |e| {
-                if !snap.trace.contains(e) {
-                    return None;
-                }
-                Some(greatest_concurrent(
-                    &mut reader(&snap, &cache),
-                    &snap.trace,
-                    e,
-                ))
-            });
-            (Msg::GcBatchResult { epoch, results }, events.len() as u64)
+            let mut r = reader(&snap, comp.query_cache());
+            let results = events
+                .iter()
+                .map(|&e| {
+                    snap.trace
+                        .contains(e)
+                        .then(|| greatest_concurrent(&mut r, &snap.trace, e))
+                })
+                .collect();
+            (
+                Msg::GcBatchResult {
+                    epoch: snap.epoch,
+                    results,
+                },
+                events.len() as u64,
+            )
         }
         Msg::ListEpochs => {
             let epochs = comp
@@ -1082,12 +1087,6 @@ mod tests {
     }
 
     fn shared(config: DaemonConfig) -> DaemonShared {
-        let config = DaemonConfig {
-            query_workers: 1, // inline: no pool threads to join
-            ..config
-        };
-        // Port 0 is never connectable, so `request_shutdown`'s accept-loop
-        // nudge fails fast.
         DaemonShared::new(config, "127.0.0.1:0".parse().unwrap(), false)
     }
 

@@ -28,12 +28,15 @@
 # A metric whose parent runs do not all read the same value while it is a
 # count (cr_per_kev: cluster receives depend on the arrival interleaving
 # of several connections) is flagged "varies": compare it only in the
-# median. Exit status is non-zero when a run fails or reports incorrect
-# answers.
+# median. Per workload it also sums each side's `attempted` and `failed`
+# operations over its runs and prints failed/attempted with the failed
+# share, marked WORSE when the change's share is larger than the parent's.
+# Exit status is non-zero when a run fails, reports incorrect answers, or
+# the change fails a larger share of operations than the parent.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 
 [ $# -ge 1 ] || usage
 REV="$1"
@@ -129,12 +132,22 @@ def quartiles(xs):
 for w in workloads:
     got = [(load(w, "parent", k), load(w, "change", k)) for k in range(1, pairs + 1)]
     got = [(a, b) for a, b in got if a is not None and b is not None]
+    ops = {}
     for side, i in (("parent", 0), ("change", 1)):
-        for r in (g[i] for g in got):
-            if not r.get("correct", False) or r.get("failed", 0):
-                print(f"{w}: a {side} run was incorrect or had failed operations")
-                bad = True
+        runs = [g[i] for g in got]
+        wrong = sum(1 for r in runs if not r.get("correct", False))
+        if wrong:
+            print(f"{w}: {wrong} {side} run(s) reported incorrect answers")
+            bad = True
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        failed = sum(r.get("failed", 0) for r in runs)
+        ops[side] = (failed, attempted, failed / attempted if attempted else 0.0)
     print(f"\n{w}: {len(got)} pairs")
+    more_failed = ops["change"][2] > ops["parent"][2]
+    bad = bad or more_failed
+    print("  operations failed: " + ", ".join(
+        f"{side} {f}/{a} ({100.0 * share:.3g}%)" for side, (f, a, share) in ops.items())
+        + ("  WORSE" if more_failed else ""))
     print(f"  {'metric':<22} {'parent':>12} {'change':>12} {'change%':>8} {'won':>6} "
           f"{'IQR%':>6}  bound  claim")
     for m in metrics:

@@ -16,14 +16,15 @@ use cts_core::ClusterEngine;
 use cts_daemon::checkpoint;
 use cts_daemon::loadgen::{self, LoadConfig};
 use cts_daemon::pipeline::{Computation, ComputationConfig, DurabilityConfig};
-use cts_daemon::server::DaemonConfig;
+use cts_daemon::server::{Daemon, DaemonConfig};
 use cts_daemon::shard::StampStrategy;
-use cts_daemon::wal;
+use cts_daemon::wire::code;
+use cts_daemon::{wal, Client};
 use cts_model::Trace;
 use cts_workloads::suite::mini_suite;
 use cts_workloads::{spmd::Stencil1D, Workload};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cts-recovery-tests").join(name);
@@ -232,6 +233,59 @@ fn sharded_recovery_is_quiescent_when_spawn_returns() {
         );
         comp.shutdown();
     }
+}
+
+/// The recovery gate as a client sees it: a durable daemon streams and
+/// flushes one computation, is crash-stopped, and restarts on the same data
+/// directory. Once a fresh connection's `Hello` is no longer refused with
+/// `RECOVERING`, `Flush(0)` — which waits for nothing — must report every
+/// flushed event as delivered.
+fn wire_recovery_gate_opens_on_the_whole_prefix(shards: u32) {
+    let trace = Stencil1D {
+        procs: 8,
+        iters: 1024,
+    }
+    .generate(3);
+    let (n, total) = (trace.num_processes(), trace.num_events() as u64);
+    let config = DaemonConfig {
+        data_dir: Some(tmpdir(&format!("wire-recovery-gate-{shards}"))),
+        sync_window: Duration::ZERO,
+        shards,
+        ..DaemonConfig::default()
+    };
+
+    let daemon = Daemon::start(config.clone()).expect("start");
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    client.hello("gate", n, 4).expect("hello");
+    client.stream_events(trace.events(), 23).expect("stream");
+    assert_eq!(client.flush(total).expect("flush").1, total);
+    daemon.kill();
+
+    let daemon = Daemon::start(config).expect("restart");
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    let recovering = format!("daemon error {}:", code::RECOVERING);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while let Err(e) = client.hello("gate", n, 4) {
+        assert!(e.to_string().starts_with(&recovering), "hello: {e}");
+        assert!(Instant::now() < deadline, "daemon never left RECOVERING");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (_, delivered) = client.flush(0).expect("flush(0)");
+    assert_eq!(
+        delivered, total,
+        "{shards} shard(s): RECOVERING lifted before the recovered prefix was delivered"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn wire_recovery_gate_single_runtime() {
+    wire_recovery_gate_opens_on_the_whole_prefix(1);
+}
+
+#[test]
+fn wire_recovery_gate_sharded_runtime() {
+    wire_recovery_gate_opens_on_the_whole_prefix(2);
 }
 
 #[test]
