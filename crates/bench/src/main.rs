@@ -297,8 +297,9 @@ fn bench_store_queries(r: &mut Runner) {
 ///   costs at most 2× the generic search.
 /// - `gc_binary_spread_*` vs `gc_daemon_spread_*`: the same two paths on 256
 ///   distinct probes spread over the trace, so most probes miss the cache
-///   as the benchmark's do. `scripts/ci.sh` holds binary/daemon ≥ 1.5: the
-///   kernel beats the generic search on cold probes.
+///   as the benchmark's do. `scripts/ci.sh` holds binary/daemon ≥ 3.0: the
+///   kernel's forward scan of the delivery order beats the generic search's
+///   stamp probes on cold probes.
 /// - `rtt_single_256` vs `rtt_batch_256`: the same 256 pairs as individual
 ///   `QueryPrecedes` round trips vs one `QueryPrecedesBatch` frame against
 ///   a loopback daemon (wire + scheduling cost, not verdict cost).

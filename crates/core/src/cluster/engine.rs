@@ -7,7 +7,7 @@ use crate::clustering::Clustering;
 use crate::fm::FmEngine;
 use crate::strategy::{MergePolicy, StaticClusters};
 use cts_model::append::{AppendVec, Prefix};
-use cts_model::{Event, EventId, EventIndex, ProcessId, Trace};
+use cts_model::{Event, EventId, EventIndex, EventKind, ProcessId, Trace};
 use std::fmt;
 use std::ops::Range;
 
@@ -43,6 +43,24 @@ const MIN_CHUNK_WORDS: usize = 1 << 10;
 /// Words in the largest arena chunk (1 GiB), unless the clock width is
 /// larger; offsets within a chunk then always fit a `u32`.
 const MAX_CHUNK_WORDS: usize = 1 << 28;
+
+/// Events past the query event, per process of the trace, that
+/// [`ClusterTimestamps::greatest_concurrent`] reads forward before it
+/// binary-searches the lines still open (DESIGN D.4).
+const SCAN_PER_PROCESS: usize = 64;
+
+/// Where one greatest-concurrent query's forward scan ended.
+struct FollowerScan {
+    /// Per process `q`, the first event of `q` that follows the query
+    /// event, clamped to `[a_q + 1, len_q + 1]`.
+    first: Vec<u32>,
+    /// Events of the trace the scan read.
+    #[allow(dead_code)] // diagnostic: referenced from tests only
+    visited: usize,
+    /// Lines still open when the scan stopped, finished by binary search.
+    #[allow(dead_code)] // diagnostic: referenced from tests only
+    searched: usize,
+}
 
 /// The append-only half of a cluster-timestamp structure: the stamps in
 /// delivery order and, per process, the cluster receives among them.
@@ -554,79 +572,114 @@ impl ClusterTimestamps {
     /// event of process `q` concurrent with `e`, `None` for `e`'s own
     /// process and for lines with no such event. The answer equals the
     /// generic binary search over [`precedes`](Self::precedes)
-    /// (`cts_store::queries::greatest_concurrent`); the probes are fewer and
-    /// each is a few integer comparisons.
+    /// (`cts_store::queries::greatest_concurrent`), found by reading the
+    /// delivery order forward from `e` instead of probing stamps.
     ///
     /// 1. *Predecessor boundary.* `a_q`, the number of `q`'s events
     ///    preceding `e`, is component `q` of the
     ///    [materialized clock](Self::materialized_clock).
-    /// 2. *Follower frontier.* For every process `r`, `t_r` is the index of
-    ///    `r`'s first cluster receive whose full clock covers `e`.
-    ///    Cluster-receive clocks are monotone along a process line, so the
-    ///    greatest cluster receive of `r` within `known` knows `e` exactly
-    ///    when `known ≥ t_r`. Each of `r`'s lists is searched whole: with
-    ///    synchronous pairs the receive at `a_r` itself can be `e`'s peer,
-    ///    and the peer knows `e`.
-    /// 3. *Line searches.* The first follower of `e` on `q` lies in
-    ///    `(a_q, min(len_q + 1, t_q)]`, as the receive at `t_q` follows `e`.
-    ///    A probe reads the probed stamp and nothing else: a `Full` stamp
-    ///    follows `e` when it covers `e`, a `Projected` one when some member
-    ///    `r` has `known ≥ t_r`, with `t_{p_e}` taken as `e`'s own index
-    ///    (that member's component is exact, and every other member that
-    ///    passes implies it).
+    /// 2. *Follower boundary.* `b_q`, the first event of `q` that `e`
+    ///    reaches, from one forward pass over the trace
+    ///    ([`follower_scan`](Self::follower_scan)).
     ///
-    /// Steps 2 and 3 advance every search by one probe a round, so the
-    /// cache misses of the `N` searches overlap instead of queueing one
-    /// behind another (DESIGN D.4).
+    /// The answer for `q` is `E(q, b_q − 1)` when `b_q > a_q + 1`.
     pub fn greatest_concurrent(&self, trace: &Trace, e: EventId) -> Vec<Option<EventId>> {
-        let (pe, need) = (e.process, e.index.0);
-        let mut frontier: Vec<(u32, u32)> = self.crs.iter().map(|l| (0, l.len() as u32)).collect();
-        frontier[pe.idx()] = (0, 0);
-        first_in_lockstep(&mut frontier, |r, i| {
-            let cr = self.stamp_at(self.crs[r][i as usize].pos as usize);
-            matches!(cr, ClusterStamp::Full { clock } if clock[pe.idx()] >= need)
-        });
-        let mut thr: Vec<u32> = frontier
-            .iter()
-            .zip(&self.crs)
-            .map(|(&(f, _), list)| list.get(f as usize).map_or(u32::MAX, |cr| cr.index))
-            .collect();
-        thr[pe.idx()] = need;
-
         let before = self.materialized_clock(trace, e);
-        let mut lines: Vec<(u32, u32)> = (0..trace.num_processes())
-            .map(|q| {
-                let lo = before.get(ProcessId(q)) + 1;
-                let end = trace.process_len(ProcessId(q)) as u32 + 1;
-                (lo, end.min(thr[q as usize]).max(lo))
-            })
-            .collect();
-        first_in_lockstep(&mut lines, |q, i| {
-            let f = EventId::new(ProcessId(q as u32), EventIndex(i));
-            self.follows(self.stamp(trace, f), pe, need, &thr)
-        });
-        lines
+        let scan = self.follower_scan(trace, e, &before);
+        scan.first
             .iter()
             .enumerate()
-            .map(|(q, &(b, _))| {
+            .map(|(q, &b)| {
                 let q = ProcessId(q as u32);
-                (q != pe && b > before.get(q) + 1).then(|| EventId::new(q, EventIndex(b - 1)))
+                (q != e.process && b > before.get(q) + 1)
+                    .then(|| EventId::new(q, EventIndex(b - 1)))
             })
             .collect()
     }
 
-    /// Does the event stamped `stamp` follow event `need` of `pe`, given the
-    /// follower frontier `thr` (by process)?
-    #[inline]
-    fn follows(&self, stamp: ClusterStamp<'_>, pe: ProcessId, need: u32, thr: &[u32]) -> bool {
-        match stamp {
-            ClusterStamp::Full { clock } => clock[pe.idx()] >= need,
-            ClusterStamp::Projected { version, clock } => self
-                .sets
-                .members(version)
-                .iter()
-                .zip(clock.iter())
-                .fold(false, |any, (r, &known)| any | (known >= thr[r.idx()])),
+    /// The first follower of `e` on every line, `before` being `e`'s
+    /// materialized clock (DESIGN D.4).
+    ///
+    /// `reach[r]` is the index of the first event of `r` that `e` reaches
+    /// (`e` itself on `p_e`, and its peer if `e` is a sync half). The
+    /// trace is a delivery order: every source comes before its receive,
+    /// and sync halves are adjacent. So walking it forward from `e`, an
+    /// event `f` on an unreached line is reached exactly when its
+    /// `receive_source()` (the send, or the sync peer) has an index at or
+    /// above `reach` of the source's line. A line closes when it is reached
+    /// or its last event goes by, and the walk stops when none is open, or
+    /// after [`SCAN_PER_PROCESS`]`·N` events: a line still open then is
+    /// finished by binary search over [`precedes`](Self::precedes), from
+    /// just above the last event of it the walk saw.
+    fn follower_scan(&self, trace: &Trace, e: EventId, before: &VectorClock) -> FollowerScan {
+        let n = trace.num_processes() as usize;
+        let start = trace.delivery_pos(e) + 1;
+        let mut reach = vec![u32::MAX; n];
+        reach[e.process.idx()] = e.index.0;
+        if let EventKind::Sync { peer } = trace.kind(e) {
+            reach[peer.process.idx()] = peer.index.0;
+        }
+        let last: Vec<u32> = (0..n)
+            .map(|q| trace.process_len(ProcessId(q as u32)) as u32)
+            .collect();
+        // Last event of each open line known not to follow `e`.
+        let mut seen: Vec<u32> = (0..n).map(|q| before.get(ProcessId(q as u32))).collect();
+        let mut open: Vec<bool> = (0..n)
+            .map(|q| {
+                let tail = EventId::new(ProcessId(q as u32), EventIndex(last[q]));
+                reach[q] == u32::MAX && last[q] > seen[q] && trace.delivery_pos(tail) >= start
+            })
+            .collect();
+        let mut left = open.iter().filter(|&&o| o).count();
+
+        let end = trace.num_events().min(start + SCAN_PER_PROCESS * n);
+        let mut visited = 0;
+        for f in &trace.events()[start..end] {
+            if left == 0 {
+                break;
+            }
+            visited += 1;
+            let q = f.process().idx();
+            if !open[q] {
+                continue;
+            }
+            let i = f.index().0;
+            let src = f.kind.receive_source();
+            if src.is_some_and(|s| s.index.0 >= reach[s.process.idx()]) {
+                reach[q] = i;
+            } else if i < last[q] {
+                seen[q] = i;
+                continue;
+            }
+            open[q] = false;
+            left -= 1;
+        }
+
+        let mut searched = 0;
+        for q in (0..n).filter(|&q| open[q]) {
+            searched += 1;
+            let (mut lo, mut hi) = (seen[q] + 1, last[q] + 1);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.precedes(trace, e, EventId::new(ProcessId(q as u32), EventIndex(mid))) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            reach[q] = lo;
+        }
+        let first = (0..n)
+            .map(|q| {
+                reach[q]
+                    .min(last[q] + 1)
+                    .max(before.get(ProcessId(q as u32)) + 1)
+            })
+            .collect();
+        FollowerScan {
+            first,
+            visited,
+            searched,
         }
     }
 }
@@ -701,30 +754,6 @@ impl<'a> Iterator for StampIter<'a> {
 }
 
 impl ExactSizeIterator for StampIter<'_> {}
-
-/// Many lower-bound searches side by side. On return every `(lo, hi)` of
-/// `ranges` has collapsed to the first `i` in `[lo, hi)` with `pred(k, i)`,
-/// or to `hi` if there is none; `pred(k, ·)` must be monotone (false, then
-/// true) over range `k`. Each round moves every open search one probe, with
-/// the bounds updated by selects rather than branches, so the probes of a
-/// round are independent loads the core can overlap.
-fn first_in_lockstep(ranges: &mut [(u32, u32)], mut pred: impl FnMut(usize, u32) -> bool) {
-    loop {
-        let mut open = false;
-        for (k, (lo, hi)) in ranges.iter_mut().enumerate() {
-            if *lo < *hi {
-                let mid = *lo + (*hi - *lo) / 2;
-                let hit = pred(k, mid);
-                *hi = if hit { mid } else { *hi };
-                *lo = if hit { *lo } else { mid + 1 };
-                open = true;
-            }
-        }
-        if !open {
-            return;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1036,6 +1065,142 @@ mod tests {
             vec![None, None, Some(id(2, 1))]
         );
         assert_gc_exact(&t, &cts);
+    }
+
+    /// `gc(e)` against both oracles for one event.
+    fn assert_gc_at(t: &Trace, cts: &ClusterTimestamps, fm: &crate::fm::FmStore, e: EventId) {
+        let got = cts.greatest_concurrent(t, e);
+        assert_eq!(got, generic_gc(t, cts, e), "generic search, gc({e})");
+        assert_eq!(got, linear_fm_gc(t, fm, e), "linear oracle, gc({e})");
+    }
+
+    /// Sync pairs around a ring of four, a send crossing each, and an
+    /// internal event between send and receive: queried from either half,
+    /// the peer's line is the one the scan starts closed.
+    fn sync_ring() -> Trace {
+        let mut b = TraceBuilder::new(4);
+        for r in 0..4u32 {
+            b.sync(p(r), p((r + 1) % 4)).unwrap();
+            let s = b.send(p((r + 2) % 4), p((r + 3) % 4)).unwrap();
+            b.internal(p(r)).unwrap();
+            b.receive(p((r + 3) % 4), s).unwrap();
+            b.sync(p((r + 2) % 4), p(r)).unwrap();
+        }
+        b.finish_complete("sync-ring").unwrap()
+    }
+
+    #[test]
+    fn gc_scan_from_either_half_of_a_sync_pair() {
+        let t = sync_ring();
+        let fm = crate::fm::FmStore::compute(&t);
+        let pairs: Vec<(EventId, EventId)> = t
+            .events()
+            .windows(2)
+            .filter_map(|w| match w[0].kind {
+                EventKind::Sync { peer } if peer == w[1].id => Some((w[0].id, w[1].id)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pairs.len(), 8);
+        for cts in [
+            ClusterEngine::run(&t, NeverMerge),
+            ClusterEngine::run(&t, MergeOnFirst::new(2)),
+            ClusterEngine::run(&t, MergeOnFirst::new(4)),
+        ] {
+            for &(first, second) in &pairs {
+                assert_gc_at(&t, &cts, &fm, first);
+                assert_gc_at(&t, &cts, &fm, second);
+            }
+        }
+    }
+
+    #[test]
+    fn gc_scan_from_the_first_and_the_last_event_of_the_log() {
+        for t in [two_pairs_bridge(), ring_with_cross_traffic(), sync_ring()] {
+            let fm = crate::fm::FmStore::compute(&t);
+            let cts = ClusterEngine::run(&t, MergeOnFirst::new(2));
+            let (first, last) = (t.at(0).id, t.at(t.num_events() - 1).id);
+            assert_gc_at(&t, &cts, &fm, first);
+            assert_gc_at(&t, &cts, &fm, last);
+            let scan = cts.follower_scan(&t, last, &cts.materialized_clock(&t, last));
+            assert_eq!((scan.visited, scan.searched), (0, 0), "{}", t.name());
+        }
+    }
+
+    /// A snapshot taken halfway and queried after its engine has taken the
+    /// rest of the trace answers over its own prefix: the scan ends at the
+    /// prefix's last event, and some answers differ from the whole trace's.
+    #[test]
+    fn gc_scan_stops_at_the_snapshot_end() {
+        let t = ring_with_cross_traffic();
+        let cut = t.num_events() / 2;
+        let mut eng = ClusterEngine::new(t.num_processes(), MergeOnFirst::new(2));
+        for &ev in &t.events()[..cut] {
+            eng.accept(ev);
+        }
+        let snap = eng.snapshot();
+        for &ev in &t.events()[cut..] {
+            eng.accept(ev);
+        }
+        let whole = eng.snapshot();
+        let prefix = prefix_trace(&t, cut);
+        let fm = crate::fm::FmStore::compute(&prefix);
+        let mut differ = 0;
+        for e in prefix.all_event_ids() {
+            assert_gc_at(&prefix, &snap, &fm, e);
+            let scan = snap.follower_scan(&prefix, e, &snap.materialized_clock(&prefix, e));
+            assert!(prefix.delivery_pos(e) + 1 + scan.visited <= cut);
+            differ += usize::from(
+                snap.greatest_concurrent(&prefix, e) != whole.greatest_concurrent(&t, e),
+            );
+        }
+        assert!(differ > 0, "the grown engine answered every query alike");
+    }
+
+    /// P0 never receives and has events up to the end of the log: it
+    /// writes to P3 every round, while P1 and P2 trade a message and P1
+    /// writes to P3 every 100 rounds. Nothing reaches P0, so a query off P0
+    /// reads the scan's full `SCAN_PER_PROCESS·N` events and binary-searches
+    /// P0, and P3 too when P1's next message to it is further off than
+    /// that: a search for a follower that exists. A query on P0 never
+    /// reaches P1 or P2, which search the same way.
+    #[test]
+    fn gc_scan_caps_its_reads_and_searches_what_stays_open() {
+        let mut b = TraceBuilder::new(4);
+        for r in 0..400u32 {
+            b.internal(p(0)).unwrap();
+            let s = b.send(p(0), p(3)).unwrap();
+            b.receive(p(3), s).unwrap();
+            let (q, other) = if r % 2 == 0 { (1, 2) } else { (2, 1) };
+            let s = b.send(p(q), p(other)).unwrap();
+            b.receive(p(other), s).unwrap();
+            if r % 100 == 50 {
+                let s = b.send(p(1), p(3)).unwrap();
+                b.receive(p(3), s).unwrap();
+            }
+        }
+        let t = b.finish_complete("silent-sender").unwrap();
+        let cap = SCAN_PER_PROCESS * t.num_processes() as usize;
+        let fm = crate::fm::FmStore::compute(&t);
+        for cts in [
+            ClusterEngine::run(&t, NeverMerge),
+            ClusterEngine::run(&t, MergeOnFirst::new(2)),
+        ] {
+            let (mut capped, mut searched_on, mut searched_off) = (0, 0, 0);
+            for e in t.all_event_ids() {
+                assert_gc_at(&t, &cts, &fm, e);
+                let scan = cts.follower_scan(&t, e, &cts.materialized_clock(&t, e));
+                assert!(scan.visited <= cap, "gc({e}) read {} events", scan.visited);
+                capped += usize::from(scan.visited == cap);
+                if e.process == p(0) {
+                    searched_on += scan.searched;
+                } else {
+                    searched_off += scan.searched;
+                }
+            }
+            assert!(capped > 0, "the cap never bound");
+            assert!(searched_on > 0 && searched_off > 0, "no line was searched");
+        }
     }
 
     /// Event counts at which a log with chunk-0 size `base` closes a chunk

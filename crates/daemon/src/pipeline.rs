@@ -1167,6 +1167,41 @@ mod tests {
         comp.shutdown();
     }
 
+    /// The kernel reads the snapshot's own delivery order, which is neither
+    /// the generator's nor, at two shards, the order the events were sent
+    /// in (the cut assembler interleaves the shards): its answer on every
+    /// event must be the generic search's on the offline run. The trace is
+    /// long enough that early queries reach the scan's cap.
+    #[test]
+    fn gc_kernel_on_a_cut_matches_offline_search() {
+        let t = Stencil1D {
+            procs: 8,
+            iters: 40,
+        }
+        .generate(7);
+        let offline = ClusterEngine::run(&t, MergeOnFirst::new(4));
+        for shards in [1, 2] {
+            let mut cfg = config("gc-cut", t.num_processes());
+            cfg.shards = shards;
+            let comp = Computation::spawn(cfg);
+            for chunk in relinearize(&t, 42).events().chunks(37) {
+                comp.enqueue_events(chunk.to_vec()).unwrap();
+            }
+            comp.flush(t.num_events() as u64, Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("flush failed: {e:?}\n{}", comp.debug_nofreeze()));
+            let snap = comp.snapshot();
+            assert_eq!(snap.trace.num_events(), t.num_events());
+            for e in t.all_event_ids() {
+                assert_eq!(
+                    snap.cts.greatest_concurrent(&snap.trace, e),
+                    greatest_concurrent(&mut ClusterBackend(&offline), &t, e),
+                    "shards {shards}: gc({e})"
+                );
+            }
+            comp.shutdown();
+        }
+    }
+
     /// A snapshot's footprint is its events and their delivery positions
     /// plus the stamp bytes it refers to, and between two snapshots of one
     /// engine those grow by exactly a 12-byte record per event, 4 bytes per

@@ -101,9 +101,10 @@ impl PrecedenceBackend for crate::vm_sim::PagedTimestampStore<'_> {
 /// itself ([`PrecedenceBackend::answer_gc`]) is asked once, first, and
 /// its answer is returned as is: the daemon's
 /// [`CachedClusterBackend`](crate::CachedClusterBackend) answers from its
-/// memo or from [`ClusterTimestamps::greatest_concurrent`], which searches
-/// every process line at once. [`ClusterBackend`] keeps this generic search,
-/// so it stays an independent oracle for that kernel.
+/// memo or from [`ClusterTimestamps::greatest_concurrent`], which reads the
+/// trace forward from `e` instead of probing stamps. [`ClusterBackend`]
+/// keeps this generic search, so it stays an independent oracle for that
+/// kernel.
 pub fn greatest_concurrent<B: PrecedenceBackend>(
     backend: &mut B,
     trace: &Trace,

@@ -11,9 +11,9 @@
 //! the measured break-even). What is memoised is the one result that is
 //! expensive and asked again as is: the greatest-concurrent slot vector, as
 //! `(e, delivered) → Arc<[Option<EventId>]>`. A miss is answered by
-//! [`ClusterTimestamps::greatest_concurrent`], the kernel that searches
-//! every process line in lock-step against one follower frontier (DESIGN
-//! D.4).
+//! [`ClusterTimestamps::greatest_concurrent`], the kernel that finds the
+//! first follower of `e` on every process line in one forward pass over
+//! the delivered log (DESIGN D.4).
 //!
 //! The daemon's snapshots are prefix-monotone: epoch `k + 1` extends epoch
 //! `k` by appending delivered events, never rewriting them — the same
