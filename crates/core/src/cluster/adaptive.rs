@@ -45,7 +45,6 @@
 use super::engine::{ClusterTimestamps, StampLog};
 use super::membership::ClusterSets;
 use super::stamp::ClusterStamp;
-use crate::clock::VectorClock;
 use crate::fm::FmEngine;
 use cts_model::{Event, ProcessId, Trace};
 use std::collections::HashMap;
@@ -244,11 +243,6 @@ impl AdaptiveEngine {
         }
     }
 
-    fn record_full(&mut self, p: ProcessId, index: u32, clock: &VectorClock) {
-        let clock = clock.as_slice();
-        self.log.push(p, index, ClusterStamp::Full { clock });
-    }
-
     /// Room for `additional` more events without reallocating the stamp
     /// log.
     pub fn reserve(&mut self, additional: usize) {
@@ -258,6 +252,9 @@ impl AdaptiveEngine {
     /// Accept the next event in delivery order.
     pub fn accept(&mut self, ev: Event) {
         let fm_stamp = self.fm.accept(ev);
+        let full = ClusterStamp::Full {
+            clock: fm_stamp.as_slice(),
+        };
         let p = ev.process();
         let index = ev.index().0;
         self.last_index[p.idx()] = index;
@@ -266,7 +263,7 @@ impl AdaptiveEngine {
         // the event kind.
         if std::mem::take(&mut self.pending_marker[p.idx()]) {
             self.num_forced_full += 1;
-            self.record_full(p, index, &fm_stamp);
+            self.log.push(p, index, full);
             return;
         }
 
@@ -289,7 +286,7 @@ impl AdaptiveEngine {
                     self.decider.note_merge(dead);
                     self.num_merges += 1;
                     self.log
-                        .push_projected(vid, &fm_stamp, self.sets.members(vid));
+                        .push_projected(vid, fm_stamp, self.sets.members(vid));
                     return;
                 }
                 let migrate = self.decider.on_blocked(
@@ -302,7 +299,7 @@ impl AdaptiveEngine {
                 );
                 // The blocked CR itself is the migrating process's anchor
                 // (rule 1): recorded full stamp, before membership changes.
-                self.record_full(p, index, &fm_stamp);
+                self.log.push(p, index, full);
                 if migrate {
                     self.apply_migration(p, index, my_slot, their_slot);
                 }
@@ -312,10 +309,10 @@ impl AdaptiveEngine {
                 // send — the projection could hide departed-process
                 // knowledge, so force a recorded full stamp.
                 self.num_forced_full += 1;
-                self.record_full(p, index, &fm_stamp);
+                self.log.push(p, index, full);
             }
             _ => {
-                self.log.push_projected(v, &fm_stamp, self.sets.members(v));
+                self.log.push_projected(v, fm_stamp, self.sets.members(v));
             }
         }
     }

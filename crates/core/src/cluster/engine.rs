@@ -312,7 +312,7 @@ impl<S: MergePolicy> ClusterEngine<S> {
                 v
             }
         };
-        self.log.push_projected(v, &fm_stamp, self.sets.members(v));
+        self.log.push_projected(v, fm_stamp, self.sets.members(v));
     }
 
     /// Coarsen the current clusters to realize `target`: every group of the

@@ -236,7 +236,9 @@ impl HierarchicalTimestamps {
                             pos,
                         });
                     }
-                    stamps.push(HStamp::Full { clock: stamp });
+                    stamps.push(HStamp::Full {
+                        clock: stamp.clone(),
+                    });
                 }
             }
         }

@@ -7,6 +7,10 @@ use crate::wire::StatsSnapshot;
 use cts_store::CacheStats;
 use cts_util::hist::AtomicHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+/// One ingest offer in this many is timed into [`Metrics::ingest_ns`].
+pub const INGEST_SAMPLE_EVERY: u64 = 64;
 
 /// Counters and histograms for one computation.
 #[derive(Debug, Default)]
@@ -43,7 +47,11 @@ pub struct Metrics {
     pub place_rescales: AtomicU64,
     /// Placement: clusters stolen between shards at a fixed count.
     pub place_steals: AtomicU64,
-    /// Per-event ingest-apply latency (reorder + engine), ns.
+    /// Ingest-apply latency of one offer (reorder + engine + the
+    /// deliveries it cascades), ns. A sample: one offer in
+    /// [`INGEST_SAMPLE_EVERY`] is timed, counted across batches and always
+    /// including the first (see [`IngestSampler`]), so a clock read is not
+    /// paid on every event.
     pub ingest_ns: AtomicHistogram,
     /// Per-query service latency, ns (all query types).
     pub query_ns: AtomicHistogram,
@@ -56,6 +64,14 @@ pub struct Metrics {
 impl Metrics {
     pub fn new() -> Metrics {
         Metrics::default()
+    }
+
+    /// Record the latency of an offer [`IngestSampler::start`] timed.
+    #[inline]
+    pub fn record_ingest(&self, started: Option<Instant>) {
+        if let Some(t0) = started {
+            self.ingest_ns.record(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Materialize the counters for the wire, folding in the computation's
@@ -109,6 +125,23 @@ impl Metrics {
     }
 }
 
+/// Picks the ingest offers [`Metrics::ingest_ns`] times: offers 0, 64,
+/// 128, … of one ingest thread, counted across its batches.
+#[derive(Debug, Default)]
+pub struct IngestSampler {
+    offers: u64,
+}
+
+impl IngestSampler {
+    /// Count one offer; its start time if it is one to time.
+    #[inline]
+    pub fn start(&mut self) -> Option<Instant> {
+        let due = self.offers.is_multiple_of(INGEST_SAMPLE_EVERY);
+        self.offers += 1;
+        due.then(Instant::now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,5 +192,25 @@ mod tests {
         assert_eq!(s.place_shards, 3);
         assert_eq!(s.place_rescales, 2);
         assert_eq!(s.place_steals, 7);
+    }
+
+    #[test]
+    fn ingest_timing_samples_one_offer_in_64_from_the_first() {
+        let samples = |offers: usize| {
+            let m = Metrics::new();
+            let mut sampler = IngestSampler::default();
+            // Split across batches: the count carries over.
+            for batch in [offers / 3, offers - offers / 3] {
+                for _ in 0..batch {
+                    m.record_ingest(sampler.start());
+                }
+            }
+            m.ingest_ns.count()
+        };
+        assert_eq!(samples(0), 0);
+        assert_eq!(samples(1), 1);
+        assert_eq!(samples(64), 1);
+        assert_eq!(samples(65), 2);
+        assert_eq!(samples(130), 3);
     }
 }

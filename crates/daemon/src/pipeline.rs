@@ -32,7 +32,7 @@
 //! but the segment it opens.
 
 use crate::checkpoint::{self, CompMeta, RecoveryReport};
-use crate::metrics::Metrics;
+use crate::metrics::{IngestSampler, Metrics};
 use crate::reorder::{DeliveryHooks, ReorderBuffer};
 use crate::shard::{PlacementParams, StampStrategy};
 use crate::sharded::{PlacementInfo, ShardedRuntime};
@@ -965,6 +965,7 @@ fn worker_loop(
         subscribers.retain(|tx| tx.try_send(Arc::clone(&batch)).is_ok());
     };
 
+    let mut ingest_sampler = IngestSampler::default();
     for cmd in rx.iter() {
         if shared.killed.load(Ordering::Acquire) {
             return; // crash-stop: no final sync, checkpoint, or publish
@@ -979,17 +980,14 @@ fn worker_loop(
                     then: |_: &WorkerEngine, _: &TraceLog| {},
                 };
                 for ev in batch {
-                    let t0 = Instant::now();
+                    let t0 = ingest_sampler.start();
                     if let Err(reason) = buf.offer_with(ev, &mut hooks) {
                         eprintln!(
                             "[cts-daemon] {}: dropping event {}: {reason}",
                             config.name, ev.id
                         );
                     }
-                    shared
-                        .metrics
-                        .ingest_ns
-                        .record(t0.elapsed().as_nanos() as u64);
+                    shared.metrics.record_ingest(t0);
                 }
                 // Write-ahead log the newly delivered suffix.
                 if log.len() > batch_start {

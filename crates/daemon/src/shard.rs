@@ -66,6 +66,7 @@ use cts_core::cluster::{
     AdaptiveParams, ClusterSets, ClusterStamp, ClusterTimestamps, ClusterVersionId, DriftDecider,
     StampLog,
 };
+use cts_core::fm::row_and_peer;
 use cts_core::strategy::{MergeOnFirst, MergePolicy};
 use cts_core::VectorClock;
 use cts_model::{Event, EventId, EventKind, ProcessId, Trace, TraceLog};
@@ -299,26 +300,23 @@ impl ShardFm {
         }
     }
 
-    fn advance_own(&self, p: ProcessId, index: u32) -> VectorClock {
-        let mut c = self.frontier[p.idx()].clone();
-        c.set(p, index);
-        c
-    }
-
-    /// Apply one delivered event, returning its Fidge/Mattern stamp.
-    fn accept(&mut self, ev: Event, exchange: &Exchange, wakes: &mut Vec<Wake>) -> VectorClock {
+    /// Apply one delivered event: update its process's frontier row in
+    /// place and lend it out as the event's Fidge/Mattern stamp. A send
+    /// copies the row once (in flight or onto the exchange), a locally
+    /// delivered sync pair keeps one combined clock; nothing else allocates.
+    fn accept(&mut self, ev: Event, exchange: &Exchange, wakes: &mut Vec<Wake>) -> &VectorClock {
         let p = ev.process();
         let index = ev.index().0;
-        let stamp = match ev.kind {
-            EventKind::Internal => self.advance_own(p, index),
+        match ev.kind {
+            EventKind::Internal => self.frontier[p.idx()].set(p, index),
             EventKind::Send { to } => {
-                let s = self.advance_own(p, index);
+                let row = &mut self.frontier[p.idx()];
+                row.set(p, index);
                 if to.0 < self.n && self.owned[to.idx()] {
-                    self.in_flight.insert(ev.id, (to, s.clone()));
+                    self.in_flight.insert(ev.id, (to, row.clone()));
                 } else {
-                    exchange.publish(ev.id, s.clone(), wakes);
+                    exchange.publish(ev.id, row.clone(), wakes);
                 }
-                s
             }
             EventKind::Receive { from } => {
                 // The send may have been delivered locally (in-flight) or on
@@ -328,15 +326,16 @@ impl ShardFm {
                     Some((_, clock)) => clock,
                     None => exchange.take(from),
                 };
-                let mut s = self.advance_own(p, index);
-                s.max_assign(&msg);
-                s
+                let row = &mut self.frontier[p.idx()];
+                row.set(p, index);
+                row.max_assign(&msg);
             }
             EventKind::Sync { peer } => {
                 let q = peer.process;
                 if self.owned[q.idx()] {
                     if let Some(combined) = self.pending_sync.remove(&ev.id) {
-                        combined // second half of a locally-delivered pair
+                        // Second half of a locally-delivered pair.
+                        self.frontier[p.idx()] = combined;
                     } else if self.frontier[q.idx()].get(q) >= peer.index.0 {
                         // The peer half was already delivered as a
                         // cross-shard sync before `q` migrated here. `q`'s
@@ -345,32 +344,30 @@ impl ShardFm {
                         // pre-sync frontier is still parked on the exchange
                         // (this half is its only consumer).
                         let peer_frontier = exchange.take(peer);
-                        let mut combined = self.advance_own(p, index);
-                        combined.max_assign(&peer_frontier);
-                        combined.set(q, peer.index.0);
-                        combined
+                        let row = &mut self.frontier[p.idx()];
+                        row.set(p, index);
+                        row.max_assign(&peer_frontier);
+                        row.set(q, peer.index.0);
                     } else {
-                        let mut combined = self.advance_own(p, index);
-                        combined.max_assign(&self.frontier[q.idx()]);
-                        combined.set(q, peer.index.0);
-                        self.pending_sync.insert(peer, combined.clone());
-                        self.frontier[q.idx()] = combined.clone();
-                        combined
+                        let (row, peer_row) = row_and_peer(&mut self.frontier, p, q);
+                        row.set(p, index);
+                        row.max_assign(peer_row);
+                        row.set(q, peer.index.0);
+                        self.pending_sync.insert(peer, row.clone());
                     }
                 } else {
                     // Both halves compute the identical combined stamp from
                     // the exchanged pre-sync frontiers: componentwise max
                     // with both own components bumped.
                     let peer_frontier = exchange.take(peer);
-                    let mut combined = self.advance_own(p, index);
-                    combined.max_assign(&peer_frontier);
-                    combined.set(q, peer.index.0);
-                    combined
+                    let row = &mut self.frontier[p.idx()];
+                    row.set(p, index);
+                    row.max_assign(&peer_frontier);
+                    row.set(q, peer.index.0);
                 }
             }
-        };
-        self.frontier[p.idx()] = stamp.clone();
-        stamp
+        }
+        &self.frontier[p.idx()]
     }
 
     /// Release `p` for migration: its frontier row, plus every in-flight
@@ -1734,6 +1731,64 @@ mod tests {
                     tr.process_events(p).map(|id| tr.event(id)).collect()
                 };
                 assert_eq!(row(&trace), row(&t), "{shards} shards: row of {p}");
+            }
+        }
+    }
+
+    /// Every stamp of a sharded cut, word for word: a `Full` record is the
+    /// event's offline Fidge/Mattern row, a projected one that row's
+    /// projection onto its cluster version.
+    #[test]
+    fn sharded_stamps_equal_the_offline_fm_rows() {
+        use cts_core::FmStore;
+        use cts_workloads::dce::ThreeTier;
+        let rpc = ThreeTier {
+            clients: 6,
+            servers: 3,
+            databases: 2,
+            transactions: 60,
+        }
+        .generate(7);
+        let mut traces = vec![rpc, Stencil1D { procs: 8, iters: 5 }.generate(17)];
+        traces.extend(
+            cts_workloads::suite::mini_suite()
+                .into_iter()
+                .map(|s| s.trace),
+        );
+        for t in &traces {
+            let fm = FmStore::compute(t);
+            for shards in [2, 4] {
+                let mut sim = SimShards::new("sim", t.num_processes(), shards, 3);
+                for &ev in relinearize(t, 5).events() {
+                    sim.inject(ev);
+                }
+                sim.run_to_quiescence(&mut ShardSchedule::round_robin());
+                let (trace, cts) = sim.cut();
+                assert_eq!(trace.num_events(), t.num_events(), "{}", t.name());
+                let mut full = 0;
+                for (pos, ev) in trace.events().iter().enumerate() {
+                    let want = fm.stamp(t, ev.id);
+                    match cts.stamp_at(pos) {
+                        ClusterStamp::Full { clock } => {
+                            full += 1;
+                            assert_eq!(clock, want, "{} at {shards} shards: {}", t.name(), ev.id);
+                        }
+                        ClusterStamp::Projected { version, clock } => {
+                            let members = cts.sets().members(version);
+                            let proj: Vec<u32> = members.iter().map(|q| want[q.idx()]).collect();
+                            assert_eq!(
+                                clock,
+                                &proj[..],
+                                "{} at {shards} shards: {}",
+                                t.name(),
+                                ev.id
+                            );
+                        }
+                    }
+                }
+                if t.num_sync_pairs() > 0 {
+                    assert!(full > 0, "{} at {shards} shards: no full stamp", t.name());
+                }
             }
         }
     }

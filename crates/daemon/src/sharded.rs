@@ -67,6 +67,7 @@
 //! replayed state exact.
 
 use crate::checkpoint::{self, CompMeta, RecoveryReport};
+use crate::metrics::IngestSampler;
 use crate::pipeline::{lock, CompShared, ComputationConfig, DurabilityConfig, Snapshot};
 use crate::shard::{
     clusters_on, initial_routing, migrate_between, rebalance, CutAssembler, PlacementAction,
@@ -100,6 +101,8 @@ struct ShardState {
     lane: WalLane,
     reported_dup: u64,
     reported_depth: u64,
+    /// Which of this shard's offers `metrics.ingest_ns` times.
+    ingest_sampler: IngestSampler,
 }
 
 impl ShardState {
@@ -248,6 +251,7 @@ impl ShardedRuntime {
                         lane,
                         reported_dup: 0,
                         reported_depth: 0,
+                        ingest_sampler: IngestSampler::default(),
                     }),
                     join: Mutex::new(None),
                 }
@@ -1120,7 +1124,6 @@ fn process_msg(
         ShardMsg::Batch(events) => {
             let mut delivered = 0;
             for ev in events {
-                let t0 = Instant::now();
                 let p = ev.process();
                 if p.idx() < rt.routing.len() && !st.core.owns(p) {
                     // Routing moved while the batch was queued: forward.
@@ -1128,6 +1131,7 @@ fn process_msg(
                     rt.post(target, ShardMsg::Batch(vec![ev]));
                     continue;
                 }
+                let t0 = st.ingest_sampler.start();
                 match st.core.offer(ev, &rt.env, wakes) {
                     Ok(d) => delivered += d,
                     Err(reason) => eprintln!(
@@ -1135,10 +1139,7 @@ fn process_msg(
                         rt.name, ev.id
                     ),
                 }
-                rt.shared
-                    .metrics
-                    .ingest_ns
-                    .record(t0.elapsed().as_nanos() as u64);
+                rt.shared.metrics.record_ingest(t0);
             }
             delivered
         }

@@ -451,7 +451,9 @@ record! {
         pub queries_served: u64,
         /// Snapshots (epochs) published.
         pub snapshots_published: u64,
-        /// Ingest-path apply latency percentiles, nanoseconds.
+        /// Ingest-path apply latency percentiles of one offer, nanoseconds,
+        /// over a 1-in-64 sample of offers that always includes the first
+        /// (`Metrics::ingest_ns`).
         pub ingest_p50_ns: u64,
         pub ingest_p95_ns: u64,
         /// Query service latency percentiles, nanoseconds (all query types).

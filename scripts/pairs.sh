@@ -22,9 +22,14 @@
 # medians, the change in % (positive = better), the pairs the change won,
 # the parent's interquartile range in % of its median, and two verdicts:
 #   bound  WORSE when the change's median is worse than the parent's by
-#          more than the metric's BENCHMARK.json bound, else ok
-#   claim  yes when the change won at least 9 pairs in 10 and its median
-#          beats the parent's by more than the parent's IQR
+#          more than the metric's BENCHMARK.json bound; else >bound when it
+#          is better by more than the bound; else unresolved when the
+#          parent's IQR is wider than the bound (its runs cannot show a
+#          move of the bound's size) and not every change run beats every
+#          parent run; else ok
+#   claim  yes when the change won at least 9 pairs in 10, its median
+#          beats the parent's by more than the parent's IQR, and the bound
+#          verdict is >bound
 # A metric whose parent runs do not all read the same value while it is a
 # count (cr_per_kev: cluster receives depend on the arrival interleaving
 # of several connections) is flagged "varies": compare it only in the
@@ -36,7 +41,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 
 [ $# -ge 1 ] || usage
 REV="$1"
@@ -149,7 +154,7 @@ for w in workloads:
         f"{side} {f}/{a} ({100.0 * share:.3g}%)" for side, (f, a, share) in ops.items())
         + ("  WORSE" if more_failed else ""))
     print(f"  {'metric':<22} {'parent':>12} {'change':>12} {'change%':>8} {'won':>6} "
-          f"{'IQR%':>6}  bound  claim")
+          f"{'IQR%':>6}  {'bound':<10} claim")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pv = [g[0]["metrics"][name]["value"] for g in got if name in g[0]["metrics"]]
@@ -164,13 +169,22 @@ for w in workloads:
         q1, q3 = quartiles(pv)
         iqr = q3 - q1
         iqr_pct = 100.0 * iqr / pm if pm else 0.0
-        worse = -gain > m["bound"] * pm
-        claim = won * 10 >= 9 * len(pv) and gain > iqr
+        bound = m["bound"] * abs(pm)
+        all_beat = (max(cv) < min(pv)) if lower else (min(cv) > max(pv))
+        if -gain > bound:
+            verdict = "WORSE"
+        elif gain > bound:
+            verdict = ">bound"
+        elif iqr > bound and not all_beat:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        claim = won * 10 >= 9 * len(pv) and gain > iqr and verdict == ">bound"
         note = ""
         if m["unit"] == "count" and len(set(pv)) > 1:
             note = "  varies"
         print(f"  {name:<22} {pm:>12.4g} {cm:>12.4g} {pct:>+7.1f}% {won:>3}/{len(pv):<2} "
-              f"{iqr_pct:>5.1f}%  {'WORSE' if worse else 'ok':<5}  {'yes' if claim else 'no'}{note}")
+              f"{iqr_pct:>5.1f}%  {verdict:<10} {'yes' if claim else 'no'}{note}")
 sys.exit(1 if bad else 0)
 EOF
 exit $status
